@@ -1,74 +1,42 @@
 """Accumulation kernels behind the Monte Carlo engine and the oracle.
 
-Two interchangeable backends live here. The numba backend compiles the
-per-sample loops (argmax classification, stable softmax weighting, the
-tensor-quadrature node sweeps, and a fused normal sampler used by the
-diagonal-only paths); the numpy backend expresses the same accumulations
-with vectorized array operations. Pick one with the BIAS_LAB_BACKEND
-environment variable ("numba" or "numpy"); the default is numba when it
-imports, else numpy.
+Vectorized numpy bodies for the per-sample work: argmax classification,
+stable softmax weighting, the diagonal-only statistics of the orthonormal
+paths and the tensor-quadrature node sweeps.
 
-Contract shared by both backends: a worker consumes either a
-pre-generated sample block or a per-chunk RNG state and adds into plain
-float64 accumulator arrays. Partial sums are combined by the caller in
-chunk order, so results are bitwise reproducible for a fixed
-(seed, chunks, backend) regardless of thread count. On shared sample
-blocks the two backends agree to float rounding but not bit for bit,
-because their summation orders differ.
+Contract: a worker consumes a sample block (or draws its own from the
+per-chunk stream) and adds into plain float64 accumulator arrays.
+Partial sums are combined by the caller in chunk order, so results are
+bitwise reproducible for a fixed (seed, chunks) regardless of thread
+count.
+
+Every entry point takes a leading ``backend`` argument that is ignored:
+the benchmark in ``perfbench/`` counts rows and nodes from the entry
+points' positional arguments.
 """
 
-import math
-import os
+import importlib.util
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+# reported in the benchmark's run manifest; nothing here uses numba
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-_ENV_FLAG = "BIAS_LAB_BACKEND"
+_DIAG_SLICE = 4_000_000
+_NODE_BLOCK = 1 << 18
 
 
 def active_backend():
-    """Backend selected by environment, validated; numba wins by default."""
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(
-                f"{_ENV_FLAG}=numba requested but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(
-            f"{_ENV_FLAG} must be 'numba' or 'numpy', got {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the compute backend: always numpy."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # reproducible streams
 # ---------------------------------------------------------------------------
 
-def chunk_state(seed, chunk):
-    """xoshiro256++ state words for one sample block, derived hash-style."""
-    st = np.random.SeedSequence(entropy=seed,
-                                spawn_key=(chunk,)).generate_state(4, np.uint64)
-    if not st.any():  # keep the generator away from its all-zero fixed point
-        st[0] = np.uint64(0x9E3779B97F4A7C15)
-    return st
-
-
 def chunk_generator(seed, chunk):
-    """numpy Generator for one sample block; same derivation, numpy stream."""
+    """numpy Generator for one sample block, derived hash-style."""
     return np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(entropy=seed,
                                                spawn_key=(chunk,))))
@@ -80,468 +48,34 @@ def chunk_rows(m, chunks):
     return [base + (1 if c < extra else 0) for c in range(chunks)]
 
 
-def kahan_add(total, comp, term):
-    """One compensated-summation step; returns updated (total, comp)."""
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _normal_slices(seed, chunk, rows, L):
+    """One chunk's (rows, L) standard normals, in slices of bounded size.
+
+    Every slice is a view of one reused buffer, valid until the next.
+    """
+    g = chunk_generator(seed, chunk)
+    step = max(1, _DIAG_SLICE // L)
+    buf = np.empty((min(step, rows), L))
+    for done in range(0, rows, step):
+        yield g.standard_normal(out=buf[:min(step, rows - done)])
+
+
+def _softmax(logits):
+    """Row softmax; shifts logits in place by their row maximum."""
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 # ---------------------------------------------------------------------------
-# ziggurat tables for the fused normal sampler (128 layers)
+# general paths: projections s of one sample block
 # ---------------------------------------------------------------------------
 
-_ZIG_C = 128
-_ZIG_R = 3.442619855899
-_ZIG_V = 9.91256303526217e-3
-
-
-def _zig_tables():
-    x = np.zeros(_ZIG_C + 1)
-    x[_ZIG_C - 1] = _ZIG_R
-    for i in range(_ZIG_C - 2, 0, -1):
-        x[i] = math.sqrt(-2.0 * math.log(
-            _ZIG_V / x[i + 1] + math.exp(-0.5 * x[i + 1] * x[i + 1])))
-    x[_ZIG_C] = _ZIG_V / math.exp(-0.5 * _ZIG_R * _ZIG_R)
-    width = np.empty(_ZIG_C)
-    accept = np.empty(_ZIG_C)
-    height = np.exp(-0.5 * x[:_ZIG_C] ** 2)
-    width[0] = x[_ZIG_C]
-    accept[0] = _ZIG_R
-    width[1:] = x[1:_ZIG_C]
-    accept[1:] = x[0:_ZIG_C - 1]
-    return width, accept, height
-
-
-ZIG_W, ZIG_LO, ZIG_F = _zig_tables()
-
-_INV56 = 1.0 / (1 << 56)
-_INV53 = 1.0 / (1 << 53)
-_U1 = np.uint64(1)
-_U8 = np.uint64(8)
-_U11 = np.uint64(11)
-_U17 = np.uint64(17)
-_U19 = np.uint64(19)
-_U23 = np.uint64(23)
-_U41 = np.uint64(41)
-_U45 = np.uint64(45)
-_U127 = np.uint64(127)
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _nb_hard_block(s, labels, counts, sum1, sum2, pooled):
-        rows, L = s.shape
-        for i in range(rows):
-            best = s[i, 0]
-            lab = 0
-            for k in range(1, L):
-                v = s[i, k]
-                if v > best:
-                    best = v
-                    lab = k
-            labels[i] = lab
-            counts[lab] += 1.0
-            for k in range(L):
-                v = s[i, k]
-                sum1[lab, k] += v
-                sum2[lab, k] += v * v
-            pooled[0] += best
-            pooled[1] += best * best
-
-    @njit(cache=True, nogil=True, fastmath=True)
-    def _nb_soft_block(s, beta, p_out, store_p, w1, w2, a1, a2, a3, pooled):
-        rows, L = s.shape
-        prow = np.empty(L)
-        for i in range(rows):
-            mx = s[i, 0]
-            for k in range(1, L):
-                v = s[i, k]
-                if v > mx:
-                    mx = v
-            mx *= beta
-            denom = 0.0
-            for k in range(L):
-                e = math.exp(beta * s[i, k] - mx)
-                prow[k] = e
-                denom += e
-            inv = 1.0 / denom
-            g = 0.0
-            for l in range(L):
-                p = prow[l] * inv
-                prow[l] = p
-                if store_p:
-                    p_out[i, l] = p
-                pp = p * p
-                w1[l] += p
-                w2[l] += pp
-                g += p * s[i, l]
-                for k in range(L):
-                    v = s[i, k]
-                    a1[l, k] += p * v
-                    a2[l, k] += pp * v
-                    a3[l, k] += pp * v * v
-            pooled[0] += g
-            pooled[1] += g * g
-
-    @njit(cache=True, nogil=True)
-    def _nb_label_vectors(n, labels, vec):
-        rows, d = n.shape
-        for i in range(rows):
-            lab = labels[i]
-            for j in range(d):
-                vec[lab, j] += n[i, j]
-
-    @njit(cache=True, nogil=True)
-    def _nb_weighted_vectors(n, p, vec):
-        rows, d = n.shape
-        L = p.shape[1]
-        for i in range(rows):
-            for l in range(L):
-                w = p[i, l]
-                for j in range(d):
-                    vec[l, j] += w * n[i, j]
-
-    @njit(cache=True, nogil=True)
-    def _nb_hard_diag_fused(st, L, rows, scale, zw, zlo, zf,
-                            counts, d1, d2, pooled):
-        """Fused sampler + argmax for orthonormal templates, diagonal stats.
-
-        Draws rows*L standard normals from xoshiro256++ driving a
-        128-layer ziggurat, tracks the row argmax and maximum only, and
-        accumulates per-cluster count / sum / sum of squares of the
-        maximum. Valid because within cluster l the own-template
-        projection is exactly the row maximum.
-        """
-        s0, s1, s2, s3 = st[0], st[1], st[2], st[3]
-        for _ in range(rows):
-            best = -1.0e300
-            lab = 0
-            for k in range(L):
-                # xoshiro256++ step
-                tmp = s0 + s3
-                r = ((tmp << _U23) | (tmp >> _U41)) + s0
-                t17 = s1 << _U17
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t17
-                s3 = (s3 << _U45) | (s3 >> _U19)
-                i = np.int64((r >> _U1) & _U127)
-                cx = np.float64(r >> _U8) * _INV56 * zw[i]
-                if cx < zlo[i]:
-                    z = -cx if (r & _U1) else cx
-                else:
-                    z = 0.0
-                    accepted = False
-                    while not accepted:
-                        if i == 0:
-                            while True:
-                                tmp = s0 + s3
-                                r1 = ((tmp << _U23) | (tmp >> _U41)) + s0
-                                t17 = s1 << _U17
-                                s2 ^= s0
-                                s3 ^= s1
-                                s1 ^= s2
-                                s0 ^= s3
-                                s2 ^= t17
-                                s3 = (s3 << _U45) | (s3 >> _U19)
-                                tmp = s0 + s3
-                                r2 = ((tmp << _U23) | (tmp >> _U41)) + s0
-                                t17 = s1 << _U17
-                                s2 ^= s0
-                                s3 ^= s1
-                                s1 ^= s2
-                                s0 ^= s3
-                                s2 ^= t17
-                                s3 = (s3 << _U45) | (s3 >> _U19)
-                                e1 = -math.log(
-                                    1.0 - np.float64(r1 >> _U11) * _INV53) / _ZIG_R
-                                e2 = -math.log(
-                                    1.0 - np.float64(r2 >> _U11) * _INV53)
-                                if e1 * e1 <= 2.0 * e2:
-                                    break
-                            cx = _ZIG_R + e1
-                            z = -cx if (r & _U1) else cx
-                            accepted = True
-                        else:
-                            tmp = s0 + s3
-                            rv = ((tmp << _U23) | (tmp >> _U41)) + s0
-                            t17 = s1 << _U17
-                            s2 ^= s0
-                            s3 ^= s1
-                            s1 ^= s2
-                            s0 ^= s3
-                            s2 ^= t17
-                            s3 = (s3 << _U45) | (s3 >> _U19)
-                            u = np.float64(rv >> _U11) * _INV53
-                            if zf[i] + u * (zf[i - 1] - zf[i]) < math.exp(
-                                    -0.5 * cx * cx):
-                                z = -cx if (r & _U1) else cx
-                                accepted = True
-                            else:
-                                tmp = s0 + s3
-                                r = ((tmp << _U23) | (tmp >> _U41)) + s0
-                                t17 = s1 << _U17
-                                s2 ^= s0
-                                s3 ^= s1
-                                s1 ^= s2
-                                s0 ^= s3
-                                s2 ^= t17
-                                s3 = (s3 << _U45) | (s3 >> _U19)
-                                i = np.int64((r >> _U1) & _U127)
-                                cx = np.float64(r >> _U8) * _INV56 * zw[i]
-                                if cx < zlo[i]:
-                                    z = -cx if (r & _U1) else cx
-                                    accepted = True
-                if z > best:
-                    best = z
-                    lab = k
-            sv = best * scale
-            counts[lab] += 1.0
-            d1[lab] += sv
-            d2[lab] += sv * sv
-            pooled[0] += sv
-            pooled[1] += sv * sv
-
-    @njit(cache=True, nogil=True)
-    def _nb_fill_normals(st, zw, zlo, zf, out):
-        """Fill out with standard normals; advances st in place."""
-        s0, s1, s2, s3 = st[0], st[1], st[2], st[3]
-        for idx in range(out.size):
-            while True:
-                tmp = s0 + s3
-                r = ((tmp << _U23) | (tmp >> _U41)) + s0
-                t17 = s1 << _U17
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t17
-                s3 = (s3 << _U45) | (s3 >> _U19)
-                i = np.int64((r >> _U1) & _U127)
-                cx = np.float64(r >> _U8) * _INV56 * zw[i]
-                if cx < zlo[i]:
-                    out[idx] = -cx if (r & _U1) else cx
-                    break
-                if i == 0:
-                    while True:
-                        tmp = s0 + s3
-                        r1 = ((tmp << _U23) | (tmp >> _U41)) + s0
-                        t17 = s1 << _U17
-                        s2 ^= s0
-                        s3 ^= s1
-                        s1 ^= s2
-                        s0 ^= s3
-                        s2 ^= t17
-                        s3 = (s3 << _U45) | (s3 >> _U19)
-                        tmp = s0 + s3
-                        r2 = ((tmp << _U23) | (tmp >> _U41)) + s0
-                        t17 = s1 << _U17
-                        s2 ^= s0
-                        s3 ^= s1
-                        s1 ^= s2
-                        s0 ^= s3
-                        s2 ^= t17
-                        s3 = (s3 << _U45) | (s3 >> _U19)
-                        e1 = -math.log(
-                            1.0 - np.float64(r1 >> _U11) * _INV53) / _ZIG_R
-                        e2 = -math.log(1.0 - np.float64(r2 >> _U11) * _INV53)
-                        if e1 * e1 <= 2.0 * e2:
-                            break
-                    cx = _ZIG_R + e1
-                    out[idx] = -cx if (r & _U1) else cx
-                    break
-                tmp = s0 + s3
-                rv = ((tmp << _U23) | (tmp >> _U41)) + s0
-                t17 = s1 << _U17
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t17
-                s3 = (s3 << _U45) | (s3 >> _U19)
-                u = np.float64(rv >> _U11) * _INV53
-                if zf[i] + u * (zf[i - 1] - zf[i]) < math.exp(-0.5 * cx * cx):
-                    out[idx] = -cx if (r & _U1) else cx
-                    break
-        st[0], st[1], st[2], st[3] = s0, s1, s2, s3
-
-    @njit(cache=True, nogil=True, fastmath=True)
-    def _nb_soft_diag_block(z, scale, beta, w1, w2, b1, b2, b3, pooled):
-        """Diagonal-only softmax statistics for orthonormal templates.
-
-        z holds standard normals; s = scale * z. Accumulates w1[l] += p_l,
-        w2[l] += p_l**2, b1[l] += p_l s_l, b2[l] += p_l**2 s_l,
-        b3[l] += p_l**2 s_l**2, and the pooled sum_l p_l s_l statistic.
-        """
-        rows, L = z.shape
-        prow = np.empty(L)
-        for i in range(rows):
-            mx = z[i, 0]
-            for k in range(1, L):
-                v = z[i, k]
-                if v > mx:
-                    mx = v
-            bs = beta * scale
-            mx *= bs
-            denom = 0.0
-            for k in range(L):
-                e = math.exp(bs * z[i, k] - mx)
-                prow[k] = e
-                denom += e
-            inv = 1.0 / denom
-            g = 0.0
-            for l in range(L):
-                p = prow[l] * inv
-                s = scale * z[i, l]
-                pp = p * p
-                w1[l] += p
-                w2[l] += pp
-                b1[l] += p * s
-                b2[l] += pp * s
-                b3[l] += pp * s * s
-                g += p * s
-            pooled[0] += g
-            pooled[1] += g * g
-
-    @njit(cache=True, nogil=True)
-    def _nb_hard_nodes(a, x, w, prob, mom):
-        """Tensor product quadrature of argmax-indicator moments.
-
-        a is the whitening transform (y = a @ xvec), x the 1-D node
-        positions already scaled for a standard normal, w the matching
-        1-D weights normalized to sum 1. Walks the full n**L grid with an
-        odometer, maintaining y incrementally. Grid points that land on a
-        decision boundary (ties, which carry real weight on a symmetric
-        grid) split their weight evenly over the tied labels.
-        """
-        L = a.shape[0]
-        n = x.size
-        digits = np.zeros(L, dtype=np.int64)
-        y = np.empty(L)
-        x0 = x[0]
-        for r in range(L):
-            acc = 0.0
-            for c in range(L):
-                acc += a[r, c] * x0
-            y[r] = acc
-        total = 1
-        for _ in range(L):
-            total *= n
-        for step in range(total):
-            wp = 1.0
-            for k in range(L):
-                wp *= w[digits[k]]
-            best = y[0]
-            for r in range(1, L):
-                if y[r] > best:
-                    best = y[r]
-            thr = best - 1.0e-9 * (1.0 + abs(best))
-            nt = 0
-            for r in range(L):
-                if y[r] >= thr:
-                    nt += 1
-            share = wp / nt
-            for l in range(L):
-                if y[l] >= thr:
-                    prob[l] += share
-                    for r in range(L):
-                        mom[l, r] += share * y[r]
-            if step + 1 == total:
-                break
-            k = L - 1
-            while True:
-                old = x[digits[k]]
-                if digits[k] + 1 < n:
-                    digits[k] += 1
-                    new = x[digits[k]]
-                    diff = new - old
-                    for r in range(L):
-                        y[r] += a[r, k] * diff
-                    break
-                digits[k] = 0
-                diff = x0 - old
-                for r in range(L):
-                    y[r] += a[r, k] * diff
-                k -= 1
-
-    @njit(cache=True, nogil=True)
-    def _nb_soft_nodes(a, x, w, beta, mass, mom, pp):
-        """Tensor product quadrature of softmax moments.
-
-        Accumulates mass[l] = E p_l, mom[l][k] = E p_l y_k, and
-        pp[l][k] = E p_l p_k over the whitened node grid.
-        """
-        L = a.shape[0]
-        n = x.size
-        digits = np.zeros(L, dtype=np.int64)
-        y = np.empty(L)
-        p = np.empty(L)
-        x0 = x[0]
-        for r in range(L):
-            acc = 0.0
-            for c in range(L):
-                acc += a[r, c] * x0
-            y[r] = acc
-        total = 1
-        for _ in range(L):
-            total *= n
-        for step in range(total):
-            wp = 1.0
-            for k in range(L):
-                wp *= w[digits[k]]
-            mx = beta * y[0]
-            for r in range(1, L):
-                v = beta * y[r]
-                if v > mx:
-                    mx = v
-            denom = 0.0
-            for r in range(L):
-                e = math.exp(beta * y[r] - mx)
-                p[r] = e
-                denom += e
-            inv = 1.0 / denom
-            for r in range(L):
-                p[r] *= inv
-            for l in range(L):
-                wl = wp * p[l]
-                mass[l] += wl
-                for k in range(L):
-                    mom[l, k] += wl * y[k]
-                    pp[l, k] += wl * p[k]
-            if step + 1 == total:
-                break
-            k = L - 1
-            while True:
-                old = x[digits[k]]
-                if digits[k] + 1 < n:
-                    digits[k] += 1
-                    diff = x[digits[k]] - old
-                    for r in range(L):
-                        y[r] += a[r, k] * diff
-                    break
-                digits[k] = 0
-                diff = x0 - old
-                for r in range(L):
-                    y[r] += a[r, k] * diff
-                k -= 1
-
-
-# ---------------------------------------------------------------------------
-# numpy backend (same accumulations, vectorized)
-# ---------------------------------------------------------------------------
-
-def _np_hard_block(s, labels, counts, sum1, sum2, pooled):
+def hard_block(backend, s, counts, sum1, sum2, pooled):
+    """Argmax statistics of one block; returns the row labels."""
     rows, L = s.shape
-    np.argmax(s, axis=1, out=labels)
+    labels = np.argmax(s, axis=1)
     counts += np.bincount(labels, minlength=L).astype(np.float64)
     for k in range(L):
         sum1[:, k] += np.bincount(labels, weights=s[:, k], minlength=L)
@@ -549,15 +83,12 @@ def _np_hard_block(s, labels, counts, sum1, sum2, pooled):
     mx = s[np.arange(rows), labels]
     pooled[0] += mx.sum()
     pooled[1] += (mx * mx).sum()
+    return labels
 
 
-def _np_soft_block(s, beta, p_out, store_p, w1, w2, a1, a2, a3, pooled):
-    logits = beta * s
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    if store_p:
-        p_out[:] = p
+def soft_block(backend, s, beta, w1, w2, a1, a2, a3, pooled):
+    """Softmax statistics of one block; returns the weights p."""
+    p = _softmax(beta * s)
     p2 = p * p
     w1 += p.sum(axis=0)
     w2 += p2.sum(axis=0)
@@ -567,200 +98,116 @@ def _np_soft_block(s, beta, p_out, store_p, w1, w2, a1, a2, a3, pooled):
     g = np.einsum("ij,ij->i", p, s)
     pooled[0] += g.sum()
     pooled[1] += (g * g).sum()
+    return p
 
 
-def _np_label_vectors(n, labels, vec):
+def label_vectors(backend, n, labels, vec):
+    """vec[l] += sum of the noise rows labelled l."""
     L = vec.shape[0]
     onehot = np.zeros((n.shape[0], L))
     onehot[np.arange(n.shape[0]), labels] = 1.0
     vec += onehot.T @ n
 
 
-def _np_weighted_vectors(n, p, vec):
+def weighted_vectors(backend, n, p, vec):
+    """vec[l] += sum of the noise rows weighted by p[:, l]."""
     vec += p.T @ n
 
 
-def _np_hard_diag_block(z, scale, counts, d1, d2, pooled):
-    rows, L = z.shape
-    labels = np.argmax(z, axis=1)
-    mx = z[np.arange(rows), labels] * scale
-    counts += np.bincount(labels, minlength=L).astype(np.float64)
-    d1 += np.bincount(labels, weights=mx, minlength=L)
-    d2 += np.bincount(labels, weights=mx * mx, minlength=L)
-    pooled[0] += mx.sum()
-    pooled[1] += (mx * mx).sum()
-
-
-def _np_soft_diag_block(z, scale, beta, w1, w2, b1, b2, b3, pooled):
-    bs = beta * scale
-    logits = bs * z
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    s = scale * z
-    p2 = p * p
-    w1 += p.sum(axis=0)
-    w2 += p2.sum(axis=0)
-    b1 += np.einsum("ij,ij->j", p, s)
-    b2 += np.einsum("ij,ij->j", p2, s)
-    b3 += np.einsum("ij,ij->j", p2, s * s)
-    g = np.einsum("ij,ij->i", p, s)
-    pooled[0] += g.sum()
-    pooled[1] += (g * g).sum()
-
-
-def _np_node_grid(n, L, lo, hi):
-    """Decode flat node indices lo..hi-1 into an (hi-lo, L) digit matrix."""
-    flat = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((hi - lo, L), dtype=np.int64)
-    for k in range(L - 1, -1, -1):
-        digits[:, k] = flat % n
-        flat //= n
-    return digits
-
-
-_NP_NODE_BLOCK = 1 << 18
-
-
-def _np_hard_nodes(a, x, w, prob, mom):
-    L = a.shape[0]
-    n = x.size
-    total = n ** L
-    for lo in range(0, total, _NP_NODE_BLOCK):
-        hi = min(lo + _NP_NODE_BLOCK, total)
-        digits = _np_node_grid(n, L, lo, hi)
-        y = x[digits] @ a.T
-        wp = np.prod(w[digits], axis=1)
-        best = y.max(axis=1)
-        tied = y >= (best - 1.0e-9 * (1.0 + np.abs(best)))[:, None]
-        share = wp / tied.sum(axis=1)
-        wmat = tied * share[:, None]
-        prob += wmat.sum(axis=0)
-        mom += wmat.T @ y
-
-
-def _np_soft_nodes(a, x, w, beta, mass, mom, pp):
-    L = a.shape[0]
-    n = x.size
-    total = n ** L
-    for lo in range(0, total, _NP_NODE_BLOCK):
-        hi = min(lo + _NP_NODE_BLOCK, total)
-        digits = _np_node_grid(n, L, lo, hi)
-        y = x[digits] @ a.T
-        wp = np.prod(w[digits], axis=1)
-        logits = beta * y
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        wl = p * wp[:, None]
-        mass += wl.sum(axis=0)
-        mom += wl.T @ y
-        pp += wl.T @ p
-
-
 # ---------------------------------------------------------------------------
-# dispatch layer
+# diagonal paths: orthonormal templates, one chunk drawn here
 # ---------------------------------------------------------------------------
-
-def hard_block(backend, s, labels, counts, sum1, sum2, pooled):
-    if backend == "numba":
-        _nb_hard_block(s, labels, counts, sum1, sum2, pooled)
-    else:
-        _np_hard_block(s, labels, counts, sum1, sum2, pooled)
-
-
-def soft_block(backend, s, beta, p_out, store_p, w1, w2, a1, a2, a3, pooled):
-    if backend == "numba":
-        _nb_soft_block(s, beta, p_out, store_p, w1, w2, a1, a2, a3, pooled)
-    else:
-        _np_soft_block(s, beta, p_out, store_p, w1, w2, a1, a2, a3, pooled)
-
-
-def label_vectors(backend, n, labels, vec):
-    if backend == "numba":
-        _nb_label_vectors(n, labels, vec)
-    else:
-        _np_label_vectors(n, labels, vec)
-
-
-def weighted_vectors(backend, n, p, vec):
-    if backend == "numba":
-        _nb_weighted_vectors(n, p, vec)
-    else:
-        _np_weighted_vectors(n, p, vec)
-
 
 def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
                     counts, d1, d2, pooled):
     """Diagonal-only hard statistics for orthonormal templates, one chunk.
 
-    The numba backend fuses sampling and classification (its own
-    xoshiro256++ stream); the numpy backend draws from the numpy stream
-    in slices. Streams therefore differ between backends, which is fine:
-    both are valid samplers of the same experiment and each is
-    deterministic for fixed (seed, chunks).
+    Within cluster l the own-template projection is the row maximum, so
+    only the per-cluster count, sum and sum of squares of it are kept.
     """
-    if backend == "numba":
-        st = chunk_state(seed, chunk)
-        _nb_hard_diag_fused(st, L, rows, scale, ZIG_W, ZIG_LO, ZIG_F,
-                            counts, d1, d2, pooled)
-    else:
-        g = chunk_generator(seed, chunk)
-        step = max(1, 4_000_000 // L)
-        done = 0
-        while done < rows:
-            take = min(step, rows - done)
-            z = g.standard_normal((take, L))
-            _np_hard_diag_block(z, scale, counts, d1, d2, pooled)
-            done += take
+    for z in _normal_slices(seed, chunk, rows, L):
+        labels = np.argmax(z, axis=1)
+        mx = z[np.arange(z.shape[0]), labels] * scale
+        counts += np.bincount(labels, minlength=L).astype(np.float64)
+        d1 += np.bincount(labels, weights=mx, minlength=L)
+        d2 += np.bincount(labels, weights=mx * mx, minlength=L)
+        pooled[0] += mx.sum()
+        pooled[1] += (mx * mx).sum()
 
 
 def soft_diag_chunk(backend, seed, chunk, rows, L, scale, beta,
                     w1, w2, b1, b2, b3, pooled):
-    """Diagonal-only soft statistics for orthonormal templates, one chunk."""
-    if backend == "numba":
-        st = chunk_state(seed, chunk)
-        step = max(1, 4_000_000 // L)
-        buf = np.empty((min(step, rows), L))
-        done = 0
-        while done < rows:
-            take = min(step, rows - done)
-            flat = buf[:take].reshape(-1)
-            _nb_fill_normals(st, ZIG_W, ZIG_LO, ZIG_F, flat)
-            _nb_soft_diag_block(buf[:take], scale, beta,
-                                w1, w2, b1, b2, b3, pooled)
-            done += take
-    else:
-        g = chunk_generator(seed, chunk)
-        step = max(1, 4_000_000 // L)
-        done = 0
-        while done < rows:
-            take = min(step, rows - done)
-            z = g.standard_normal((take, L))
-            _np_soft_diag_block(z, scale, beta, w1, w2, b1, b2, b3, pooled)
-            done += take
+    """Diagonal-only soft statistics for orthonormal templates, one chunk.
+
+    With s = scale * z, accumulates w1[l] += p_l, w2[l] += p_l**2,
+    b1[l] += p_l s_l, b2[l] += p_l**2 s_l, b3[l] += p_l**2 s_l**2 and
+    the pooled sum_l p_l s_l statistic.
+    """
+    for z in _normal_slices(seed, chunk, rows, L):
+        p = _softmax((beta * scale) * z)
+        s = scale * z
+        p2 = p * p
+        w1 += p.sum(axis=0)
+        w2 += p2.sum(axis=0)
+        b1 += np.einsum("ij,ij->j", p, s)
+        b2 += np.einsum("ij,ij->j", p2, s)
+        b3 += np.einsum("ij,ij->j", p2, s * s)
+        g = np.einsum("ij,ij->i", p, s)
+        pooled[0] += g.sum()
+        pooled[1] += (g * g).sum()
+
+
+# ---------------------------------------------------------------------------
+# oracle: tensor-product quadrature over the whitened node grid
+# ---------------------------------------------------------------------------
+
+def _node_blocks(a, x, w):
+    """Yield (y, wp) per block of the n**L grid: y = nodes @ a.T and the
+    product weights. x, w are the 1-D rule scaled for a standard normal,
+    w summing to 1."""
+    L = a.shape[0]
+    n = x.size
+    total = n ** L
+    for lo in range(0, total, _NODE_BLOCK):
+        flat = np.arange(lo, min(lo + _NODE_BLOCK, total), dtype=np.int64)
+        digits = np.empty((flat.size, L), dtype=np.int64)
+        for k in range(L - 1, -1, -1):
+            digits[:, k] = flat % n
+            flat //= n
+        yield x[digits] @ a.T, np.prod(w[digits], axis=1)
 
 
 def hard_nodes(backend, a, x, w):
-    """Tensor quadrature sweep for argmax moments; returns (prob, mom)."""
+    """Tensor quadrature sweep for argmax moments; returns (prob, mom).
+
+    Grid points on a decision boundary (ties, which carry real weight on
+    a symmetric grid) split their weight evenly over the tied labels.
+    """
     L = a.shape[0]
     prob = np.zeros(L)
     mom = np.zeros((L, L))
-    if backend == "numba":
-        _nb_hard_nodes(a, x, w, prob, mom)
-    else:
-        _np_hard_nodes(a, x, w, prob, mom)
+    for y, wp in _node_blocks(a, x, w):
+        best = y.max(axis=1)
+        tied = y >= (best - 1.0e-9 * (1.0 + np.abs(best)))[:, None]
+        wmat = tied * (wp / tied.sum(axis=1))[:, None]
+        prob += wmat.sum(axis=0)
+        mom += wmat.T @ y
     return prob, mom
 
 
 def soft_nodes(backend, a, x, w, beta):
-    """Tensor quadrature sweep for softmax moments; (mass, mom, pp)."""
+    """Tensor quadrature sweep for softmax moments; (mass, mom, pp).
+
+    mass[l] = E p_l, mom[l][k] = E p_l y_k and pp[l][k] = E p_l p_k.
+    """
     L = a.shape[0]
     mass = np.zeros(L)
     mom = np.zeros((L, L))
     pp = np.zeros((L, L))
-    if backend == "numba":
-        _nb_soft_nodes(a, x, w, beta, mass, mom, pp)
-    else:
-        _np_soft_nodes(a, x, w, beta, mass, mom, pp)
+    for y, wp in _node_blocks(a, x, w):
+        p = _softmax(beta * y)
+        wl = p * wp[:, None]
+        mass += wl.sum(axis=0)
+        mom += wl.T @ y
+        pp += wl.T @ p
     return mass, mom, pp

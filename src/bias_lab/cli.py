@@ -1,13 +1,14 @@
 """Command line driver: canned experiments, verification suites, template
 tools.
 
-Config files are flat ``key = value`` text ('#' starts a comment).
+Config files are flat ``key = value`` text. '#' starts a comment at the
+start of a line or after whitespace; elsewhere it is part of the value,
+so ``template_dir = /data/run#3`` keeps the '#'.
 Recognized keys: experiment, L, d, M, mode, beta, seed, chunks, rho,
 rho_seq, alpha, scale, levels, width, height, template_dir, out_dir,
 tolerance. Every experiment documents its own defaults; M accepts
 scientific notation (M = 5e6). The environment variable BIAS_LAB_SEED,
-when set, overrides the config seed; BIAS_LAB_BACKEND picks the compute
-backend exactly as for the library.
+when set, overrides the config seed.
 
 Exit codes: 0 all tolerance rows pass, 1 at least one row failed,
 2 unknown experiment name, 3 invalid config, 4 unwritable output
@@ -22,6 +23,7 @@ appears only in report.txt.
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -84,6 +86,9 @@ def _parse_scalar(key, raw, kind):
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config(path):
     """Read a flat key=value config file into a dict."""
     try:
@@ -93,7 +98,7 @@ def parse_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     out = {}
     for no, line in enumerate(lines, 1):
-        body = line.split("#", 1)[0].strip()
+        body = _COMMENT.split(line, 1)[0].strip()
         if not body:
             continue
         if "=" not in body:

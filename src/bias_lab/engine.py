@@ -14,8 +14,8 @@ sharpness beta), in two sampling modes:
 Samples are split into a fixed number of chunks; each chunk owns an RNG
 stream derived from (seed, chunk index) and accumulates partial sums,
 which are then combined in index order with compensated summation.
-Results are therefore bitwise reproducible for fixed (seed, chunks,
-backend) no matter how many worker threads run.
+Results are therefore bitwise reproducible for fixed (seed, chunks) no
+matter how many worker threads run.
 
 The orthonormal high-L sweeps get dedicated diagonal-only entry points
 that track just the per-sample argmax / softmax self terms, avoiding the
@@ -52,11 +52,7 @@ class ExperimentConfig:
     m is the number of observations, beta the softmax sharpness
     (math.inf selects hard assignment), chunks the number of independent
     accumulation blocks (None picks a deterministic default from m).
-    threads never affect values. backend (None defers to the active
-    backend) never affects the values of hard_assign / soft_assign; the
-    diagonal fast paths draw backend-specific sample streams, so their
-    results are deterministic per backend but not identical across
-    backends.
+    threads never affect values.
     """
 
     m: int
@@ -65,8 +61,6 @@ class ExperimentConfig:
     beta: float = math.inf
     chunks: int = None
     threads: int = None
-    backend: str = None
-    template_spec: str = None
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 1:
@@ -83,11 +77,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"chunks must be an integer in [1, m], got {self.chunks}")
         object.__setattr__(self, "chunks", int(self.chunks))
-        if self.backend not in (None, "numba", "numpy"):
-            raise ConfigError(f"unknown backend {self.backend!r}")
-
-    def resolved_backend(self):
-        return self.backend or _kernels.active_backend()
 
 
 @dataclass(frozen=True)
@@ -112,7 +101,6 @@ class AssignmentEstimate:
     beta: float
     seed: int
     chunks: int
-    backend: str
     avg_self_corr: float
     avg_self_stderr: float
     estimates: np.ndarray = None
@@ -158,7 +146,7 @@ class AssignmentEstimate:
 
 @dataclass(frozen=True)
 class GramDiagEstimate:
-    """Diagonal-only statistics from the fused orthonormal-template path.
+    """Diagonal-only statistics from the orthonormal-template fast path.
 
     self_corr[l] = mean own-template projection within cluster l (hard)
     or weighted mean (soft); avg_self_corr pools all samples. Only valid
@@ -173,7 +161,6 @@ class GramDiagEstimate:
     beta: float
     seed: int
     chunks: int
-    backend: str
     scale: float
     avg_self_corr: float
     avg_self_stderr: float
@@ -187,20 +174,6 @@ class GramDiagEstimate:
     @property
     def L(self):
         return self.mass.shape[0]
-
-
-def _split_input(obj, mode):
-    """Reduce a TemplateSet or GramModel to sampling ingredients."""
-    if isinstance(obj, GramModel):
-        if mode != "gram":
-            raise ConfigError("a GramModel supports gram mode only")
-        return obj.rho.shape[0], None, obj.scale, np.array(obj.factor), None
-    if isinstance(obj, TemplateSet):
-        if mode == "full":
-            return obj.L, obj.d, obj.common_norm, None, np.array(obj.matrix)
-        corr = obj.correlation()
-        return obj.L, None, obj.common_norm, _psd_factor(corr), None
-    raise ConfigError(f"expected TemplateSet or GramModel, got {type(obj)!r}")
 
 
 def _psd_factor(corr):
@@ -220,13 +193,9 @@ def _psd_factor(corr):
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _chunk_plan(cfg):
-    return _kernels.chunk_rows(cfg.m, cfg.chunks)
-
-
 def _run_chunks(cfg, worker):
     """Run worker(chunk_index, rows) over all chunks, in parallel when asked."""
-    rows = _chunk_plan(cfg)
+    rows = _kernels.chunk_rows(cfg.m, cfg.chunks)
     threads = cfg.threads
     if threads is None:
         threads = min(len(rows), os.cpu_count() or 1)
@@ -250,6 +219,91 @@ def _kahan_combine(parts):
     return totals
 
 
+def _accumulate(cfg, shapes, fill):
+    """Zeroed accumulators of the given shapes, filled per chunk by
+    fill(chunk, rows, *acc) and combined in chunk order."""
+    def worker(chunk, rows):
+        acc = [np.zeros(shape) for shape in shapes]
+        fill(chunk, rows, *acc)
+        return acc
+
+    return _kahan_combine(_run_chunks(cfg, worker))
+
+
+def _sampler(templates, cfg):
+    """(L, d, blocks): blocks(chunk, rows) yields one chunk's (n, s) slices.
+
+    templates is a TemplateSet (either mode) or GramModel (gram mode).
+    s holds the projections <n, x_k>. Full mode yields the noise block n
+    as well, a view of one reused buffer that is valid until the next
+    slice; gram mode draws s = z @ (scale * factor).T directly, whose
+    law is the same, yields n = None and reports d = None.
+    """
+    if isinstance(templates, GramModel):
+        if cfg.mode != "gram":
+            raise ConfigError("a GramModel supports gram mode only")
+        factor = templates.scale * templates.factor
+    elif isinstance(templates, TemplateSet):
+        if cfg.mode == "gram":
+            factor = templates.common_norm * _psd_factor(
+                templates.correlation())
+    else:
+        raise ConfigError(
+            f"expected TemplateSet or GramModel, got {type(templates)!r}")
+    L = templates.L
+    if cfg.mode == "gram":
+        d, proj = None, factor.T.copy()
+        width, slice_rows = L, max(1, _GRAM_SLICE // L)
+    else:
+        d, proj = templates.d, templates.matrix
+        width, slice_rows = d, max(1, _FULL_SLICE // d)
+
+    def blocks(chunk, rows):
+        g = _kernels.chunk_generator(cfg.seed, chunk)
+        buf = np.empty((min(slice_rows, rows), width))
+        for done in range(0, rows, slice_rows):
+            n = g.standard_normal(out=buf[:min(slice_rows, rows - done)])
+            yield (None if d is None else n), n @ proj
+
+    return L, d, blocks
+
+
+def _pooled(pooled, m):
+    """Mean and stderr of the pooled per-sample statistic."""
+    avg = pooled[0] / m
+    if m < 2:
+        return avg, math.inf
+    return avg, math.sqrt(max(pooled[1] / m - avg * avg, 0.0) / m)
+
+
+def _mean(total, total_sq, counts):
+    """Per-cluster mean and its stderr from count, sum and sum of squares.
+
+    An empty cluster has a NaN mean; fewer than two samples give an
+    infinite stderr.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = total / counts
+        c = np.maximum(counts, 1.0)
+        var = np.maximum(total_sq - total ** 2 / c, 0.0)
+        return mean, np.where(counts >= 2, np.sqrt(var) / c, np.inf)
+
+
+def _ratio(num, num_w, num_w2, w1, w2, m):
+    """Ratio estimate sum(p S) / sum(p) and its delta-method stderr.
+
+    Var ~ sum(p^2 (S - R)^2) / (sum p)^2, expanded in the streaming
+    moments num_w = sum(p^2 S), num_w2 = sum(p^2 S^2) and w2 = sum(p^2).
+    A single sample carries no spread, so its stderr is infinite.
+    """
+    ratio = num / w1
+    var_num = np.maximum(num_w2 - 2.0 * ratio * num_w + ratio ** 2 * w2, 0.0)
+    stderr = np.sqrt(var_num) / w1
+    if m < 2:
+        stderr = np.full_like(stderr, np.inf)
+    return ratio, stderr
+
+
 def hard_assign(templates, cfg):
     """One hard assignment-and-average step on pure noise.
 
@@ -257,163 +311,71 @@ def hard_assign(templates, cfg):
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign expects cfg.beta = inf; use soft_assign")
-    backend = cfg.resolved_backend()
-    L, d, scale, factor, matrix = _split_input(templates, cfg.mode)
-    if cfg.mode == "gram":
-        sf = (scale * factor).T.copy()
-        slice_rows = max(1, _GRAM_SLICE // L)
+    L, d, blocks = _sampler(templates, cfg)
 
-        def worker(chunk, rows):
-            counts = np.zeros(L)
-            sum1 = np.zeros((L, L))
-            sum2 = np.zeros((L, L))
-            pooled = np.zeros(2)
-            labels = np.empty(slice_rows, dtype=np.int64)
-            g = _kernels.chunk_generator(cfg.seed, chunk)
-            done = 0
-            while done < rows:
-                take = min(slice_rows, rows - done)
-                s = g.standard_normal((take, L)) @ sf
-                _kernels.hard_block(backend, s, labels[:take],
-                                    counts, sum1, sum2, pooled)
-                done += take
-            return counts, sum1, sum2, pooled
+    def fill(chunk, rows, counts, sum1, sum2, pooled, vec=None):
+        for n, s in blocks(chunk, rows):
+            labels = _kernels.hard_block(None, s, counts, sum1, sum2, pooled)
+            if vec is not None:
+                _kernels.label_vectors(None, n, labels, vec)
 
-        counts, sum1, sum2, pooled = _kahan_combine(_run_chunks(cfg, worker))
-        vec = None
-    else:
-        slice_rows = max(1, _FULL_SLICE // d)
-
-        def worker(chunk, rows):
-            counts = np.zeros(L)
-            sum1 = np.zeros((L, L))
-            sum2 = np.zeros((L, L))
-            pooled = np.zeros(2)
-            vec = np.zeros((L, d))
-            labels = np.empty(slice_rows, dtype=np.int64)
-            g = _kernels.chunk_generator(cfg.seed, chunk)
-            done = 0
-            while done < rows:
-                take = min(slice_rows, rows - done)
-                n = g.standard_normal((take, d))
-                s = n @ matrix
-                _kernels.hard_block(backend, s, labels[:take],
-                                    counts, sum1, sum2, pooled)
-                _kernels.label_vectors(backend, n, labels[:take], vec)
-                done += take
-            return counts, sum1, sum2, pooled, vec
-
-        counts, sum1, sum2, pooled, vec = _kahan_combine(_run_chunks(cfg, worker))
+    shapes = [L, (L, L), (L, L), 2] + ([] if d is None else [(L, d)])
+    counts, sum1, sum2, pooled, *vec_sum = _accumulate(cfg, shapes, fill)
+    vec = None
+    if vec_sum:
         with np.errstate(invalid="ignore", divide="ignore"):
-            vec = vec / counts[:, None]
-    return _finalize_hard(cfg, backend, counts, sum1, sum2, pooled, vec)
+            vec = vec_sum[0] / counts[:, None]
+    m = cfg.m
+    corr, stderr = _mean(sum1, sum2, counts[:, None])
+    undefined = []
+    warnings_ = []
+    for l in range(L):
+        if counts[l] < 1:
+            undefined.append(l)
+            warnings_.append(f"empty cluster {l}: corr row undefined")
+        elif counts[l] < 2:
+            warnings_.append(f"cluster {l} has a single sample: stderr infinite")
+    corr[undefined] = np.nan
+    avg, avg_se = _pooled(pooled, m)
+    return AssignmentEstimate(
+        mode=cfg.mode, corr=corr, stderr=stderr, mass=counts / m, m=m,
+        beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
+        avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
+        warnings=tuple(warnings_), undefined=tuple(undefined))
 
 
 def soft_assign(templates, cfg):
     """One softmax-weighted averaging step (single EM iteration) on noise."""
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign expects finite cfg.beta")
-    backend = cfg.resolved_backend()
     beta = float(cfg.beta)
-    L, d, scale, factor, matrix = _split_input(templates, cfg.mode)
-    dummy = np.zeros((1, 1))
-    if cfg.mode == "gram":
-        sf = (scale * factor).T.copy()
-        slice_rows = max(1, _GRAM_SLICE // L)
+    L, d, blocks = _sampler(templates, cfg)
 
-        def worker(chunk, rows):
-            w1 = np.zeros(L)
-            w2 = np.zeros(L)
-            a1 = np.zeros((L, L))
-            a2 = np.zeros((L, L))
-            a3 = np.zeros((L, L))
-            pooled = np.zeros(2)
-            g = _kernels.chunk_generator(cfg.seed, chunk)
-            done = 0
-            while done < rows:
-                take = min(slice_rows, rows - done)
-                s = g.standard_normal((take, L)) @ sf
-                _kernels.soft_block(backend, s, beta, dummy, False,
-                                    w1, w2, a1, a2, a3, pooled)
-                done += take
-            return w1, w2, a1, a2, a3, pooled
+    def fill(chunk, rows, w1, w2, a1, a2, a3, pooled, vec=None):
+        for n, s in blocks(chunk, rows):
+            p = _kernels.soft_block(None, s, beta, w1, w2, a1, a2, a3, pooled)
+            if vec is not None:
+                _kernels.weighted_vectors(None, n, p, vec)
 
-        w1, w2, a1, a2, a3, pooled = _kahan_combine(_run_chunks(cfg, worker))
-        vec = None
-    else:
-        slice_rows = max(1, _FULL_SLICE // d)
-
-        def worker(chunk, rows):
-            w1 = np.zeros(L)
-            w2 = np.zeros(L)
-            a1 = np.zeros((L, L))
-            a2 = np.zeros((L, L))
-            a3 = np.zeros((L, L))
-            pooled = np.zeros(2)
-            vec = np.zeros((L, d))
-            p = np.empty((slice_rows, L))
-            g = _kernels.chunk_generator(cfg.seed, chunk)
-            done = 0
-            while done < rows:
-                take = min(slice_rows, rows - done)
-                n = g.standard_normal((take, d))
-                s = n @ matrix
-                _kernels.soft_block(backend, s, beta, p[:take], True,
-                                    w1, w2, a1, a2, a3, pooled)
-                _kernels.weighted_vectors(backend, n, p[:take], vec)
-                done += take
-            return w1, w2, a1, a2, a3, pooled, vec
-
-        w1, w2, a1, a2, a3, pooled, vec = _kahan_combine(_run_chunks(cfg, worker))
-        vec = vec / w1[:, None]
-    return _finalize_soft(cfg, backend, beta, w1, w2, a1, a2, a3, pooled, vec)
-
-
-def _finalize_hard(cfg, backend, counts, sum1, sum2, pooled, vec):
-    L = counts.shape[0]
+    shapes = [L, L, (L, L), (L, L), (L, L), 2] + ([] if d is None else [(L, d)])
+    w1, w2, a1, a2, a3, pooled, *vec_sum = _accumulate(cfg, shapes, fill)
+    vec = vec_sum[0] / w1[:, None] if vec_sum else None
     m = cfg.m
-    corr = np.full((L, L), np.nan)
-    stderr = np.full((L, L), np.inf)
-    warnings_ = []
-    undefined = []
-    for l in range(L):
-        c = counts[l]
-        if c < 1:
-            undefined.append(l)
-            warnings_.append(f"empty cluster {l}: corr row undefined")
-            continue
-        corr[l] = sum1[l] / c
-        if c >= 2:
-            var = np.maximum(sum2[l] - sum1[l] ** 2 / c, 0.0)
-            stderr[l] = np.sqrt(var) / c
-        else:
-            warnings_.append(f"cluster {l} has a single sample: stderr infinite")
-    mass = counts / m
-    avg = pooled[0] / m
-    avg_se = math.sqrt(max(pooled[1] / m - avg * avg, 0.0) / m)
+    corr, stderr = _ratio(a1, a2, a3, w1[:, None], w2[:, None], m)
+    avg, avg_se = _pooled(pooled, m)
+    warnings_ = ("single sample: stderr infinite",) if m < 2 else ()
     return AssignmentEstimate(
-        mode=cfg.mode, corr=corr, stderr=stderr, mass=mass, m=m,
-        beta=math.inf, seed=cfg.seed, chunks=cfg.chunks, backend=backend,
+        mode=cfg.mode, corr=corr, stderr=stderr, mass=w1 / m, m=m,
+        beta=beta, seed=cfg.seed, chunks=cfg.chunks,
         avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
-        warnings=tuple(warnings_), undefined=tuple(undefined))
+        warnings=warnings_)
 
 
-def _finalize_soft(cfg, backend, beta, w1, w2, a1, a2, a3, pooled, vec):
-    L = w1.shape[0]
-    m = cfg.m
-    corr = a1 / w1[:, None]
-    # delta-method stderr of the ratio estimator sum(p S)/sum(p):
-    # Var ~ sum(p^2 (S - R)^2) / (sum p)^2, expanded in streaming moments
-    var_num = np.maximum(a3 - 2.0 * corr * a2 + corr ** 2 * w2[:, None], 0.0)
-    stderr = np.sqrt(var_num) / w1[:, None]
-    mass = w1 / m
-    avg = pooled[0] / m
-    avg_se = math.sqrt(max(pooled[1] / m - avg * avg, 0.0) / m)
-    return AssignmentEstimate(
-        mode=cfg.mode, corr=corr, stderr=stderr, mass=mass, m=m,
-        beta=beta, seed=cfg.seed, chunks=cfg.chunks, backend=backend,
-        avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
-        warnings=(), undefined=())
+def _check_diag(L):
+    L = int(L)
+    if L < 2:
+        raise DomainError(f"need at least two templates, got L={L}")
+    return L
 
 
 def hard_assign_diag(L, cfg, scale=1.0):
@@ -422,70 +384,44 @@ def hard_assign_diag(L, cfg, scale=1.0):
     Equivalent to hard_assign on an identity-correlation Gram but
     tracking just per-cluster count / mean / variance of the winning
     projection, which keeps memory and time O(L) per sample even at
-    L = 4096. The numba backend fuses sampling into the scan.
+    L = 4096.
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign_diag expects cfg.beta = inf")
-    backend = cfg.resolved_backend()
-    L = int(L)
-    if L < 2:
-        raise DomainError(f"need at least two templates, got L={L}")
+    L = _check_diag(L)
+    scale = float(scale)
 
-    def worker(chunk, rows):
-        counts = np.zeros(L)
-        d1 = np.zeros(L)
-        d2 = np.zeros(L)
-        pooled = np.zeros(2)
-        _kernels.hard_diag_chunk(backend, cfg.seed, chunk, rows, L,
-                                 float(scale), counts, d1, d2, pooled)
-        return counts, d1, d2, pooled
+    def fill(chunk, rows, *acc):
+        _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, scale, *acc)
 
-    counts, d1, d2, pooled = _kahan_combine(_run_chunks(cfg, worker))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diag = d1 / counts
-        var = np.maximum(d2 - d1 ** 2 / np.maximum(counts, 1.0), 0.0)
-        se = np.where(counts >= 2, np.sqrt(var) / np.maximum(counts, 1.0),
-                      np.inf)
-    avg = pooled[0] / cfg.m
-    avg_se = math.sqrt(max(pooled[1] / cfg.m - avg * avg, 0.0) / cfg.m)
+    counts, d1, d2, pooled = _accumulate(cfg, (L, L, L, 2), fill)
+    diag, se = _mean(d1, d2, counts)
+    avg, avg_se = _pooled(pooled, cfg.m)
     return GramDiagEstimate(
         corr_diag=diag, stderr_diag=se, mass=counts / cfg.m, m=cfg.m,
-        beta=math.inf, seed=cfg.seed, chunks=cfg.chunks, backend=backend,
-        scale=float(scale), avg_self_corr=avg, avg_self_stderr=avg_se)
+        beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
+        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se)
 
 
 def soft_assign_diag(L, cfg, scale=1.0):
     """Soft run for L orthonormal templates, diagonal statistics only."""
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign_diag expects finite cfg.beta")
-    backend = cfg.resolved_backend()
     beta = float(cfg.beta)
-    L = int(L)
-    if L < 2:
-        raise DomainError(f"need at least two templates, got L={L}")
+    L = _check_diag(L)
+    scale = float(scale)
 
-    def worker(chunk, rows):
-        w1 = np.zeros(L)
-        w2 = np.zeros(L)
-        b1 = np.zeros(L)
-        b2 = np.zeros(L)
-        b3 = np.zeros(L)
-        pooled = np.zeros(2)
-        _kernels.soft_diag_chunk(backend, cfg.seed, chunk, rows, L,
-                                 float(scale), beta, w1, w2, b1, b2, b3,
-                                 pooled)
-        return w1, w2, b1, b2, b3, pooled
+    def fill(chunk, rows, *acc):
+        _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, scale, beta,
+                                 *acc)
 
-    w1, w2, b1, b2, b3, pooled = _kahan_combine(_run_chunks(cfg, worker))
-    diag = b1 / w1
-    var_num = np.maximum(b3 - 2.0 * diag * b2 + diag ** 2 * w2, 0.0)
-    se = np.sqrt(var_num) / w1
-    avg = pooled[0] / cfg.m
-    avg_se = math.sqrt(max(pooled[1] / cfg.m - avg * avg, 0.0) / cfg.m)
+    w1, w2, b1, b2, b3, pooled = _accumulate(cfg, (L, L, L, L, L, 2), fill)
+    diag, se = _ratio(b1, b2, b3, w1, w2, cfg.m)
+    avg, avg_se = _pooled(pooled, cfg.m)
     return GramDiagEstimate(
         corr_diag=diag, stderr_diag=se, mass=w1 / cfg.m, m=cfg.m,
-        beta=beta, seed=cfg.seed, chunks=cfg.chunks, backend=backend,
-        scale=float(scale), avg_self_corr=avg, avg_self_stderr=avg_se)
+        beta=beta, seed=cfg.seed, chunks=cfg.chunks,
+        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se)
 
 
 def correlation_matrix(est, templates):

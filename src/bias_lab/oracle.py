@@ -349,12 +349,11 @@ def _whitening(g):
 
 
 def _hard_tensor_quadrature(g, ell, n):
-    backend = _kernels.active_backend()
     a = _whitening(g)
 
     def run(nn):
         x, w = _gh_rule(nn)
-        prob, mom = _kernels.hard_nodes(backend, a, x, w)
+        prob, mom = _kernels.hard_nodes(None, a, x, w)
         return mom[ell].copy(), float(prob[ell])
 
     val, mass = run(n)
@@ -432,12 +431,11 @@ def _stable_sigmoid(z):
 
 
 def _soft_tensor_quadrature(g, beta, ell, n):
-    backend = _kernels.active_backend()
     a = _whitening(g)
 
     def run(nn):
         x, w = _gh_rule(nn)
-        mass, mom, pp = _kernels.soft_nodes(backend, a, x, w, beta)
+        mass, mom, pp = _kernels.soft_nodes(None, a, x, w, beta)
         return mom[ell].copy(), float(mass[ell])
 
     val, mass = run(n)
@@ -456,13 +454,12 @@ def soft_second_moments(g, beta, ell, nodes=None):
         raise DomainError(f"cluster index {ell} out of range for L={L}")
     if L > 6:
         raise DimensionError("soft_second_moments supports L <= 6")
-    backend = _kernels.active_backend()
     a = _whitening(g)
     n = nodes or (80 if L <= 3 else 40)
 
     def run(nn):
         x, w = _gh_rule(nn)
-        _, _, pp = _kernels.soft_nodes(backend, a, x, w, float(beta))
+        _, _, pp = _kernels.soft_nodes(None, a, x, w, float(beta))
         return pp[ell].copy()
 
     val = run(n)
@@ -496,10 +493,9 @@ def ibp_residual(g, beta, ell, nodes=None):
                                            (240 if sharp <= 6 else 320))
         else:
             nodes = 40
-    backend = _kernels.active_backend()
     a = _whitening(g)
     x, w = _gh_rule(nodes)
-    mass, mom, pp = _kernels.soft_nodes(backend, a, x, w, float(beta))
+    mass, mom, pp = _kernels.soft_nodes(None, a, x, w, float(beta))
     cov = g.covariance()
     lhs = mom[ell]
     rhs = beta * (cov[:, ell] * mass[ell] - cov @ pp[ell])

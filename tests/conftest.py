@@ -1,9 +1,9 @@
-"""Shared fixtures: warm the compiled kernels once per session.
+"""Shared fixtures: run every estimator path once per session.
 
-The first call into each jitted kernel pays a compilation (or cache
-load) cost. Timed acceptance criteria must not absorb that cost, so a
-session-scoped autouse fixture touches every kernel entry point with a
-tiny workload before any test runs.
+The first call into each estimator pays one-off set-up costs (lazy
+imports, BLAS and allocator warm-up). Timed acceptance criteria must
+not absorb that cost, so a session-scoped autouse fixture touches every
+engine entry point with a tiny workload before any test runs.
 """
 
 import numpy as np

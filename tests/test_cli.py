@@ -29,6 +29,9 @@ def test_parse_config_round_trip(tmp_path):
         "seed = 9\n"
         "levels = 16, 64\n"
         "rho_seq = 1, 0.4, 0, 0.4\n"
+        "  # indented comment\n"
+        "template_dir = /data/run#3\n"
+        "out_dir = /tmp/out#a\t# after a tab\n"
         "\n",
         encoding="utf-8")
     cfg = cli.parse_config(str(p))
@@ -38,6 +41,9 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg["seed"] == 9
     assert cfg["levels"] == (16, 64)
     assert cfg["rho_seq"] == (1.0, 0.4, 0.0, 0.4)
+    # '#' opens a comment only at the start of a line or after whitespace
+    assert cfg["template_dir"] == "/data/run#3"
+    assert cfg["out_dir"] == "/tmp/out#a"
 
 
 def test_parse_config_errors(tmp_path):
@@ -69,6 +75,14 @@ def test_run_pair_hard_ok(tmp_path, capsys):
     assert (out / "report.txt").is_file()
     assert (out / "pair_hard.csv").is_file()
     assert (out / "pair_hard_estimate_corr.csv").is_file()
+
+
+def test_run_pair_soft_single_sample(tmp_path, capsys):
+    # one sample gives an infinite stderr, not a config error
+    cfg = _write_cfg(tmp_path / "one.cfg", experiment="pair_soft", M=1)
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
 
 
 def test_run_row_failure_exit_code(tmp_path, capsys):
@@ -293,8 +307,8 @@ def _flip_soft_kernels(monkeypatch):
     orig_block = _kernels.soft_block
     orig_diag = _kernels.soft_diag_chunk
 
-    def bad_block(backend, s, beta, p_out, store_p, *acc):
-        return orig_block(backend, s, -beta, p_out, store_p, *acc)
+    def bad_block(backend, s, beta, *acc):
+        return orig_block(backend, s, -beta, *acc)
 
     def bad_diag(backend, seed, chunk, rows, L, scale, beta, *acc):
         return orig_diag(backend, seed, chunk, rows, L, scale, -beta, *acc)
