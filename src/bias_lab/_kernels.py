@@ -10,12 +10,21 @@ Partial sums are combined by the caller in chunk order, so results are
 bitwise reproducible for a fixed (seed, chunks) regardless of thread
 count.
 
+The oracle's node sweeps work on cluster-major blocks: projections y of
+shape (L, N) for N grid nodes, so the softmax and argmax reduce over
+axis 0 and the moments are (L, N) @ (N, L) products. The grid is visited
+in a fixed order (first axis slowest) and in blocks of bounded size.
+
 Every entry point takes a leading ``backend`` argument that is ignored:
-the benchmark in ``perfbench/`` counts rows and nodes from the entry
-points' positional arguments.
+the benchmark in ``perfbench/`` wraps the module attributes and counts
+rows and nodes from the entry points' positional arguments. The node
+sweeps keep the signatures hard_nodes(backend, a, x, w) and
+soft_nodes(backend, a, x, w, beta), with a of size L x L and x the 1-D
+rule, so one sweep visits x.size ** L nodes.
 """
 
 import importlib.util
+import itertools
 
 import numpy as np
 
@@ -23,7 +32,7 @@ import numpy as np
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 _DIAG_SLICE = 4_000_000
-_NODE_BLOCK = 1 << 18
+_NODE_BLOCK = 1 << 14
 
 
 def active_backend():
@@ -161,37 +170,67 @@ def soft_diag_chunk(backend, seed, chunk, rows, L, scale, beta,
 # oracle: tensor-product quadrature over the whitened node grid
 # ---------------------------------------------------------------------------
 
-def _node_blocks(a, x, w):
-    """Yield (y, wp) per block of the n**L grid: y = nodes @ a.T and the
-    product weights. x, w are the 1-D rule scaled for a standard normal,
-    w summing to 1."""
+def _axis_grid(a, x, w):
+    """Projections (L, n**k) and weights (n**k,) of the grid over the k
+    columns of a, first axis slowest, built axis by axis as outer sums."""
+    L = a.shape[0]
+    y = np.zeros((L, 1))
+    wp = np.ones(1)
+    for k in range(a.shape[1]):
+        y = (y[:, :, None] + np.multiply.outer(a[:, k], x)[:, None, :]
+             ).reshape(L, -1)
+        wp = np.multiply.outer(wp, w).reshape(-1)
+    return y, wp
+
+
+def _grid_blocks(a, x, w):
+    """Yield (y, wp) per block of the n**L grid, first axis slowest.
+
+    y is the cluster-major (L, N) block of projections a @ node and wp
+    the product weights. x, w are the 1-D rule scaled for a standard
+    normal, w summing to 1. The grid over the last t axes (n**t at most
+    _NODE_BLOCK) is built once; each block adds a group of head rows,
+    nodes of the first L - t axes, to it. There is one head row per
+    n**t nodes, so projecting the head rows and forming their weight
+    products is a small share of the sweep.
+    """
     L = a.shape[0]
     n = x.size
-    total = n ** L
-    for lo in range(0, total, _NODE_BLOCK):
-        flat = np.arange(lo, min(lo + _NODE_BLOCK, total), dtype=np.int64)
-        digits = np.empty((flat.size, L), dtype=np.int64)
-        for k in range(L - 1, -1, -1):
-            digits[:, k] = flat % n
-            flat //= n
-        yield x[digits] @ a.T, np.prod(w[digits], axis=1)
+    t = 0
+    while t < L and n ** (t + 1) <= _NODE_BLOCK:
+        t += 1
+    head = L - t
+    tail_y, tail_w = _axis_grid(a[:, head:], x, w)
+    group = max(1, _NODE_BLOCK // tail_w.size)
+    a_head = a[:, :head]
+    rows = itertools.product(range(n), repeat=head)
+    while True:
+        chunk = list(itertools.islice(rows, group))
+        if not chunk:
+            return
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), head)
+        head_y = a_head @ x[idx].T
+        head_w = np.prod(w[idx], axis=1)
+        yield ((head_y[:, :, None] + tail_y[:, None, :]).reshape(L, -1),
+               np.multiply.outer(head_w, tail_w).reshape(-1))
 
 
 def hard_nodes(backend, a, x, w):
     """Tensor quadrature sweep for argmax moments; returns (prob, mom).
 
-    Grid points on a decision boundary (ties, which carry real weight on
-    a symmetric grid) split their weight evenly over the tied labels.
+    prob[l] = P[argmax = l] and mom[l][k] = E[y_k ; argmax = l]. Grid
+    points on a decision boundary (ties, which carry real weight on a
+    symmetric grid) split their weight evenly over the tied labels.
     """
     L = a.shape[0]
     prob = np.zeros(L)
     mom = np.zeros((L, L))
-    for y, wp in _node_blocks(a, x, w):
-        best = y.max(axis=1)
-        tied = y >= (best - 1.0e-9 * (1.0 + np.abs(best)))[:, None]
-        wmat = tied * (wp / tied.sum(axis=1))[:, None]
-        prob += wmat.sum(axis=0)
-        mom += wmat.T @ y
+    for y, wp in _grid_blocks(a, x, w):
+        best = y.max(axis=0)
+        tied = y >= best - 1.0e-9 * (1.0 + np.abs(best))
+        wl = tied * (wp / tied.sum(axis=0))
+        prob += wl.sum(axis=1)
+        mom += wl @ y.T
     return prob, mom
 
 
@@ -204,10 +243,13 @@ def soft_nodes(backend, a, x, w, beta):
     mass = np.zeros(L)
     mom = np.zeros((L, L))
     pp = np.zeros((L, L))
-    for y, wp in _node_blocks(a, x, w):
-        p = _softmax(beta * y)
-        wl = p * wp[:, None]
-        mass += wl.sum(axis=0)
-        mom += wl.T @ y
-        pp += wl.T @ p
+    for y, wp in _grid_blocks(a, x, w):
+        p = beta * y
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
+        p /= p.sum(axis=0)
+        wl = p * wp
+        mass += wl.sum(axis=1)
+        mom += wl @ y.T
+        pp += wl @ p.T
     return mass, mom, pp

@@ -22,13 +22,17 @@ engine and of the closed-form theory module:
   partial moments inside); for 4 <= L <= 6, tensor-product
   Gauss-Hermite over the whitened vector with direct indicator/softmax
   evaluation at the nodes. Error bounds come from the difference
-  against a run at half the node count.
+  against a run at half the node count. One sweep yields every cluster
+  and every moment, so the sweep of one (Gram, beta, n) is computed
+  once and shared by soft_moments, soft_second_moments,
+  softmax_weights, ibp_residual and hard_moments for every ell.
 * a reference Monte Carlo fallback for any L, using antithetic pairs
   and a 3-sigma CLT bound, chunked with the same ordered deterministic
   reduction as the engine.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,9 @@ _TWO_PI = 2.0 * math.pi
 _EXACT_BOUND = 1e-13
 _GH_CACHE = {}
 _GL_CACHE = {}
+_SWEEPS = {}
+_SWEEP_SLOTS = 8
+_SWEEP_LOCK = threading.Lock()
 
 
 def _gh_rule(n):
@@ -240,7 +247,7 @@ def hard_moments(g, ell, precision=None, method=None, nodes=None,
         if L <= 3:
             res = _hard_conditional_quadrature(g, ell, nodes or 96)
         elif L <= 6:
-            res = _hard_tensor_quadrature(g, ell, nodes or 40)
+            res = _tensor_quadrature("hard", g, None, ell, nodes or 40, 1)
         else:
             raise DimensionError("quadrature supports L <= 6; use refmc")
     elif method == "refmc":
@@ -348,21 +355,60 @@ def _whitening(g):
     return (g.scale * g.factor).astype(np.float64)
 
 
-def _hard_tensor_quadrature(g, ell, n):
+def _sweep(kind, g, beta, n):
+    """The tensor node sweep of one (Gram, beta, n), shared by every cluster.
+
+    kind "hard" returns (prob, mom) of the argmax sweep, "soft" returns
+    (mass, mom, pp) of the softmax sweep at a validated beta. The last
+    _SWEEP_SLOTS sweeps are kept, keyed by the whitening's bytes, and
+    their arrays are read-only.
+    """
     a = _whitening(g)
+    key = (kind, a.shape, a.tobytes(), beta, n)
+    with _SWEEP_LOCK:
+        hit = _SWEEPS.get(key)
+    if hit is not None:
+        return hit
+    x, w = _gh_rule(n)
+    if kind == "hard":
+        hit = _kernels.hard_nodes(None, a, x, w)
+    else:
+        hit = _kernels.soft_nodes(None, a, x, w, beta)
+    for arr in hit:
+        arr.setflags(write=False)
+    with _SWEEP_LOCK:
+        _SWEEPS[key] = hit
+        while len(_SWEEPS) > _SWEEP_SLOTS:
+            del _SWEEPS[next(iter(_SWEEPS))]
+    return hit
 
-    def run(nn):
-        x, w = _gh_rule(nn)
-        prob, mom = _kernels.hard_nodes(None, a, x, w)
-        return mom[ell].copy(), float(prob[ell])
 
-    val, mass = run(n)
-    val_h, mass_h = run(max(8, n // 2))
-    bound = max(float(np.max(np.abs(val - val_h))), 1e-15)
-    mbound = max(abs(mass - mass_h), 1e-15)
+def _tensor_quadrature(kind, g, beta, ell, n, moment):
+    """Row ell of one sweep moment at n nodes per axis, bounded by its gap
+    to the sweep at max(8, n // 2).
+
+    moment 1 is E[S_k ; argmax = ell] or E[S_k p_ell] with its mass from
+    moment 0; moment 2 is E[p_ell p_j], whose weights sum to one.
+    """
+    full = _sweep(kind, g, beta, n)
+    half = _sweep(kind, g, beta, max(8, n // 2))
+    val = full[moment][ell].copy()
+    bound = max(float(np.max(np.abs(val - half[moment][ell]))), 1e-15)
+    if moment == 2:
+        mass, mbound = 1.0, _EXACT_BOUND
+    else:
+        mass = float(full[0][ell])
+        mbound = max(abs(mass - float(half[0][ell])), 1e-15)
     return OracleResult(value=val, mass=mass, error_bound=bound,
                         mass_bound=mbound, method="quadrature",
                         nodes_or_samples=n)
+
+
+def _check_beta(beta):
+    """beta as a float; DomainError unless it is positive and finite."""
+    if not (np.isfinite(beta) and beta > 0):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    return float(beta)
 
 
 def soft_moments(g, beta, ell, precision=None, method=None, nodes=None,
@@ -376,20 +422,19 @@ def soft_moments(g, beta, ell, precision=None, method=None, nodes=None,
     L = _check_gram(g)
     if not 0 <= ell < L:
         raise DomainError(f"cluster index {ell} out of range for L={L}")
-    if not (np.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
+    beta = _check_beta(beta)
     if method == "refmc":
-        res = _ref_mc(g, float(beta), ell, samples, seed, chunks)
+        res = _ref_mc(g, beta, ell, samples, seed, chunks)
     elif method in (None, "quadrature"):
         if L == 2:
-            res = _soft_pair_quadrature(g, float(beta), ell, nodes or 200)
+            res = _soft_pair_quadrature(g, beta, ell, nodes or 200)
         elif L <= 6:
-            res = _soft_tensor_quadrature(g, float(beta), ell,
-                                          nodes or (80 if L == 3 else 40))
+            res = _tensor_quadrature("soft", g, beta, ell,
+                                     nodes or (80 if L == 3 else 40), 1)
         else:
             if method == "quadrature":
                 raise DimensionError("quadrature supports L <= 6; use refmc")
-            res = _ref_mc(g, float(beta), ell, samples, seed, chunks)
+            res = _ref_mc(g, beta, ell, samples, seed, chunks)
     else:
         raise DomainError(f"unknown method {method!r}")
     return _check_precision(res, precision, f"soft_moments(L={L})")
@@ -430,23 +475,6 @@ def _stable_sigmoid(z):
     return out
 
 
-def _soft_tensor_quadrature(g, beta, ell, n):
-    a = _whitening(g)
-
-    def run(nn):
-        x, w = _gh_rule(nn)
-        mass, mom, pp = _kernels.soft_nodes(None, a, x, w, beta)
-        return mom[ell].copy(), float(mass[ell])
-
-    val, mass = run(n)
-    val_h, mass_h = run(max(8, n // 2))
-    bound = max(float(np.max(np.abs(val - val_h))), 1e-15)
-    mbound = max(abs(mass - mass_h), 1e-15)
-    return OracleResult(value=val, mass=mass, error_bound=bound,
-                        mass_bound=mbound, method="quadrature",
-                        nodes_or_samples=n)
-
-
 def soft_second_moments(g, beta, ell, nodes=None):
     """(E[p_ell p_j])_j with a node-halving bound; quadrature only."""
     L = _check_gram(g)
@@ -454,20 +482,8 @@ def soft_second_moments(g, beta, ell, nodes=None):
         raise DomainError(f"cluster index {ell} out of range for L={L}")
     if L > 6:
         raise DimensionError("soft_second_moments supports L <= 6")
-    a = _whitening(g)
-    n = nodes or (80 if L <= 3 else 40)
-
-    def run(nn):
-        x, w = _gh_rule(nn)
-        _, _, pp = _kernels.soft_nodes(None, a, x, w, float(beta))
-        return pp[ell].copy()
-
-    val = run(n)
-    val_h = run(max(8, n // 2))
-    bound = max(float(np.max(np.abs(val - val_h))), 1e-15)
-    return OracleResult(value=val, mass=1.0, error_bound=bound,
-                        mass_bound=_EXACT_BOUND, method="quadrature",
-                        nodes_or_samples=n)
+    return _tensor_quadrature("soft", g, _check_beta(beta), ell,
+                              nodes or (80 if L <= 3 else 40), 2)
 
 
 def ibp_residual(g, beta, ell, nodes=None):
@@ -486,6 +502,7 @@ def ibp_residual(g, beta, ell, nodes=None):
         raise DomainError(f"cluster index {ell} out of range for L={L}")
     if L > 6:
         raise DimensionError("ibp_residual supports L <= 6")
+    beta = _check_beta(beta)
     if nodes is None:
         sharp = beta * g.scale
         if L <= 3:
@@ -493,9 +510,7 @@ def ibp_residual(g, beta, ell, nodes=None):
                                            (240 if sharp <= 6 else 320))
         else:
             nodes = 40
-    a = _whitening(g)
-    x, w = _gh_rule(nodes)
-    mass, mom, pp = _kernels.soft_nodes(None, a, x, w, float(beta))
+    mass, mom, pp = _sweep("soft", g, beta, nodes)
     cov = g.covariance()
     lhs = mom[ell]
     rhs = beta * (cov[:, ell] * mass[ell] - cov @ pp[ell])

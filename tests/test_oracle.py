@@ -8,6 +8,7 @@ their reported bounds; the reported bounds themselves are checked to be
 honest against exact values where those exist.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from bias_lab import (
     oracle,
     templates as tpl,
 )
+from bias_lab import _kernels
 
 # E[max of n iid standard normals], arbitrated across four quadrature
 # routes agreeing to 2e-14
@@ -345,6 +347,117 @@ def test_oracle_argument_validation():
     # L = 7 without an explicit method falls through to reference MC
     res = oracle.hard_moments(g7, 0, samples=50_000)
     assert res.method == "refMC"
+
+
+def test_soft_sweep_entry_points_validate_beta():
+    g = GramModel.from_correlation(np.eye(3))
+    for beta in (math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(DomainError, match="beta must be positive"):
+            oracle.soft_second_moments(g, beta, 0)
+        with pytest.raises(DomainError, match="beta must be positive"):
+            oracle.ibp_residual(g, beta, 0)
+        with pytest.raises(DomainError, match="beta must be positive"):
+            oracle.softmax_weights(g, beta, 0)
+
+
+# ------------------------------------------------------------ node sweeps
+
+def _brute_force_nodes(a, x, w, beta):
+    """hard_nodes / soft_nodes outputs from a loop over every grid node."""
+    L = a.shape[0]
+    prob, hmom = np.zeros(L), np.zeros((L, L))
+    mass, smom, pp = np.zeros(L), np.zeros((L, L)), np.zeros((L, L))
+    for idx in itertools.product(range(x.size), repeat=L):
+        y = a @ x[list(idx)]
+        wt = math.prod(w[i] for i in idx)
+        best = y.max()
+        tied = y >= best - 1.0e-9 * (1.0 + abs(best))
+        share = wt * tied / tied.sum()
+        prob += share
+        hmom += np.outer(share, y)
+        e = np.exp(beta * (y - best))
+        p = e / e.sum()
+        mass += wt * p
+        smom += wt * np.outer(p, y)
+        pp += wt * np.outer(p, p)
+    return (prob, hmom), (mass, smom, pp)
+
+
+@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
+    """Both sweeps equal a node-by-node loop, also when the grid is cut
+    into many head groups; the identity Gram at odd n puts real weight on
+    exact ties, which the hard sweep splits evenly."""
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_NODE_BLOCK", block)
+    x, w = oracle._gh_rule(n)
+    rng = np.random.default_rng(100 * L + n)
+    grams = [1.1 * np.linalg.cholesky(_rand_corr(rng, L))]
+    if n % 2:
+        grams.append(np.eye(L))
+    for a in grams:
+        hard_ref, soft_ref = _brute_force_nodes(a, x, w, 1.3)
+        for got, want in zip(_kernels.hard_nodes(None, a, x, w), hard_ref):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        for got, want in zip(_kernels.soft_nodes(None, a, x, w, 1.3),
+                             soft_ref):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    if n % 2:
+        # ties split evenly: on the identity every cluster is equally likely
+        prob, _ = _kernels.hard_nodes(None, np.eye(L), x, w)
+        np.testing.assert_allclose(prob, 1.0 / L, rtol=0, atol=1e-13)
+
+
+def _count_sweeps(monkeypatch):
+    """Count kernel sweeps by kind and node count, on an empty memo."""
+    monkeypatch.setattr(oracle, "_SWEEPS", {}, raising=False)
+    calls = {"soft": [], "hard": []}
+    for kind in calls:
+        kernel = getattr(_kernels, f"{kind}_nodes")
+
+        def counted(backend, a, x, w, *rest, _k=kernel, _c=calls[kind]):
+            _c.append(x.size)
+            return _k(backend, a, x, w, *rest)
+        monkeypatch.setattr(_kernels, f"{kind}_nodes", counted)
+    return calls
+
+
+def test_one_sweep_serves_every_cluster(monkeypatch):
+    rng = np.random.default_rng(404)
+    g = GramModel.from_correlation(_rand_corr(rng, 4, rmax=0.6))
+    calls = _count_sweeps(monkeypatch)
+    n, beta = 10, 1.2
+    first = [oracle.soft_moments(g, beta, ell, nodes=n) for ell in range(4)]
+    second = [oracle.soft_second_moments(g, beta, ell, nodes=n)
+              for ell in range(4)]
+    weights = [oracle.softmax_weights(g, beta, ell, nodes=n)
+               for ell in range(4)]
+    ibp = [oracle.ibp_residual(g, beta, ell, nodes=n) for ell in range(4)]
+    hard = [oracle.hard_moments(g, ell, method="quadrature", nodes=n)
+            for ell in range(4)]
+    # one sweep at n and one at the halving count max(8, n // 2) each
+    assert sorted(calls["soft"]) == [8, 10]
+    assert sorted(calls["hard"]) == [8, 10]
+    assert sum(r.mass for r in first) == pytest.approx(1.0, abs=1e-12)
+    assert max(ibp) < 1e-6
+    # results stay theirs: no write reaches the memo or another result
+    for res in first + second + hard:
+        with pytest.raises(ValueError):
+            res.value[0] = 0.0
+    for memo in oracle._SWEEPS.values():
+        assert not any(arr.flags.writeable for arr in memo)
+    kept = [wt.copy() for wt in weights]
+    for wt in weights:
+        wt[:] = -1.0
+    for ell in range(4):
+        np.testing.assert_array_equal(
+            oracle.softmax_weights(g, beta, ell, nodes=n), kept[ell])
+        np.testing.assert_array_equal(
+            oracle.soft_moments(g, beta, ell, nodes=n).value,
+            first[ell].value)
+    assert sorted(calls["soft"]) == [8, 10]
 
 
 @settings(max_examples=15, deadline=None)
