@@ -14,10 +14,17 @@ Exit codes: 0 all tolerance rows pass, 1 at least one row failed,
 2 unknown experiment name, 3 invalid config, 4 unwritable output
 directory.
 
+Checks: each comparison of a measurement with its reference that
+`verify` makes is defined once, in the check table of `bias_lab.checks`.
+The table has three consumers, each with its own inputs: `verify` (fast
+and full suites), the gumbel_sweep experiment and the acceptance
+scorecard (tests/test_acceptance.py).
+
 Artifacts: every experiment writes CSV tables (UTF-8, comma separated,
 '.' decimal, one header line naming columns and units) plus report.txt.
-CSV bytes are deterministic for a fixed config and seed; wall-clock time
-appears only in report.txt.
+CSV bytes are deterministic for a fixed config and seed; wall-clock time,
+including the seconds each check took (the "## timings" section),
+appears only in report.txt and on stdout.
 """
 
 import argparse
@@ -30,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, oracle, theory
+from . import checks, oracle, theory
 from . import templates as tpl
-from .engine import ExperimentConfig
+from .checks import ReportRow
 from .errors import BiasLabError, ConfigError
 from .templates import GramModel
 
@@ -129,41 +136,16 @@ def _effective_seed(cfg):
 
 
 @dataclass
-class ReportRow:
-    """One pass/fail line; passed=None marks an informational row."""
-
-    name: str
-    measured: float
-    predicted: float
-    tolerance: float
-    provenance: str
-    passed: bool = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.passed is not None:
-            self.passed = bool(self.passed)
-
-    def line(self):
-        tag = ("INFO" if self.passed is None
-               else ("PASS" if self.passed else "FAIL"))
-        txt = (f"[{tag}] {self.name}: measured={self.measured:.6g} "
-               f"predicted={self.predicted:.6g} tol={self.tolerance:.3g} "
-               f"({self.provenance})")
-        if self.note:
-            txt += f" -- {self.note}"
-        return txt
-
-
-@dataclass
 class RunReport:
-    """Self-contained record of one run: config echo, rows, artifacts."""
+    """Self-contained record of one run: config echo, rows, seconds per
+    check, artifacts."""
 
     title: str
     config: dict
     rows: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
     wall_time: float = 0.0
+    timings: dict = field(default_factory=dict)
 
     def all_pass(self):
         return all(r.passed for r in self.rows if r.passed is not None)
@@ -183,6 +165,9 @@ class RunReport:
         lines.append(f"## summary: {npass} passed, {nfail} failed, "
                      f"{len(self.rows) - npass - nfail} informational")
         lines.append(f"wall_time_seconds = {self.wall_time:.3f}")
+        lines.append("## timings")
+        lines.extend(f"{name} = {secs:.3f}"
+                     for name, secs in self.timings.items())
         if self.artifacts:
             lines.append("## artifacts")
             lines.extend(str(p) for p in self.artifacts)
@@ -248,38 +233,26 @@ def render_pgm(vector, width, height, path):
 # experiments
 
 
-def _pair_run(rho, scale, m, seed, chunks, threads, beta=math.inf):
-    ts = tpl.make_pair(rho, norm=scale)
-    cfg = ExperimentConfig(m=m, seed=seed, mode="gram", beta=beta,
-                           chunks=chunks, threads=threads)
-    if math.isinf(beta):
-        return engine.hard_assign(ts, cfg)
-    return engine.soft_assign(ts, cfg)
-
-
 def _exp_pair_hard(cfg, outdir, threads):
     rho = float(cfg.get("rho", 0.99))
     scale = float(cfg.get("scale", 1.0))
     m = int(cfg.get("M", 5_000_000))
     seed = _effective_seed(cfg)
     report = RunReport("pair_hard", dict(cfg, seed=seed))
-    est = _pair_run(rho, scale, m, seed, cfg.get("chunks"), threads)
+    est = checks.estimate(tpl.make_pair(rho, norm=scale), m, seed,
+                          threads=threads, chunks=cfg.get("chunks"))
     pred = theory.hard_pair_prediction(rho, scale).predicted_corr[0][0]
     tol = float(cfg.get("tolerance", max(0.002, 3.0 * est.stderr[0, 0])))
     measured = float(est.corr[0, 0])
-    report.add(ReportRow(
-        "self correlation of estimate 0", measured, pred, tol,
-        "closed form, maximum of two correlated normals",
-        abs(measured - pred) <= tol))
-    anti = float(est.corr[1, 0] + est.corr[0, 0])
-    anti_tol = 3.0 * float(est.stderr[1, 0] + est.stderr[0, 0])
-    report.add(ReportRow(
-        "antisymmetry corr[1,0] + corr[0,0]", anti, 0.0, anti_tol,
-        "exchange symmetry of the pair", abs(anti) <= anti_tol))
+    row = ReportRow("self correlation of estimate 0", measured, pred, tol,
+                    "closed form, maximum of two correlated normals",
+                    abs(measured - pred) <= tol)
+    report.add(row)
+    report.add(checks.antisymmetry("antisymmetry corr[1] + corr[0]", est))
     _write_csv(outdir, "pair_hard.csv",
                "rho,measured_corr,stderr,predicted,tolerance,passed",
                [(rho, measured, float(est.stderr[0, 0]), pred, tol,
-                 abs(measured - pred) <= tol)], report)
+                 row.passed)], report)
     est.save_csv(outdir, "pair_hard_estimate")
     return report
 
@@ -291,8 +264,8 @@ def _exp_pair_soft(cfg, outdir, threads):
     m = int(cfg.get("M", 1_000_000))
     seed = _effective_seed(cfg)
     report = RunReport("pair_soft", dict(cfg, seed=seed))
-    est = _pair_run(rho, scale, m, seed, cfg.get("chunks"), threads,
-                    beta=beta)
+    est = checks.estimate(tpl.make_pair(rho, norm=scale), m, seed, beta,
+                          threads, chunks=cfg.get("chunks"))
     g = GramModel.from_correlation(np.array([[1.0, rho], [rho, 1.0]]),
                                    scale=scale)
     ref = oracle.soft_moments(g, beta, 0)
@@ -300,11 +273,11 @@ def _exp_pair_soft(cfg, outdir, threads):
     bound = float(ref.ratio_bound())
     measured = float(est.corr[0, 0])
     tol = float(cfg.get("tolerance",
-                        3.0 * (float(est.stderr[0, 0]) + bound)))
-    report.add(ReportRow(
-        "self correlation of estimate 0", measured, truth, tol,
-        f"oracle {ref.method} ({ref.nodes_or_samples} nodes)",
-        abs(measured - truth) <= tol))
+                        checks.oracle_tol(float(est.stderr[0, 0]), ref)))
+    row = ReportRow("self correlation of estimate 0", measured, truth, tol,
+                    f"oracle {ref.method} ({ref.nodes_or_samples} nodes)",
+                    abs(measured - truth) <= tol)
+    report.add(row)
     approx = theory.soft_pair_prediction(rho, scale)
     approx_note = approx.validity_note
     if beta != 1.0:
@@ -318,53 +291,17 @@ def _exp_pair_soft(cfg, outdir, threads):
                "rho,beta,measured_corr,stderr,oracle_value,oracle_bound,"
                "approx_prediction,passed",
                [(rho, beta, measured, float(est.stderr[0, 0]), truth, bound,
-                 float(approx.predicted_corr[0][0]),
-                 abs(measured - truth) <= tol)], report)
+                 float(approx.predicted_corr[0][0]), row.passed)], report)
     return report
 
 
-def _exp_gumbel_sweep(cfg, outdir, threads):
+def _gumbel_sweep(cfg, outdir, threads):
     levels = tuple(cfg.get("levels", (16, 64, 256, 1024, 4096)))
-    m = int(cfg.get("M", 1_000_000))
     seed = _effective_seed(cfg)
     report = RunReport("gumbel_sweep", dict(cfg, seed=seed, levels=levels))
-    rows = []
-    ratios = []
-    for lv in levels:
-        run_cfg = ExperimentConfig(m=m, seed=seed + lv, mode="gram",
-                                   chunks=cfg.get("chunks"), threads=threads)
-        est = engine.hard_assign_diag(int(lv), run_cfg)
-        ref = oracle.max_gaussian_mean(int(lv))
-        a_l, b_l, _ = theory.gumbel_constants(int(lv))
-        measured = float(est.avg_self_corr)
-        se = float(est.avg_self_stderr)
-        ratio = measured / a_l
-        ratios.append(ratio)
-        tol = 3.0 * se + float(ref.error_bound)
-        ok = abs(measured - float(ref.value[0])) <= tol
-        report.add(ReportRow(
-            f"L={lv} pooled self correlation", measured,
-            float(ref.value[0]), tol,
-            "oracle quadrature, mean of the maximum of L normals", ok))
-        rows.append((int(lv), measured, se, a_l, b_l, ratio,
-                     float(ref.value[0]), float(ref.error_bound), ok))
-    if len(levels) > 1:
-        drift = max(abs(r - 1.0) for r in ratios)
-        shrinking = all(abs(ratios[i + 1] - 1.0) < abs(ratios[i] - 1.0)
-                        for i in range(len(ratios) - 1))
-        report.add(ReportRow(
-            "|ratio - 1| decreasing along the sweep",
-            float(shrinking), 1.0, 0.0,
-            "square-root-of-2-log-L normalization", shrinking,
-            note=f"largest deviation {drift:.4f}"))
-        if levels[-1] >= 4096:
-            report.add(ReportRow(
-                f"|ratio - 1| at L={levels[-1]}", abs(ratios[-1] - 1.0),
-                0.0, 0.15, "asymptotic anchor",
-                abs(ratios[-1] - 1.0) <= 0.15))
-    _write_csv(outdir, "gumbel_sweep.csv",
-               "L,measured_self_corr,stderr,a_L,b_L,ratio_to_a_L,"
-               "oracle_mean_max,oracle_bound,passed", rows, report)
+    _run_check(report, outdir, "gumbel_sweep.csv", "gumbel", levels=levels,
+               m=int(cfg.get("M", 1_000_000)), seed=seed,
+               chunks=cfg.get("chunks"), threads=threads)
     return report
 
 
@@ -382,12 +319,8 @@ def _exp_bias_demo(cfg, outdir, threads):
         x0 = tpl.make_exponential(d, float(cfg.get("alpha", 8.0 / d)))
         ts = tpl.make_haar_family(np.asarray(x0).ravel(), L, seed=seed + 1)
     report = RunReport("bias_demo", dict(cfg, seed=seed))
-    run_cfg = ExperimentConfig(m=m, seed=seed, mode="full", beta=beta,
-                               chunks=cfg.get("chunks"), threads=threads)
-    if math.isinf(beta):
-        est = engine.hard_assign(ts, run_cfg)
-    else:
-        est = engine.soft_assign(ts, run_cfg)
+    est = checks.estimate(ts, m, seed, beta, threads, mode="full",
+                          chunks=cfg.get("chunks"))
     L = ts.L
     pearson = np.empty((L, L))
     for i in range(L):
@@ -421,7 +354,7 @@ def _exp_bias_demo(cfg, outdir, threads):
 _EXPERIMENT_FUNCS = {
     "pair_hard": _exp_pair_hard,
     "pair_soft": _exp_pair_soft,
-    "gumbel_sweep": _exp_gumbel_sweep,
+    "gumbel_sweep": _gumbel_sweep,
     "bias_demo": _exp_bias_demo,
 }
 
@@ -430,382 +363,63 @@ _EXPERIMENT_FUNCS = {
 # verification suites
 
 
-def _rand_corr(rng, L, rmax=0.8):
-    while True:
-        raw = rng.standard_normal((L, L + 2))
-        c = raw @ raw.T
-        sd = np.sqrt(np.diag(c))
-        rho = c / np.outer(sd, sd)
-        off = rho[~np.eye(L, dtype=bool)]
-        if np.max(np.abs(off)) <= rmax and np.linalg.eigvalsh(rho).min() > 1e-6:
-            return rho
+def _run_check(report, outdir, csv_name, name, **inputs):
+    """Run one entry of the check table into report, timing it."""
+    t0 = time.perf_counter()
+    res = checks.CHECKS[name](**inputs)
+    report.timings[name] = time.perf_counter() - t0
+    report.rows.extend(res.rows)
+    if res.table is not None:
+        _write_csv(outdir, csv_name, *res.table, report)
 
 
-def _verify_pair_family(report, outdir, m, threads):
-    rows = []
-    for rho in (-1.0, -0.5, 0.0, 0.5, 0.9, 0.99):
-        est = _pair_run(rho, 1.0, m, 101, None, threads)
-        pred = theory.hard_pair_prediction(rho, 1.0).predicted_corr[0][0]
-        measured = float(est.corr[0, 0])
-        ok = abs(measured - pred) <= 0.005
-        report.add(ReportRow(
-            f"hard pair rho={rho:+.2f} self correlation", measured, pred,
-            0.005, "closed form, maximum of two correlated normals", ok))
-        anti = float(est.corr[1, 0] + est.corr[0, 0])
-        anti_tol = 3.0 * float(est.stderr[1, 0] + est.stderr[0, 0])
-        report.add(ReportRow(
-            f"hard pair rho={rho:+.2f} antisymmetry", anti, 0.0, anti_tol,
-            "exchange symmetry", abs(anti) <= anti_tol))
-        rows.append((rho, measured, float(est.stderr[0, 0]), pred,
-                     abs(measured - pred) <= 0.005))
-    _write_csv(outdir, "verify_pair_hard.csv",
-               "rho,measured_corr,stderr,predicted,passed", rows, report)
-
-
-def _verify_bridge(report, outdir, m, threads):
-    rng = np.random.default_rng(2024)
-    rho = _rand_corr(rng, 3)
-    ts = GramModel.from_correlation(rho)
-    hard = engine.hard_assign(ts, ExperimentConfig(m=m, seed=11,
-                                                   threads=threads))
-    soft = engine.soft_assign(ts, ExperimentConfig(m=m, seed=11, beta=100.0,
-                                                   threads=threads))
-    gap = float(np.max(np.abs(hard.corr - soft.corr)))
-    tol = max(0.01, 5.0 * float(np.max(hard.stderr + soft.stderr)))
-    report.add(ReportRow(
-        "beta=100 soft vs hard max correlation gap", gap, 0.0, tol,
-        "sharp-limit coincidence of the two estimators", gap <= tol))
-    dists = []
-    for beta in (1.0, 5.0, 20.0, 100.0):
-        sb = engine.soft_assign(ts, ExperimentConfig(
-            m=max(m // 5, 10**5), seed=11, beta=beta, threads=threads))
-        dists.append(float(np.max(np.abs(hard.corr - sb.corr))))
-    mono = all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
-    report.add(ReportRow(
-        "distance to hard decreasing in beta", float(mono), 1.0, 0.0,
-        "sharpness bridge monotonicity", mono,
-        note="distances " + ", ".join(f"{d:.4f}" for d in dists)))
-    _write_csv(outdir, "verify_bridge.csv",
-               "beta,max_abs_gap_to_hard",
-               [(b, d) for b, d in zip((1.0, 5.0, 20.0, 100.0), dists)],
-               report)
-
-
-def _verify_beta_zero(report, outdir, m, threads):
-    beta = 1e-3
-    ts = GramModel.from_correlation(np.eye(4))
-    est = engine.soft_assign(ts, ExperimentConfig(m=m, seed=21, beta=beta,
-                                                  threads=threads))
-    pred = theory.beta_zero_limit(ts)
-    slope = est.corr[0] / beta
-    want = np.asarray(pred.predicted_corr)[0]
-    tol = 5.0 * float(np.max(est.stderr[0])) / beta
-    gap = float(np.max(np.abs(slope - want)))
-    report.add(ReportRow(
-        "beta->0 slope row vs [3/4, -1/4, -1/4, -1/4]", gap, 0.0, tol,
-        "linearized softmax limit", gap <= tol))
-    _write_csv(outdir, "verify_beta_zero.csv",
-               "entry,measured_slope,predicted_slope",
-               [(k, float(slope[k]), float(want[k])) for k in range(4)],
-               report)
-
-
-def _verify_positivity(report, outdir, m, threads, nsets):
-    rng = np.random.default_rng(7_7_7)
-    rows = []
-    all_ok = True
-    worst_z = math.inf
-    for i in range(nsets):
-        L = int(rng.integers(2, 7))
-        ts = GramModel.from_correlation(_rand_corr(rng, L))
-        seed = 1000 + i
-        hard = engine.hard_assign(ts, ExperimentConfig(m=m, seed=seed,
-                                                       threads=threads))
-        soft = engine.soft_assign(ts, ExperimentConfig(m=m, seed=seed,
-                                                       beta=1.0,
-                                                       threads=threads))
-        for est, kind in ((hard, "hard"), (soft, "soft")):
-            diag = np.diag(est.corr)
-            dse = np.diag(est.stderr)
-            z = float(np.min(diag / dse))
-            worst_z = min(worst_z, z)
-            ok = bool(np.all(diag > 3.0 * dse))
-            if kind == "hard":
-                for a in range(L):
-                    for b in range(L):
-                        if a == b:
-                            continue
-                        gap = est.corr[a, a] - est.corr[a, b]
-                        se = math.hypot(est.stderr[a, a], est.stderr[a, b])
-                        ok = ok and gap > 3.0 * se
-            all_ok = all_ok and ok
-            rows.append((i, L, kind, z, ok))
-    report.add(ReportRow(
-        f"positivity and dominance over {nsets} random sets",
-        float(all_ok), 1.0, 0.0,
-        "3-sigma positivity of every self correlation", all_ok,
-        note=f"worst z-score {worst_z:.1f}"))
-    _write_csv(outdir, "verify_positivity.csv",
-               "set_index,L,estimator,min_self_z,passed", rows, report)
-
-
-def _verify_average_dependency(report, outdir, m, threads):
-    rows = []
-    for L in (2, 3, 4):
-        vals = {}
-        for rho_off in (0.0, 0.5):
-            rho = np.full((L, L), rho_off)
-            np.fill_diagonal(rho, 1.0)
-            ts = GramModel.from_correlation(rho)
-            for kind, beta in (("hard", math.inf), ("soft", 1.0)):
-                cfg = ExperimentConfig(m=m, seed=31 + L, beta=beta,
-                                       threads=threads)
-                est = (engine.hard_assign(ts, cfg) if kind == "hard"
-                       else engine.soft_assign(ts, cfg))
-                vals[(kind, rho_off)] = (float(est.avg_self_corr),
-                                         float(est.avg_self_stderr))
-        for kind in ("hard", "soft"):
-            lo, lo_se = vals[(kind, 0.5)]
-            hi, hi_se = vals[(kind, 0.0)]
-            margin = 3.0 * math.hypot(lo_se, hi_se)
-            ok = hi - lo > margin
-            report.add(ReportRow(
-                f"L={L} {kind} mass-weighted self correlation, rho 0 above "
-                f"rho 0.5", hi - lo, 0.0, margin,
-                "overlap lowers averaged bias", ok))
-            rows.append((L, kind, hi, hi_se, lo, lo_se, ok))
-        if L == 2:
-            for rho_off, want in ((0.0, 0.5642), (0.5, 0.3989)):
-                got = vals[("hard", rho_off)][0]
-                ok = abs(got - want) <= 0.005
-                report.add(ReportRow(
-                    f"L=2 hard average at rho={rho_off}", got, want, 0.005,
-                    "closed form, maximum of two correlated normals", ok))
-    _write_csv(outdir, "verify_average_dependency.csv",
-               "L,estimator,avg_corr_rho0,se_rho0,avg_corr_rho05,se_rho05,"
-               "ordered", rows, report)
-
-
-def _verify_individual_dependency(report, outdir, m, threads):
-    L = 8
-    seq_a = (1.0,) + (0.0,) * (L - 1)
-    seq_b = (1.0, 0.4) + (0.0,) * (L - 3) + (0.4,)
-    ests = {}
-    for name, seq in (("orthogonal", seq_a), ("overlapping", seq_b)):
-        ts = tpl.make_circulant(np.array(seq))
-        est = engine.hard_assign(ts, ExperimentConfig(m=m, seed=41,
-                                                      threads=threads))
-        ests[name] = est
-    a, b = ests["orthogonal"], ests["overlapping"]
-    gaps = np.diag(a.corr) - np.diag(b.corr)
-    ses = np.sqrt(np.diag(a.stderr) ** 2 + np.diag(b.stderr) ** 2)
-    ok = bool(np.all(gaps > 3.0 * ses))
-    report.add(ReportRow(
-        "circulant per-cluster ordering, orthogonal above overlapping",
-        float(np.min(gaps)), 0.0, float(np.max(3.0 * ses)),
-        "per-cluster inverse dependency on overlap", ok))
-    _write_csv(outdir, "verify_individual_dependency.csv",
-               "cluster,self_corr_orthogonal,self_corr_overlapping,gap,"
-               "three_sigma",
-               [(k, float(np.diag(a.corr)[k]), float(np.diag(b.corr)[k]),
-                 float(gaps[k]), float(3.0 * ses[k])) for k in range(L)],
-               report)
-
-
-def _verify_span(report, outdir, m_small, m_big, threads):
-    rng = np.random.default_rng(5150)
-    base = rng.standard_normal(50)
-    ts = tpl.make_haar_family(base, 3, seed=99)
-    res = {}
-    for m in (m_small, m_big):
-        cfg = ExperimentConfig(m=m, seed=51, mode="full", threads=threads)
-        est = engine.hard_assign(ts, cfg)
-        res[m] = float(np.max(engine.span_residual(est, ts)))
-    ratio = res[m_small] / res[m_big]
-    want = math.sqrt(m_big / m_small)
-    ok_ratio = abs(ratio - want) <= 0.3 * want
-    report.add(ReportRow(
-        f"span residual ratio M={m_small} over M={m_big}", ratio, want,
-        0.3 * want, "root-M concentration onto the template span",
-        ok_ratio))
-    report.add(ReportRow(
-        f"span residual at M={m_big}", res[m_big], 0.0, 0.1,
-        "estimates approach the template span", res[m_big] < 0.1))
-    _write_csv(outdir, "verify_span.csv",
-               "M,max_span_residual",
-               [(m, res[m]) for m in (m_small, m_big)], report)
-
-
-def _verify_finite_l(report, outdir, m, threads):
-    ts = GramModel.from_correlation(np.eye(3))
-    est = engine.soft_assign(ts, ExperimentConfig(m=m, seed=61, beta=1.0,
-                                                  threads=threads))
-    ref = oracle.soft_moments(ts, 1.0, 0)
-    truth = float(ref.ratio()[0])
-    bound = float(ref.ratio_bound())
-    measured = float(est.corr[0, 0])
-    tol = 3.0 * (float(est.stderr[0, 0]) + bound)
-    report.add(ReportRow(
-        "soft L=3 orthonormal self correlation vs oracle", measured, truth,
-        tol, f"oracle {ref.method} ({ref.nodes_or_samples} nodes)",
-        abs(measured - truth) <= tol))
-    approx = theory.soft_finite_prediction(ts).predicted_corr[0][0]
-    rel = abs(approx - truth) / abs(truth)
-    report.add(ReportRow(
-        "first-order finite-L expansion vs oracle (relative gap)", rel,
-        0.0, math.nan, "first-order expansion, no error bar", None,
-        note=f"expansion {approx:.5f}, oracle {truth:.5f}"))
-    _write_csv(outdir, "verify_finite_l.csv",
-               "measured_corr,stderr,oracle_value,oracle_bound,"
-               "expansion_value",
-               [(measured, float(est.stderr[0, 0]), truth, bound,
-                 float(approx))], report)
-
-
-def _verify_gumbel(report, outdir, levels, m, threads):
-    rows = []
-    ratios = []
-    for lv in levels:
-        est = engine.hard_assign_diag(
-            lv, ExperimentConfig(m=m, seed=71 + lv, threads=threads))
-        ref = oracle.max_gaussian_mean(lv)
-        a_l, b_l, _ = theory.gumbel_constants(lv)
-        measured = float(est.avg_self_corr)
-        se = float(est.avg_self_stderr)
-        tol = 3.0 * se + float(ref.error_bound)
-        ok = abs(measured - float(ref.value[0])) <= tol
-        ratios.append(measured / a_l)
-        report.add(ReportRow(
-            f"orthogonal L={lv} pooled self correlation", measured,
-            float(ref.value[0]), tol,
-            "oracle quadrature, mean of the maximum of L normals", ok))
-        rows.append((lv, measured, se, a_l, b_l, measured / a_l,
-                     float(ref.value[0]), ok))
-    if len(levels) > 1:
-        shrinking = all(abs(ratios[i + 1] - 1.0) < abs(ratios[i] - 1.0)
-                        for i in range(len(ratios) - 1))
-        report.add(ReportRow(
-            "gumbel ratio drift shrinking", float(shrinking), 1.0, 0.0,
-            "square-root-of-2-log-L normalization", shrinking))
-        if levels[-1] >= 4096:
-            report.add(ReportRow(
-                "|ratio - 1| at L=4096", abs(ratios[-1] - 1.0), 0.0, 0.15,
-                "asymptotic anchor", abs(ratios[-1] - 1.0) <= 0.15))
-    _write_csv(outdir, "verify_gumbel.csv",
-               "L,measured_self_corr,stderr,a_L,b_L,ratio_to_a_L,"
-               "oracle_mean_max,passed", rows, report)
-
-
-def _verify_soft_consistency(report, outdir, L, m, lo, threads):
-    est = engine.soft_assign_diag(
-        L, ExperimentConfig(m=m, seed=81, beta=1.0, threads=threads))
-    measured = float(est.corr_diag[0])
-    pred = 1.0 - math.e / L
-    ok = lo <= measured <= 1.01
-    report.add(ReportRow(
-        f"soft orthonormal L={L} self correlation in [{lo}, 1.01]",
-        measured, pred, 1.01 - lo,
-        "first-order finite-L expansion as reference point", ok))
-    _write_csv(outdir, "verify_soft_consistency.csv",
-               "L,measured_corr,stderr,expansion_reference",
-               [(L, measured, float(est.stderr_diag[0]), pred)], report)
-
-
-def _verify_oracle_self(report, outdir, n_ibp):
+def _oracle_inputs(n_ibp):
+    """Random models for the oracle self-checks, all drawn from rng 90210."""
     rng = np.random.default_rng(90210)
-    worst = 0.0
+    models = []
     for _ in range(n_ibp):
         L = int(rng.integers(2, 4))
-        g = GramModel.from_correlation(_rand_corr(rng, L),
+        g = GramModel.from_correlation(tpl.random_correlation(rng, L),
                                        scale=float(rng.uniform(0.5, 1.5)))
-        beta = float(rng.uniform(0.2, 5.0))
-        worst = max(worst, oracle.ibp_residual(g, beta,
-                                               int(rng.integers(0, L))))
-    report.add(ReportRow(
-        f"integration-by-parts residual over {n_ibp} random models", worst,
-        0.0, 1e-6, "Gaussian integration by parts at the oracle's nodes",
-        worst < 1e-6))
-    g2 = GramModel.from_correlation(_rand_corr(rng, 2))
-    e = oracle.hard_moments(g2, 0, method="exact")
-    q = oracle.hard_moments(g2, 0, method="quadrature")
-    gap = float(max(np.max(np.abs(e.value - q.value)), abs(e.mass - q.mass)))
-    report.add(ReportRow(
-        "hard oracle exact vs quadrature at L=2", gap, 0.0, 1e-8,
-        "independent orthant and conditional-CDF routes", gap <= 1e-8))
-    seq = np.array([1.0, 0.3, 0.1, 0.1, 0.3])
-    g5 = GramModel.from_correlation(_circulant_corr(seq))
-    mgap = 0.0
-    mb = 0.0
-    for ell in range(5):
-        r = oracle.soft_moments(g5, 1.0, ell, method="quadrature", nodes=12)
-        mgap = max(mgap, abs(r.mass - 0.2))
-        mb = max(mb, r.mass_bound)
-    report.add(ReportRow(
-        "circulant soft occupancy equals 1/L", mgap, 0.0,
-        max(float(mb), 1e-9), "cyclic symmetry of the template set",
-        mgap <= max(float(mb), 1e-9)))
-    g5h = GramModel.from_correlation(_rand_corr(rng, 5))
-    probs = [oracle.hard_moments(g5h, ell).mass for ell in range(5)]
-    psum = abs(sum(probs) - 1.0)
-    report.add(ReportRow(
-        "hard occupancy probabilities sum to one at L=5", psum, 0.0, 1e-9,
-        "orthant closed forms with path integrals", psum <= 1e-9))
+        models.append((g, float(rng.uniform(0.2, 5.0)),
+                       int(rng.integers(0, L))))
+    pair = GramModel.from_correlation(tpl.random_correlation(rng, 2))
+    five = GramModel.from_correlation(tpl.random_correlation(rng, 5))
+    return dict(ibp_models=models, pair_grams=[pair],
+                circulants=[(1.0, 0.3, 0.1, 0.1, 0.3)], nodes=12,
+                sum_grams=[five])
 
 
-def _circulant_corr(seq):
-    L = len(seq)
-    rho = np.empty((L, L))
-    for i in range(L):
-        for j in range(L):
-            rho[i, j] = seq[(j - i) % L]
-    return rho
-
-
-def _verify_agreement(report, outdir, n_models, m, threads):
-    rng = np.random.default_rng(4242)
-    rows = []
-    all_ok = True
-    for i in range(n_models):
-        L = int(rng.integers(2, 4))
-        g = GramModel.from_correlation(_rand_corr(rng, L))
-        seed = 2000 + i
-        hard = engine.hard_assign(g, ExperimentConfig(m=m, seed=seed,
-                                                      threads=threads))
-        soft = engine.soft_assign(g, ExperimentConfig(m=m, seed=seed,
-                                                      beta=1.0,
-                                                      threads=threads))
-        for kind, est, beta in (("hard", hard, math.inf),
-                                ("soft", soft, 1.0)):
-            for ell in range(L):
-                if kind == "hard":
-                    ref = oracle.hard_moments(g, ell)
-                else:
-                    ref = oracle.soft_moments(g, beta, ell)
-                gap = float(np.max(np.abs(est.corr[ell] - ref.ratio())))
-                tol = 3.0 * (float(np.max(est.stderr[ell]))
-                             + float(ref.ratio_bound()))
-                ok = gap <= tol
-                all_ok = all_ok and ok
-                rows.append((i, L, kind, ell, gap, tol, ok))
-    report.add(ReportRow(
-        f"engine vs oracle over {n_models} random models", float(all_ok),
-        1.0, 0.0, "3-sigma agreement with exact/quadrature references",
-        all_ok))
-    _write_csv(outdir, "verify_agreement.csv",
-               "model,L,estimator,cluster,max_abs_gap,tolerance,passed",
-               rows, report)
-
-
-def _verify_mass_sanity(report, outdir, m, threads):
-    L = 8
-    ts = tpl.make_circulant(np.array((1.0,) + (0.0,) * (L - 1)))
-    est = engine.hard_assign(ts, ExperimentConfig(m=m, seed=55,
-                                                  threads=threads))
-    gap = float(np.max(np.abs(est.mass - 1.0 / L)))
-    tol = 4.0 * math.sqrt((1.0 / L) * (1.0 - 1.0 / L) / m)
-    report.add(ReportRow(
-        "circulant occupancy near 1/L", gap, 0.0, tol,
-        "binomial standard error", gap <= tol))
+def _suite(full):
+    """(check, inputs) pairs of the fast or full suite, in run order."""
+    m = 10**6
+    small = m if full else 2 * 10**5
+    ring = [(1.0,) + (0.0,) * 7, (1.0, 0.4) + (0.0,) * 5 + (0.4,)]
+    haar = tpl.make_haar_family(
+        np.random.default_rng(5150).standard_normal(50), 3, seed=99)
+    return (
+        ("pair_hard", dict(rhos=(-1.0, -0.5, 0.0, 0.5, 0.9, 0.99), m=m,
+                           seed=101)),
+        ("bridge", dict(rho=tpl.random_correlation(
+            np.random.default_rng(2024), 3), m=small, seed=11,
+            betas=(1.0, 5.0, 20.0, 100.0))),
+        ("beta_zero", dict(m=10**7 if full else m, seed=21)),
+        ("positivity", dict(nsets=50 if full else 6, m=small, seed=1000)),
+        ("average_dependency", dict(Ls=(2, 3, 4), m=m, seed=31)),
+        ("individual_dependency", dict(
+            orthogonal=tpl.make_circulant(np.array(ring[0])),
+            overlapping=tpl.make_circulant(np.array(ring[1])), m=m, seed=41)),
+        ("span", dict(ts=haar, ms=(10**4, 10**6), seeds=(51, 51))),
+        ("finite_l", dict(clusters=(0,), m=m, seed=61)),
+        ("gumbel", dict(levels=(16, 64, 256, 1024, 4096) if full
+                        else (16, 64), m=m, seed=71)),
+        ("soft_consistency", dict(L=256, m=10**7, seed=81, lo=0.95) if full
+         else dict(L=64, m=m, seed=81, lo=0.90)),
+        ("oracle_self", _oracle_inputs(10 if full else 4)),
+        ("agreement", dict(n_models=20 if full else 3,
+                           m=10**7 if full else m)),
+        ("mass_sanity", dict(m=m)),
+    )
 
 
 def verify(suite, outdir, threads=None):
@@ -815,28 +429,9 @@ def verify(suite, outdir, threads=None):
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
     report = RunReport(f"verify --suite {suite}", {"suite": suite})
-    full = suite == "full"
-    m_std = 10**6
-    _verify_pair_family(report, outdir, m_std, threads)
-    _verify_bridge(report, outdir, m_std if full else 2 * 10**5, threads)
-    _verify_beta_zero(report, outdir, 10**7 if full else m_std, threads)
-    _verify_positivity(report, outdir, m_std if full else 2 * 10**5,
-                       threads, nsets=50 if full else 6)
-    _verify_average_dependency(report, outdir, m_std, threads)
-    _verify_individual_dependency(report, outdir, m_std, threads)
-    _verify_span(report, outdir, 10**4, 10**6, threads)
-    _verify_finite_l(report, outdir, m_std, threads)
-    _verify_gumbel(report, outdir,
-                   (16, 64, 256, 1024, 4096) if full else (16, 64),
-                   m_std, threads)
-    if full:
-        _verify_soft_consistency(report, outdir, 256, 10**7, 0.95, threads)
-    else:
-        _verify_soft_consistency(report, outdir, 64, m_std, 0.90, threads)
-    _verify_oracle_self(report, outdir, n_ibp=10 if full else 4)
-    _verify_agreement(report, outdir, 20 if full else 3,
-                      10**7 if full else m_std, threads)
-    _verify_mass_sanity(report, outdir, m_std, threads)
+    for name, inputs in _suite(suite == "full"):
+        _run_check(report, outdir, f"verify_{name}.csv", name,
+                   threads=threads, **inputs)
     report.wall_time = time.time() - t0
     return report
 
@@ -949,6 +544,9 @@ def _cmd_run(args):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     report.wall_time = time.time() - t0
+    if not report.timings:
+        # an experiment outside the check table counts as one check
+        report.timings[name] = report.wall_time
     report.write(outdir)
     print(report.text(), end="")
     return EXIT_OK if report.all_pass() else EXIT_ROW_FAILED

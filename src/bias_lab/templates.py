@@ -248,6 +248,27 @@ def make_exponential(d, alpha, norm=1.0):
     return norm * v / np.linalg.norm(v)
 
 
+def random_correlation(rng, L, rmax=0.8):
+    """Random L x L correlation matrix with off-diagonals bounded by rmax.
+
+    Normalizes the Gram of L Gaussian vectors in 2L dimensions. When an
+    off-diagonal exceeds rmax, all off-diagonals shrink by one factor so
+    that the largest equals rmax. Redraws until the smallest eigenvalue
+    exceeds 1e-6.
+    """
+    while True:
+        a = rng.standard_normal((L, 2 * L))
+        c = a @ a.T
+        d = np.sqrt(np.diag(c))
+        rho = c / np.outer(d, d)
+        off = rho - np.diag(np.diag(rho))
+        top = np.max(np.abs(off))
+        if top > rmax:
+            rho = np.eye(L) + off * (rmax / top)
+        if np.linalg.eigvalsh(rho)[0] > 1e-6:
+            return rho
+
+
 def make_haar_family(x0, L, seed):
     """x0 together with L-1 copies rotated by independent Haar rotations.
 

@@ -4,7 +4,8 @@ artifact determinism, and the kernel mutation harness."""
 import numpy as np
 import pytest
 
-from bias_lab import ConfigError, _kernels, cli, engine, templates as tpl
+from bias_lab import (ConfigError, _kernels, checks, cli, engine,
+                      templates as tpl)
 from bias_lab.engine import ExperimentConfig
 from bias_lab.templates import GramModel
 
@@ -180,6 +181,49 @@ def test_gumbel_sweep_small(tmp_path, capsys):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert int(first[0]) == 16
+
+
+def test_gumbel_sweep_unsorted_or_repeated_levels(tmp_path, capsys):
+    # the drift rule runs along increasing L, whatever order the config
+    # lists the levels in
+    for i, levels in enumerate(("64, 16", "16, 16")):
+        cfg = _write_cfg(tmp_path / f"c{i}.cfg", experiment="gumbel_sweep",
+                         levels=levels, M=200_000)
+        out = tmp_path / f"o{i}"
+        assert cli.main(["run", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "gumbel_sweep.csv").read_text(
+            encoding="utf-8").splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == \
+            sorted({int(v) for v in levels.split(",")})
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def _timings(report_path):
+    text = report_path.read_text(encoding="utf-8")
+    block = text.split("## timings\n", 1)[1].split("##", 1)[0]
+    return {name: float(secs) for name, secs in
+            (line.split(" = ") for line in block.splitlines())}
+
+
+def test_report_times_every_check(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--suite", "fast",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert "## timings" in capsys.readouterr().out
+    assert len(list(out.glob("*.csv"))) == 11
+    assert set(_timings(out / "report.txt")) == set(checks.CHECKS)
+    for experiment, names in (("gumbel_sweep", {"gumbel"}),
+                              ("pair_hard", {"pair_hard"})):
+        cfg = _write_cfg(tmp_path / f"{experiment}.cfg",
+                         experiment=experiment, levels="16", M=20_000)
+        run = tmp_path / experiment
+        cli.main(["run", "--config", cfg, "--out", str(run)])
+        assert set(_timings(run / "report.txt")) == names
+    capsys.readouterr()
+    # seconds go to report.txt and stdout, never into a CSV artifact
+    for path in (*out.glob("*.csv"), *tmp_path.glob("*/*.csv")):
+        assert " = " not in path.read_text(encoding="utf-8")
 
 
 def test_bias_demo_synthetic(tmp_path, capsys):

@@ -43,21 +43,6 @@ MAX_GAUSSIAN_MEAN = {
 }
 
 
-def _rand_corr(rng, L, rmax=0.8):
-    """Random correlation matrix with off-diagonals bounded by rmax."""
-    while True:
-        a = rng.standard_normal((L, 2 * L))
-        c = a @ a.T
-        d = np.sqrt(np.diag(c))
-        rho = c / np.outer(d, d)
-        off = rho - np.diag(np.diag(rho))
-        top = np.max(np.abs(off))
-        if top > rmax:
-            rho = np.eye(L) + off * (rmax / top)
-        if np.linalg.eigvalsh(rho)[0] > 1e-6:
-            return rho
-
-
 # ----------------------------------------------------------------- bvn_cdf
 
 def test_bvn_cdf_closed_corners():
@@ -134,7 +119,7 @@ def test_hard_exact_equals_order_statistic_route():
 def test_hard_exact_invariants_random_grams():
     rng = np.random.default_rng(314)
     for L in range(2, 7):
-        g = GramModel.from_correlation(_rand_corr(rng, L))
+        g = GramModel.from_correlation(tpl.random_correlation(rng, L))
         masses = []
         moment_sum = np.zeros(L)
         for ell in range(L):
@@ -170,7 +155,7 @@ def test_hard_quadrature_agrees_with_exact_pair():
 def test_hard_quadrature_bounds_are_honest_l3():
     rng = np.random.default_rng(2718)
     for _ in range(6):
-        g = GramModel.from_correlation(_rand_corr(rng, 3))
+        g = GramModel.from_correlation(tpl.random_correlation(rng, 3))
         for ell in range(3):
             ex = oracle.hard_moments(g, ell)
             qd = oracle.hard_moments(g, ell, method="quadrature")
@@ -181,7 +166,7 @@ def test_hard_quadrature_bounds_are_honest_l3():
 
 def test_hard_tensor_quadrature_l4():
     rng = np.random.default_rng(99)
-    g = GramModel.from_correlation(_rand_corr(rng, 4, rmax=0.6))
+    g = GramModel.from_correlation(tpl.random_correlation(rng, 4, rmax=0.6))
     ex = oracle.hard_moments(g, 1)
     qd = oracle.hard_moments(g, 1, method="quadrature")
     assert qd.method == "quadrature"
@@ -191,7 +176,7 @@ def test_hard_tensor_quadrature_l4():
 
 def test_hard_refmc_within_bound():
     rng = np.random.default_rng(17)
-    g = GramModel.from_correlation(_rand_corr(rng, 5, rmax=0.5))
+    g = GramModel.from_correlation(tpl.random_correlation(rng, 5, rmax=0.5))
     ex = oracle.hard_moments(g, 2)
     mc = oracle.hard_moments(g, 2, method="refmc", samples=400_000)
     assert mc.method == "refMC"
@@ -234,14 +219,15 @@ def test_soft_orthonormal_l3_frozen():
 def test_soft_masses_sum_to_one():
     rng = np.random.default_rng(55)
     for L in (3, 4, 5):
-        g = GramModel.from_correlation(_rand_corr(rng, L, rmax=0.6))
+        rho = tpl.random_correlation(rng, L, rmax=0.6)
+        g = GramModel.from_correlation(rho)
         total = sum(oracle.soft_moments(g, 1.5, ell).mass for ell in range(L))
         assert total == pytest.approx(1.0, abs=1e-9), f"L={L}"
 
 
 def test_soft_refmc_agrees_with_quadrature():
     rng = np.random.default_rng(77)
-    g = GramModel.from_correlation(_rand_corr(rng, 3, rmax=0.5))
+    g = GramModel.from_correlation(tpl.random_correlation(rng, 3, rmax=0.5))
     qd = oracle.soft_moments(g, 1.0, 1)
     mc = oracle.soft_moments(g, 1.0, 1, method="refmc", samples=400_000,
                              seed=5)
@@ -261,7 +247,7 @@ def test_soft_second_moments_consistency():
 
 def test_softmax_weights_simplex():
     rng = np.random.default_rng(303)
-    g = GramModel.from_correlation(_rand_corr(rng, 4, rmax=0.6))
+    g = GramModel.from_correlation(tpl.random_correlation(rng, 4, rmax=0.6))
     w = oracle.softmax_weights(g, 1.2, 2)
     assert np.all(w >= 0.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
@@ -271,7 +257,7 @@ def test_ibp_residual_small():
     rng = np.random.default_rng(808)
     for _ in range(4):
         L = int(rng.integers(2, 4))
-        g = GramModel.from_correlation(_rand_corr(rng, L))
+        g = GramModel.from_correlation(tpl.random_correlation(rng, L))
         beta = float(rng.uniform(0.2, 5.0))
         ell = int(rng.integers(0, L))
         assert oracle.ibp_residual(g, beta, ell) < 1e-6
@@ -394,7 +380,7 @@ def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
         monkeypatch.setattr(_kernels, "_NODE_BLOCK", block)
     x, w = oracle._gh_rule(n)
     rng = np.random.default_rng(100 * L + n)
-    grams = [1.1 * np.linalg.cholesky(_rand_corr(rng, L))]
+    grams = [1.1 * np.linalg.cholesky(tpl.random_correlation(rng, L))]
     if n % 2:
         grams.append(np.eye(L))
     for a in grams:
@@ -426,7 +412,7 @@ def _count_sweeps(monkeypatch):
 
 def test_one_sweep_serves_every_cluster(monkeypatch):
     rng = np.random.default_rng(404)
-    g = GramModel.from_correlation(_rand_corr(rng, 4, rmax=0.6))
+    g = GramModel.from_correlation(tpl.random_correlation(rng, 4, rmax=0.6))
     calls = _count_sweeps(monkeypatch)
     n, beta = 10, 1.2
     first = [oracle.soft_moments(g, beta, ell, nodes=n) for ell in range(4)]
@@ -466,7 +452,7 @@ def test_hard_exact_partition_property(seed):
     """Random Gram: masses sum to 1 and moments sum to 0, always."""
     rng = np.random.default_rng(seed)
     L = int(rng.integers(2, 5))
-    g = GramModel.from_correlation(_rand_corr(rng, L))
+    g = GramModel.from_correlation(tpl.random_correlation(rng, L))
     total_mass = 0.0
     total_mom = np.zeros(L)
     for ell in range(L):
