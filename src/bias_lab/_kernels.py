@@ -8,7 +8,9 @@ Contract: a worker consumes a sample block (or draws its own from the
 per-chunk stream) and adds into plain float64 accumulator arrays.
 Partial sums are combined by the caller in chunk order, so results are
 bitwise reproducible for a fixed (seed, chunks) regardless of thread
-count.
+count. The soft diagonal worker draws the L normals of each sample; the
+hard one draws two numbers per sample, a uniform that it maps to the
+maximum of L normals and the winning label (see hard_diag_chunk).
 
 The oracle's node sweeps work on cluster-major blocks: projections y of
 shape (L, N) for N grid nodes, so the softmax and argmax reduce over
@@ -27,6 +29,7 @@ import importlib.util
 import itertools
 
 import numpy as np
+from scipy.special import ndtri
 
 # reported in the benchmark's run manifest; nothing here uses numba
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
@@ -133,10 +136,22 @@ def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
 
     Within cluster l the own-template projection is the row maximum, so
     only the per-cluster count, sum and sum of squares of it are kept.
+    For L iid standard normals the argmax is uniform on {0..L-1} and
+    independent of the maximum, whose CDF is Phi**L. Each sample
+    therefore draws one uniform U and one label, and its maximum is
+    Phi^-1(U**(1/L)) = -ndtri(1 - U**(1/L)), with 1 - U**(1/L) formed as
+    -expm1(log(U) / L) so the upper tail keeps full precision. U is the
+    midpoint of the generator's uniform on a 2**-52 grid: it lies in
+    [2**-53, 1 - 2**-53], so every maximum is finite.
     """
-    for z in _normal_slices(seed, chunk, rows, L):
-        labels = np.argmax(z, axis=1)
-        mx = z[np.arange(z.shape[0]), labels] * scale
+    g = chunk_generator(seed, chunk)
+    step = _DIAG_SLICE // 2
+    for done in range(0, rows, step):
+        n = min(step, rows - done)
+        u = g.random(n)
+        labels = g.integers(0, L, size=n)
+        u = (np.floor(u * 2.0 ** 52) + 0.5) * 2.0 ** -52
+        mx = -ndtri(-np.expm1(np.log(u) / L)) * scale
         counts += np.bincount(labels, minlength=L).astype(np.float64)
         d1 += np.bincount(labels, weights=mx, minlength=L)
         d2 += np.bincount(labels, weights=mx * mx, minlength=L)

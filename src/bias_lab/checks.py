@@ -294,11 +294,22 @@ def finite_l(clusters, m, seed, threads=None):
                               "oracle_bound,expansion_value", table))
 
 
+_LITERAL_MAX_L = 64
+_LITERAL_SEED = 1 << 20
+
+
 def gumbel(levels, m, seed, chunks=None, threads=None):
     """Orthonormal hard sweep against E[max of L normals], run at seed + L.
 
     Levels are taken sorted and without repeats, so |ratio to a_L - 1|
     must shrink along increasing L; from L = 4096 on it must be <= 0.15.
+
+    The diagonal path samples the maximum from its law Phi**L, and the
+    oracle integrates the density of that same law, so the two share the
+    law by different numerics. At every level up to L = 64 the literal
+    argmax over L normals (hard_assign on the identity Gram, m // 5
+    samples, seed + 2**20 + L) is therefore checked against the diagonal
+    path as well, under 3 sigma of their combined stderr.
     """
     rows, table, drift = [], [], []
     levels = sorted(set(int(lv) for lv in levels))
@@ -313,6 +324,15 @@ def gumbel(levels, m, seed, chunks=None, threads=None):
                     float(ref.value[0]), 3.0 * se + float(ref.error_bound),
                     "oracle quadrature, mean of the maximum of L normals")
         rows.append(row)
+        if lv <= _LITERAL_MAX_L:
+            lit = estimate(GramModel.from_correlation(np.eye(lv)),
+                           max(m // 5, 1), seed + _LITERAL_SEED + lv,
+                           threads=threads)
+            rows.append(_near(
+                f"L={lv} argmax over L normals vs order-statistic sampler",
+                float(lit.avg_self_corr), measured,
+                3.0 * math.hypot(float(lit.avg_self_stderr), se),
+                "literal argmax simulation of the identity Gram"))
         drift.append(abs(measured / a_l - 1.0))
         table.append((lv, measured, se, a_l, b_l, measured / a_l,
                       float(ref.value[0]), float(ref.error_bound),

@@ -22,22 +22,27 @@ scorecard (tests/test_acceptance.py).
 
 Artifacts: every experiment writes CSV tables (UTF-8, comma separated,
 '.' decimal, one header line naming columns and units) plus report.txt.
-CSV bytes are deterministic for a fixed config and seed; wall-clock time,
-including the seconds each check took (the "## timings" section),
-appears only in report.txt and on stdout.
+CSV bytes are deterministic for a fixed config and seed. What describes
+the run rather than its results appears only in report.txt and on
+stdout: the "## run" section (bias_lab, Python, numpy and scipy
+versions, --threads as given, "auto" when not, and os.cpu_count()) and
+wall-clock time, including the seconds each check took (the
+"## timings" section).
 """
 
 import argparse
 import math
 import os
+import platform
 import re
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
-from . import checks, oracle, theory
+from . import __version__, checks, oracle, theory
 from . import templates as tpl
 from .checks import ReportRow
 from .errors import BiasLabError, ConfigError
@@ -137,8 +142,8 @@ def _effective_seed(cfg):
 
 @dataclass
 class RunReport:
-    """Self-contained record of one run: config echo, rows, seconds per
-    check, artifacts."""
+    """Self-contained record of one run: config echo, rows, what ran
+    (versions, --threads as given, cores), seconds per check, artifacts."""
 
     title: str
     config: dict
@@ -146,6 +151,7 @@ class RunReport:
     artifacts: list = field(default_factory=list)
     wall_time: float = 0.0
     timings: dict = field(default_factory=dict)
+    threads: int = None
 
     def all_pass(self):
         return all(r.passed for r in self.rows if r.passed is not None)
@@ -165,6 +171,14 @@ class RunReport:
         lines.append(f"## summary: {npass} passed, {nfail} failed, "
                      f"{len(self.rows) - npass - nfail} informational")
         lines.append(f"wall_time_seconds = {self.wall_time:.3f}")
+        threads = "auto" if self.threads is None else self.threads
+        lines += ["## run",
+                  f"bias_lab = {__version__}",
+                  f"python = {platform.python_version()}",
+                  f"numpy = {np.__version__}",
+                  f"scipy = {scipy.__version__}",
+                  f"threads = {threads}",
+                  f"cpu_count = {os.cpu_count()}"]
         lines.append("## timings")
         lines.extend(f"{name} = {secs:.3f}"
                      for name, secs in self.timings.items())
@@ -428,7 +442,8 @@ def verify(suite, outdir, threads=None):
         raise ConfigError(f"unknown suite {suite!r}")
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
-    report = RunReport(f"verify --suite {suite}", {"suite": suite})
+    report = RunReport(f"verify --suite {suite}", {"suite": suite},
+                       threads=threads)
     for name, inputs in _suite(suite == "full"):
         _run_check(report, outdir, f"verify_{name}.csv", name,
                    threads=threads, **inputs)
@@ -544,6 +559,7 @@ def _cmd_run(args):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     report.wall_time = time.time() - t0
+    report.threads = args.threads
     if not report.timings:
         # an experiment outside the check table counts as one check
         report.timings[name] = report.wall_time

@@ -19,7 +19,10 @@ matter how many worker threads run.
 
 The orthonormal high-L sweeps get dedicated diagonal-only entry points
 that track just the per-sample argmax / softmax self terms, avoiding the
-L x L accumulators.
+L x L accumulators. The soft one draws the L normals of every sample;
+the hard one draws only the sample's maximum, from its law Phi**L, and
+its uniform label, so it matches hard_assign on an identity Gram in law
+rather than draw for draw.
 """
 
 import math
@@ -381,10 +384,11 @@ def _check_diag(L):
 def hard_assign_diag(L, cfg, scale=1.0):
     """Hard run for L orthonormal templates, diagonal statistics only.
 
-    Equivalent to hard_assign on an identity-correlation Gram but
+    Equal in law to hard_assign on an identity-correlation Gram but
     tracking just per-cluster count / mean / variance of the winning
-    projection, which keeps memory and time O(L) per sample even at
-    L = 4096.
+    projection. Each sample draws O(1) numbers, a uniform label and its
+    maximum by inversion of Phi**L, in place of L normals, so memory is
+    O(L) and time O(1) per sample even at L = 4096.
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign_diag expects cfg.beta = inf")

@@ -210,7 +210,8 @@ def test_report_times_every_check(tmp_path, capsys):
     out = tmp_path / "v"
     assert cli.main(["verify", "--suite", "fast",
                      "--out", str(out)]) == cli.EXIT_OK
-    assert "## timings" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "## run\n" in stdout and "## timings\n" in stdout
     assert len(list(out.glob("*.csv"))) == 11
     assert set(_timings(out / "report.txt")) == set(checks.CHECKS)
     for experiment, names in (("gumbel_sweep", {"gumbel"}),
@@ -218,12 +219,26 @@ def test_report_times_every_check(tmp_path, capsys):
         cfg = _write_cfg(tmp_path / f"{experiment}.cfg",
                          experiment=experiment, levels="16", M=20_000)
         run = tmp_path / experiment
-        cli.main(["run", "--config", cfg, "--out", str(run)])
+        cli.main(["run", "--config", cfg, "--out", str(run),
+                  "--threads", "1"])
         assert set(_timings(run / "report.txt")) == names
     capsys.readouterr()
-    # seconds go to report.txt and stdout, never into a CSV artifact
+    # the run record sits just before the timings and has no verdicts
+    for path, threads in ((out / "report.txt", "auto"),
+                          (tmp_path / "pair_hard" / "report.txt", "1")):
+        text = path.read_text(encoding="utf-8")
+        block = text.split("## run\n", 1)[1].split("## timings\n", 1)[0]
+        record = dict(line.split(" = ") for line in block.splitlines())
+        assert record.keys() == {"bias_lab", "python", "numpy", "scipy",
+                                 "threads", "cpu_count"}
+        assert record["threads"] == threads
+        assert not any(line.startswith(("[PASS]", "[FAIL]"))
+                       for line in block.splitlines())
+    # seconds and the run record go to report.txt and stdout, never into
+    # a CSV artifact
     for path in (*out.glob("*.csv"), *tmp_path.glob("*/*.csv")):
-        assert " = " not in path.read_text(encoding="utf-8")
+        body = path.read_text(encoding="utf-8")
+        assert " = " not in body and "## run" not in body
 
 
 def test_bias_demo_synthetic(tmp_path, capsys):

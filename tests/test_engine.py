@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from bias_lab import (
     ConfigError,
@@ -247,6 +248,48 @@ def test_diag_scale_argument():
     two = engine.hard_assign_diag(8, cfg, scale=2.0)
     np.testing.assert_allclose(two.corr_diag, 2.0 * one.corr_diag,
                                rtol=1e-12)
+
+
+class _UniformExtremes:
+    """Generator stub: uniforms alternate 0 and 1 - 2**-53, labels cycle."""
+
+    def random(self, size):
+        u = np.empty(size)
+        u[0::2] = 0.0
+        u[1::2] = 1.0 - 2.0 ** -53
+        return u
+
+    def integers(self, low, high, size=None):
+        return np.arange(size) % high
+
+
+def test_hard_diag_sampler_maxima_finite_at_uniform_extremes(monkeypatch):
+    monkeypatch.setattr(_kernels, "chunk_generator",
+                        lambda seed, chunk: _UniformExtremes())
+    for L in (2, 64, 4096):
+        # cluster k sees only the extreme of k's parity, so corr_diag
+        # holds the two maxima themselves
+        est = engine.hard_assign_diag(L, _cfg(1000))
+        live = est.corr_diag[est.mass > 0]
+        assert np.all(np.isfinite(live)), L
+        assert live[0] < live[1]
+        assert math.isfinite(est.avg_self_corr)
+
+
+def test_hard_diag_labels_uniform():
+    m = 400_000
+    est = engine.hard_assign_diag(8, _cfg(m))
+    counts = np.rint(est.mass * m)
+    assert counts.sum() == m
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+def test_hard_diag_pooled_mean_closed_form():
+    # E[max of L normals]: 1/sqrt(pi) at L = 2, 3/(2 sqrt(pi)) at L = 3
+    for L, want in ((2, 1.0), (3, 1.5)):
+        est = engine.hard_assign_diag(L, _cfg(400_000))
+        want /= math.sqrt(math.pi)
+        assert abs(est.avg_self_corr - want) < 4.0 * est.avg_self_stderr
 
 
 # ------------------------------------------------------------ full-mode ops
