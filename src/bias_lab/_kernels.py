@@ -12,14 +12,24 @@ count. The soft diagonal worker draws the L normals of each sample; the
 hard one draws two numbers per sample, a uniform that it maps to the
 maximum of L normals and the winning label (see hard_diag_chunk).
 
-The oracle's node sweeps work on cluster-major blocks: projections y of
-shape (L, N) for N grid nodes, so the softmax and argmax reduce over
+Block contract of the general paths: the engine forms the projections
+of a sample block as one C-contiguous cluster-major (L, rows) array and
+passes its (rows, L) transpose view s. hard_block and soft_block reduce
+over st = s.T, so the argmax and the softmax run over axis 0, every
+per-cluster pass reads a contiguous row of st and the soft moments are
+(L, rows) @ (rows, L) products; soft_block returns its weights as
+(L, rows). The soft diagonal worker keeps its (rows, L) draws and takes
+the same softmax over their transpose view.
+
+The oracle's node sweeps work on cluster-major blocks too: projections y
+of shape (L, N) for N grid nodes, so the softmax and argmax reduce over
 axis 0 and the moments are (L, N) @ (N, L) products. The grid is visited
 in a fixed order (first axis slowest) and in blocks of bounded size.
 
 Every entry point takes a leading ``backend`` argument that is ignored:
 the benchmark in ``perfbench/`` wraps the module attributes and counts
-rows and nodes from the entry points' positional arguments. The node
+rows and nodes from the entry points' positional arguments (the
+transpose view keeps a block's rows as s.shape[0]). The node
 sweeps keep the signatures hard_nodes(backend, a, x, w) and
 soft_nodes(backend, a, x, w, beta), with a of size L x L and x the 1-D
 rule, so one sweep visits x.size ** L nodes.
@@ -73,11 +83,11 @@ def _normal_slices(seed, chunk, rows, L):
 
 
 def _softmax(logits):
-    """Row softmax; shifts logits in place by their row maximum."""
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    """Softmax over axis 0 of (L, N) logits, computed in place."""
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0)
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -85,29 +95,32 @@ def _softmax(logits):
 # ---------------------------------------------------------------------------
 
 def hard_block(backend, s, counts, sum1, sum2, pooled):
-    """Argmax statistics of one block; returns the row labels."""
-    rows, L = s.shape
-    labels = np.argmax(s, axis=1)
+    """Argmax statistics of one (rows, L) block; returns the row labels."""
+    st = s.T
+    L, rows = st.shape
+    labels = np.argmax(st, axis=0)
     counts += np.bincount(labels, minlength=L).astype(np.float64)
     for k in range(L):
-        sum1[:, k] += np.bincount(labels, weights=s[:, k], minlength=L)
-        sum2[:, k] += np.bincount(labels, weights=s[:, k] ** 2, minlength=L)
-    mx = s[np.arange(rows), labels]
+        sum1[:, k] += np.bincount(labels, weights=st[k], minlength=L)
+        sum2[:, k] += np.bincount(labels, weights=st[k] ** 2, minlength=L)
+    mx = st[labels, np.arange(rows)]
     pooled[0] += mx.sum()
     pooled[1] += (mx * mx).sum()
     return labels
 
 
 def soft_block(backend, s, beta, w1, w2, a1, a2, a3, pooled):
-    """Softmax statistics of one block; returns the weights p."""
-    p = _softmax(beta * s)
+    """Softmax statistics of one (rows, L) block; returns the (L, rows)
+    weights p."""
+    st = s.T
+    p = _softmax(beta * st)
     p2 = p * p
-    w1 += p.sum(axis=0)
-    w2 += p2.sum(axis=0)
-    a1 += p.T @ s
-    a2 += p2.T @ s
-    a3 += p2.T @ (s * s)
-    g = np.einsum("ij,ij->i", p, s)
+    w1 += p.sum(axis=1)
+    w2 += p2.sum(axis=1)
+    a1 += p @ s
+    a2 += p2 @ s
+    a3 += p2 @ (s * s)
+    g = np.einsum("ij,ij->j", p, st)
     pooled[0] += g.sum()
     pooled[1] += (g * g).sum()
     return p
@@ -122,8 +135,8 @@ def label_vectors(backend, n, labels, vec):
 
 
 def weighted_vectors(backend, n, p, vec):
-    """vec[l] += sum of the noise rows weighted by p[:, l]."""
-    vec += p.T @ n
+    """vec[l] += sum of the noise rows weighted by p[l]."""
+    vec += p @ n
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +181,8 @@ def soft_diag_chunk(backend, seed, chunk, rows, L, scale, beta,
     the pooled sum_l p_l s_l statistic.
     """
     for z in _normal_slices(seed, chunk, rows, L):
-        p = _softmax((beta * scale) * z)
+        # the same bits as a row softmax of the (rows, L) slice
+        p = _softmax(((beta * scale) * z).T).T
         s = scale * z
         p2 = p * p
         w1 += p.sum(axis=0)
@@ -259,10 +273,7 @@ def soft_nodes(backend, a, x, w, beta):
     mom = np.zeros((L, L))
     pp = np.zeros((L, L))
     for y, wp in _grid_blocks(a, x, w):
-        p = beta * y
-        p -= p.max(axis=0)
-        np.exp(p, out=p)
-        p /= p.sum(axis=0)
+        p = _softmax(beta * y)
         wl = p * wp
         mass += wl.sum(axis=1)
         mom += wl @ y.T

@@ -11,8 +11,10 @@ scientific notation (M = 5e6). The environment variable BIAS_LAB_SEED,
 when set, overrides the config seed.
 
 Exit codes: 0 all tolerance rows pass, 1 at least one row failed,
-2 unknown experiment name, 3 invalid config, 4 unwritable output
-directory.
+2 unknown experiment name, 3 invalid config or an error raised
+during the run, 4 unwritable output directory. A config that fails to
+parse prints "config error: <message>"; a package error raised by the
+experiment itself prints "error: <TypeName>: <message>".
 
 Checks: each comparison of a measurement with its reference that
 `verify` makes is defined once, in the check table of `bias_lab.checks`.
@@ -556,7 +558,8 @@ def _cmd_run(args):
     try:
         report = _EXPERIMENT_FUNCS[name](cfg, outdir, args.threads)
     except (BiasLabError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # raised mid-run, after the config parsed: name the error's type
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     report.wall_time = time.time() - t0
     report.threads = args.threads

@@ -154,7 +154,9 @@ class GramDiagEstimate:
     self_corr[l] = mean own-template projection within cluster l (hard)
     or weighted mean (soft); avg_self_corr pools all samples. Only valid
     for identity correlation, where the own projection of a hard winner
-    is the row maximum.
+    is the row maximum. As in AssignmentEstimate, clusters listed in
+    undefined were empty; their corr_diag entries are NaN and a warning
+    is attached.
     """
 
     corr_diag: np.ndarray
@@ -167,6 +169,8 @@ class GramDiagEstimate:
     scale: float
     avg_self_corr: float
     avg_self_stderr: float
+    warnings: tuple = ()
+    undefined: tuple = ()
 
     def __post_init__(self):
         for name in ("corr_diag", "stderr_diag", "mass"):
@@ -237,10 +241,16 @@ def _sampler(templates, cfg):
     """(L, d, blocks): blocks(chunk, rows) yields one chunk's (n, s) slices.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
-    s holds the projections <n, x_k>. Full mode yields the noise block n
-    as well, a view of one reused buffer that is valid until the next
-    slice; gram mode draws s = z @ (scale * factor).T directly, whose
-    law is the same, yields n = None and reports d = None.
+    s holds the projections <n, x_k>. Each slice draws a (rows, width)
+    block n of standard normals from the chunk's stream and forms the
+    projections cluster-major, as the C-contiguous (L, rows) product
+    proj @ n.T with proj of shape (L, width); s is its (rows, L)
+    transpose view, so the kernels reduce over contiguous rows of s.T.
+    Full mode draws the noise (width d, proj the transposed template
+    matrix) and yields n as well, a view of one reused buffer that is
+    valid until the next slice. Gram mode draws z (width L, proj =
+    scale * factor), whose projections have the same law; it yields
+    n = None and reports d = None.
     """
     if isinstance(templates, GramModel):
         if cfg.mode != "gram":
@@ -255,10 +265,10 @@ def _sampler(templates, cfg):
             f"expected TemplateSet or GramModel, got {type(templates)!r}")
     L = templates.L
     if cfg.mode == "gram":
-        d, proj = None, factor.T.copy()
+        d, proj = None, factor
         width, slice_rows = L, max(1, _GRAM_SLICE // L)
     else:
-        d, proj = templates.d, templates.matrix
+        d, proj = templates.d, templates.matrix.T
         width, slice_rows = d, max(1, _FULL_SLICE // d)
 
     def blocks(chunk, rows):
@@ -266,7 +276,7 @@ def _sampler(templates, cfg):
         buf = np.empty((min(slice_rows, rows), width))
         for done in range(0, rows, slice_rows):
             n = g.standard_normal(out=buf[:min(slice_rows, rows - done)])
-            yield (None if d is None else n), n @ proj
+            yield (None if d is None else n), (proj @ n.T).T
 
     return L, d, blocks
 
@@ -307,6 +317,20 @@ def _ratio(num, num_w, num_w2, w1, w2, m):
     return ratio, stderr
 
 
+def _empty_clusters(counts):
+    """(undefined, warnings) of a hard run: the empty clusters, and one
+    warning for each of them and for each single-sample cluster."""
+    undefined = []
+    warnings_ = []
+    for l in range(counts.shape[0]):
+        if counts[l] < 1:
+            undefined.append(l)
+            warnings_.append(f"empty cluster {l}: corr row undefined")
+        elif counts[l] < 2:
+            warnings_.append(f"cluster {l} has a single sample: stderr infinite")
+    return tuple(undefined), tuple(warnings_)
+
+
 def hard_assign(templates, cfg):
     """One hard assignment-and-average step on pure noise.
 
@@ -330,21 +354,14 @@ def hard_assign(templates, cfg):
             vec = vec_sum[0] / counts[:, None]
     m = cfg.m
     corr, stderr = _mean(sum1, sum2, counts[:, None])
-    undefined = []
-    warnings_ = []
-    for l in range(L):
-        if counts[l] < 1:
-            undefined.append(l)
-            warnings_.append(f"empty cluster {l}: corr row undefined")
-        elif counts[l] < 2:
-            warnings_.append(f"cluster {l} has a single sample: stderr infinite")
-    corr[undefined] = np.nan
+    undefined, warnings_ = _empty_clusters(counts)
+    corr[list(undefined)] = np.nan
     avg, avg_se = _pooled(pooled, m)
     return AssignmentEstimate(
         mode=cfg.mode, corr=corr, stderr=stderr, mass=counts / m, m=m,
         beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
         avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
-        warnings=tuple(warnings_), undefined=tuple(undefined))
+        warnings=warnings_, undefined=undefined)
 
 
 def soft_assign(templates, cfg):
@@ -388,7 +405,8 @@ def hard_assign_diag(L, cfg, scale=1.0):
     tracking just per-cluster count / mean / variance of the winning
     projection. Each sample draws O(1) numbers, a uniform label and its
     maximum by inversion of Phi**L, in place of L normals, so memory is
-    O(L) and time O(1) per sample even at L = 4096.
+    O(L) and time O(1) per sample even at L = 4096. Empty clusters are
+    listed in undefined, with warnings, as in hard_assign.
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign_diag expects cfg.beta = inf")
@@ -400,11 +418,13 @@ def hard_assign_diag(L, cfg, scale=1.0):
 
     counts, d1, d2, pooled = _accumulate(cfg, (L, L, L, 2), fill)
     diag, se = _mean(d1, d2, counts)
+    undefined, warnings_ = _empty_clusters(counts)
     avg, avg_se = _pooled(pooled, cfg.m)
     return GramDiagEstimate(
         corr_diag=diag, stderr_diag=se, mass=counts / cfg.m, m=cfg.m,
         beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
-        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se)
+        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se,
+        warnings=warnings_, undefined=undefined)
 
 
 def soft_assign_diag(L, cfg, scale=1.0):

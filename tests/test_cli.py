@@ -112,7 +112,19 @@ def test_run_bad_config_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_CONFIG
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_CONFIG
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_run_mid_run_error_names_its_type(tmp_path, capsys):
+    # the engine runs the antipodal pair; the oracle's factorization then
+    # fails, which is not a config error
+    cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_soft", rho=-1,
+                     M=1000)
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: FactorizationError: ")
+    assert "config error" not in err
 
 
 def test_run_unwritable_outdir(tmp_path, capsys):

@@ -175,6 +175,22 @@ def test_empty_cluster_handling():
     assert any("single sample" in w for w in est.warnings)
     assert math.isinf(est.avg_self_stderr)
     assert est.mass.sum() == pytest.approx(1.0)
+    # the diagonal path lists its empty clusters the same way; at
+    # L = 4096 and M = 2e4 some clusters draw no sample at all
+    m = 20_000
+    diag = engine.hard_assign_diag(4096, ExperimentConfig(m=m, seed=1))
+    nan = tuple(int(l) for l in np.flatnonzero(np.isnan(diag.corr_diag)))
+    assert len(nan) > 0
+    assert diag.undefined == nan
+    singles = np.flatnonzero(np.rint(diag.mass * m) == 1)
+    assert len(singles) > 0
+    assert sorted(w for w in diag.warnings if "empty cluster" in w) == sorted(
+        f"empty cluster {l}: corr row undefined" for l in nan)
+    assert sum("single sample" in w for w in diag.warnings) == len(singles)
+    assert len(diag.warnings) == len(nan) + len(singles)
+    assert np.all(np.isinf(diag.stderr_diag[singles]))
+    full = engine.hard_assign_diag(8, _cfg(10_000))
+    assert full.undefined == () and full.warnings == ()
 
 
 def test_single_sample_soft_stderr_is_infinite():
@@ -292,6 +308,58 @@ def test_hard_diag_pooled_mean_closed_form():
         assert abs(est.avg_self_corr - want) < 4.0 * est.avg_self_stderr
 
 
+# ------------------------------------------------------------ block layout
+
+_LAYOUT_LS = (2, 3, 4, 8, 64)
+
+
+def _blocks(L, rows=6000, seed=0):
+    """A correlated (rows, L) block, C-ordered, and the same values as
+    the transpose view of cluster-major memory."""
+    corr = 0.3 * np.ones((L, L)) + 0.7 * np.eye(L)
+    s = np.random.default_rng(seed).standard_normal((rows, L)) @ (
+        np.linalg.cholesky(corr).T)
+    return s, np.ascontiguousarray(s.T).T
+
+
+def _soft_rowwise(s, beta):
+    """Row-major reference of soft_block's accumulators."""
+    logits = beta * s
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p2 = p * p
+    g = (p * s).sum(axis=1)
+    return [p.sum(axis=0), p2.sum(axis=0), p.T @ s, p2.T @ s,
+            p2.T @ (s * s), np.array([g.sum(), (g * g).sum()])]
+
+
+@pytest.mark.parametrize("L", _LAYOUT_LS)
+def test_hard_block_layout_bitwise(L):
+    s, view = _blocks(L)
+    assert view.shape == s.shape and not view.flags["C_CONTIGUOUS"]
+    runs = []
+    for block in (s, view):
+        acc = [np.zeros(L), np.zeros((L, L)), np.zeros((L, L)), np.zeros(2)]
+        labels = _kernels.hard_block(None, block, *acc)
+        runs.append((labels, acc))
+    (l_row, acc_row), (l_cm, acc_cm) = runs
+    np.testing.assert_array_equal(l_row, l_cm)
+    np.testing.assert_array_equal(l_row, np.argmax(s, axis=1))
+    for a, b in zip(acc_row, acc_cm):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("L", _LAYOUT_LS)
+def test_soft_block_matches_rowwise_reference(L):
+    s, view = _blocks(L)
+    acc = [np.zeros(L), np.zeros(L), np.zeros((L, L)), np.zeros((L, L)),
+           np.zeros((L, L)), np.zeros(2)]
+    p = _kernels.soft_block(None, view, 0.7, *acc)
+    assert p.shape == (L, s.shape[0])
+    for got, want in zip(acc, _soft_rowwise(s, 0.7)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ------------------------------------------------------------ full-mode ops
 
 def _haar_set(d=20, L=3, seed=5):
@@ -308,6 +376,14 @@ def test_full_mode_correlation_recompute():
     soft = engine.soft_assign(ts, _cfg(50_000, mode="full", beta=1.0))
     np.testing.assert_allclose(engine.correlation_matrix(soft, ts),
                                soft.corr, atol=1e-9)
+    for L in _LAYOUT_LS:
+        matrix = np.random.default_rng(L).standard_normal((2 * L + 3, L))
+        ts = TemplateSet(matrix=matrix / np.linalg.norm(matrix, axis=0))
+        for est in (engine.hard_assign(ts, _cfg(20_000, mode="full")),
+                    engine.soft_assign(ts, _cfg(20_000, mode="full",
+                                                beta=1.5))):
+            np.testing.assert_allclose(engine.correlation_matrix(est, ts),
+                                       est.corr, atol=1e-9, err_msg=f"L={L}")
 
 
 def test_correlation_matrix_requires_full_mode():
