@@ -56,8 +56,6 @@ EXIT_UNKNOWN_EXPERIMENT = 2
 EXIT_BAD_CONFIG = 3
 EXIT_UNWRITABLE = 4
 
-_EXPERIMENTS = ("pair_hard", "pair_soft", "gumbel_sweep", "bias_demo")
-
 
 # --------------------------------------------------------------------------
 # config handling
@@ -547,7 +545,7 @@ def _cmd_run(args):
         return EXIT_BAD_CONFIG
     if name not in _EXPERIMENT_FUNCS:
         print(f"unknown experiment {name!r}; choose from "
-              f"{', '.join(_EXPERIMENTS)}", file=sys.stderr)
+              f"{', '.join(_EXPERIMENT_FUNCS)}", file=sys.stderr)
         return EXIT_UNKNOWN_EXPERIMENT
     outdir = args.out or cfg.get("out_dir") or f"bias_lab_{name}"
     if not _prepare_outdir(outdir):

@@ -331,6 +331,12 @@ def _empty_clusters(counts):
     return tuple(undefined), tuple(warnings_)
 
 
+def _soft_warnings(m):
+    """Warnings of a soft run: every cluster weighs every sample, so only
+    a single-sample run leaves its stderrs infinite."""
+    return ("single sample: stderr infinite",) if m < 2 else ()
+
+
 def hard_assign(templates, cfg):
     """One hard assignment-and-average step on pure noise.
 
@@ -383,12 +389,11 @@ def soft_assign(templates, cfg):
     m = cfg.m
     corr, stderr = _ratio(a1, a2, a3, w1[:, None], w2[:, None], m)
     avg, avg_se = _pooled(pooled, m)
-    warnings_ = ("single sample: stderr infinite",) if m < 2 else ()
     return AssignmentEstimate(
         mode=cfg.mode, corr=corr, stderr=stderr, mass=w1 / m, m=m,
         beta=beta, seed=cfg.seed, chunks=cfg.chunks,
         avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
-        warnings=warnings_)
+        warnings=_soft_warnings(m))
 
 
 def _check_diag(L):
@@ -445,7 +450,8 @@ def soft_assign_diag(L, cfg, scale=1.0):
     return GramDiagEstimate(
         corr_diag=diag, stderr_diag=se, mass=w1 / cfg.m, m=cfg.m,
         beta=beta, seed=cfg.seed, chunks=cfg.chunks,
-        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se)
+        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se,
+        warnings=_soft_warnings(cfg.m))
 
 
 def correlation_matrix(est, templates):

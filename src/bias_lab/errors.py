@@ -44,14 +44,3 @@ class RankError(BiasLabError, ValueError):
 class ApproximationBreakdownError(BiasLabError, ValueError):
     """A series approximation is outside its region of validity."""
 
-
-class BudgetError(BiasLabError, RuntimeError):
-    """Requested precision was not reached within the evaluation budget.
-
-    The achieved bound is carried so callers can decide whether the
-    looser answer is still usable.
-    """
-
-    def __init__(self, message, achieved_bound=None):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound

@@ -26,9 +26,11 @@ engine and of the closed-form theory module:
   and every moment, so the sweep of one (Gram, beta, n) is computed
   once and shared by soft_moments, soft_second_moments,
   softmax_weights, ibp_residual and hard_moments for every ell.
-* a reference Monte Carlo fallback for any L, using antithetic pairs
-  and a 3-sigma CLT bound, chunked with the same ordered deterministic
-  reduction as the engine.
+
+The moment queries answer for L <= 6 and raise DimensionError beyond
+it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle
+draws no random numbers: every value is a deterministic function of its
+arguments.
 """
 
 import math
@@ -41,7 +43,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, roots_hermite
 
 from . import _kernels
-from .errors import BudgetError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .templates import GramModel
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -176,7 +178,8 @@ class OracleResult:
     (E[S_k p_l])_k for soft ones; mass the matching P[argmax = l] or
     E[p_l]. ratio() = value / mass is the correlation row the engine
     estimates. error_bound covers every entry of value; mass_bound
-    covers mass. method is quadrature, exact, or refMC.
+    covers mass. method names the route, "exact" or "quadrature";
+    mass_method differs from it where the mass is known exactly.
     """
 
     value: np.ndarray
@@ -208,53 +211,33 @@ class OracleResult:
                 ) / self.mass
 
 
-def _check_gram(g):
+def _check_query(g, ell, what):
+    """L of the Gram model g; DomainError unless ell is one of its
+    clusters, DimensionError beyond the oracle's ceiling L <= 6."""
     if not isinstance(g, GramModel):
         raise DomainError(f"expected a GramModel, got {type(g)!r}")
-    return g.rho.shape[0]
-
-
-def _check_precision(res, precision, what):
-    if precision is not None and res.error_bound > precision:
-        err = BudgetError(
-            f"{what}: requested precision {precision:g} but achieved bound "
-            f"{res.error_bound:g} with {res.nodes_or_samples} nodes/samples")
-        err.achieved_bound = res.error_bound
-        raise err
-    return res
-
-
-def hard_moments(g, ell, precision=None, method=None, nodes=None,
-                 samples=10**7, seed=0, chunks=16):
-    """P[argmax S = ell] and (E[S_k ; argmax S = ell])_k.
-
-    method None or "exact" uses the orthant reduction (any L up to 6);
-    "quadrature" the conditional route (L <= 3) or the tensor node sweep
-    (L in 4..6); "refmc" the antithetic sampler. Raises a budget error
-    when a requested precision exceeds what the method achieved.
-    """
-    L = _check_gram(g)
+    L = g.rho.shape[0]
     if not 0 <= ell < L:
         raise DomainError(f"cluster index {ell} out of range for L={L}")
+    if L > 6:
+        raise DimensionError(f"{what} supports L <= 6, got L={L}")
+    return L
+
+
+def hard_moments(g, ell, method=None, nodes=None):
+    """P[argmax S = ell] and (E[S_k ; argmax S = ell])_k for L <= 6.
+
+    method None or "exact" uses the orthant reduction; "quadrature" the
+    conditional route (L <= 3) or the tensor node sweep (L in 4..6).
+    """
+    L = _check_query(g, ell, "hard_moments")
     if method in (None, "exact"):
-        if L > 6:
-            if method == "exact":
-                raise DimensionError("exact branch supports L <= 6")
-            return hard_moments(g, ell, precision, "refmc", nodes,
-                                samples, seed, chunks)
-        res = _hard_exact(g, ell)
-    elif method == "quadrature":
-        if L <= 3:
-            res = _hard_conditional_quadrature(g, ell, nodes or 96)
-        elif L <= 6:
-            res = _tensor_quadrature("hard", g, None, ell, nodes or 40, 1)
-        else:
-            raise DimensionError("quadrature supports L <= 6; use refmc")
-    elif method == "refmc":
-        res = _ref_mc(g, math.inf, ell, samples, seed, chunks)
-    else:
+        return _hard_exact(g, ell)
+    if method != "quadrature":
         raise DomainError(f"unknown method {method!r}")
-    return _check_precision(res, precision, f"hard_moments(L={L})")
+    if L <= 3:
+        return _hard_conditional_quadrature(g, ell, nodes or 96)
+    return _tensor_quadrature("hard", g, None, ell, nodes or 40, 1)
 
 
 def _hard_exact(g, ell):
@@ -411,33 +394,19 @@ def _check_beta(beta):
     return float(beta)
 
 
-def soft_moments(g, beta, ell, precision=None, method=None, nodes=None,
-                 samples=10**7, seed=0, chunks=16):
-    """E[p_ell] and (E[S_k p_ell])_k for p = softmax(beta * S).
+def soft_moments(g, beta, ell, nodes=None):
+    """E[p_ell] and (E[S_k p_ell])_k for p = softmax(beta * S), L <= 6.
 
     L = 2 reduces to one-dimensional integrals over the difference
     coordinate, with E[p] = 1/2 exact by symmetry. Larger L uses the
-    tensor node sweep, or the antithetic sampler with method="refmc".
+    tensor node sweep.
     """
-    L = _check_gram(g)
-    if not 0 <= ell < L:
-        raise DomainError(f"cluster index {ell} out of range for L={L}")
+    L = _check_query(g, ell, "soft_moments")
     beta = _check_beta(beta)
-    if method == "refmc":
-        res = _ref_mc(g, beta, ell, samples, seed, chunks)
-    elif method in (None, "quadrature"):
-        if L == 2:
-            res = _soft_pair_quadrature(g, beta, ell, nodes or 200)
-        elif L <= 6:
-            res = _tensor_quadrature("soft", g, beta, ell,
-                                     nodes or (80 if L == 3 else 40), 1)
-        else:
-            if method == "quadrature":
-                raise DimensionError("quadrature supports L <= 6; use refmc")
-            res = _ref_mc(g, beta, ell, samples, seed, chunks)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return _check_precision(res, precision, f"soft_moments(L={L})")
+    if L == 2:
+        return _soft_pair_quadrature(g, beta, ell, nodes or 200)
+    return _tensor_quadrature("soft", g, beta, ell,
+                              nodes or (80 if L == 3 else 40), 1)
 
 
 def _soft_pair_quadrature(g, beta, ell, n):
@@ -477,11 +446,7 @@ def _stable_sigmoid(z):
 
 def soft_second_moments(g, beta, ell, nodes=None):
     """(E[p_ell p_j])_j with a node-halving bound; quadrature only."""
-    L = _check_gram(g)
-    if not 0 <= ell < L:
-        raise DomainError(f"cluster index {ell} out of range for L={L}")
-    if L > 6:
-        raise DimensionError("soft_second_moments supports L <= 6")
+    L = _check_query(g, ell, "soft_second_moments")
     return _tensor_quadrature("soft", g, _check_beta(beta), ell,
                               nodes or (80 if L <= 3 else 40), 2)
 
@@ -497,11 +462,7 @@ def ibp_residual(g, beta, ell, nodes=None):
     identity; it shrinks with the node count. The default count grows
     with the effective sharpness beta * scale.
     """
-    L = _check_gram(g)
-    if not 0 <= ell < L:
-        raise DomainError(f"cluster index {ell} out of range for L={L}")
-    if L > 6:
-        raise DimensionError("ibp_residual supports L <= 6")
+    L = _check_query(g, ell, "ibp_residual")
     beta = _check_beta(beta)
     if nodes is None:
         sharp = beta * g.scale
@@ -524,14 +485,12 @@ def softmax_weights(g, beta, ell, nodes=None):
     return second.value / first.mass
 
 
-def max_gaussian_mean(n, method="quadrature", samples=10**7, seed=0,
-                      chunks=16):
+def max_gaussian_mean(n):
     """E[max of n iid standard normals].
 
-    The quadrature route integrates the order-statistic density
-    n * phi(t) * Phi(t)^(n-1); the refMC route averages sampled maxima
-    with a 3-sigma bound. Used as the reference for the orthonormal
-    self-correlation sweeps.
+    Adaptive quadrature of the order-statistic density
+    n * phi(t) * Phi(t)^(n-1), exact 0 at n = 1. Used as the reference
+    for the orthonormal self-correlation sweeps.
     """
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
@@ -541,95 +500,14 @@ def max_gaussian_mean(n, method="quadrature", samples=10**7, seed=0,
                             error_bound=_EXACT_BOUND,
                             mass_bound=_EXACT_BOUND, method="exact",
                             nodes_or_samples=0)
-    if method == "quadrature":
-        hi = math.sqrt(2.0 * math.log(max(n, 2))) + 9.0
+    hi = math.sqrt(2.0 * math.log(max(n, 2))) + 9.0
 
-        def dens(t):
-            return t * n * math.exp(-0.5 * t * t) / _SQRT2PI \
-                * ndtr(t) ** (n - 1)
+    def dens(t):
+        return t * n * math.exp(-0.5 * t * t) / _SQRT2PI \
+            * ndtr(t) ** (n - 1)
 
-        val, err = quad(dens, -hi, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
-        return OracleResult(value=np.array([val]), mass=1.0,
-                            error_bound=max(err, 1e-14),
-                            mass_bound=_EXACT_BOUND, method="quadrature",
-                            nodes_or_samples=400)
-    if method == "refmc":
-        rows = _kernels.chunk_rows(samples, chunks)
-        tot = 0.0
-        tot2 = 0.0
-        count = 0
-        for c, r in enumerate(rows):
-            gen = _kernels.chunk_generator(seed, c)
-            step = max(1, 4_000_000 // n)
-            done = 0
-            while done < r:
-                take = min(step, r - done)
-                z = gen.standard_normal((take, n))
-                mx = z.max(axis=1)
-                tot += mx.sum()
-                tot2 += (mx * mx).sum()
-                count += take
-                done += take
-        mean = tot / count
-        var = max(tot2 / count - mean * mean, 0.0)
-        bound = 3.0 * math.sqrt(var / count)
-        return OracleResult(value=np.array([mean]), mass=1.0,
-                            error_bound=max(bound, 1e-15),
-                            mass_bound=_EXACT_BOUND, method="refMC",
-                            nodes_or_samples=count)
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _ref_mc(g, beta, ell, samples, seed, chunks):
-    """Antithetic-pair Monte Carlo for one cluster's moments.
-
-    Each antithetic pair (z, -z) contributes the average of its two
-    evaluations; the CLT bound uses the empirical variance of the pair
-    averages. Deterministic for fixed (seed, chunks).
-    """
-    L = g.rho.shape[0]
-    sf = (g.scale * g.factor).T.copy()
-    pairs = max(1, samples // 2)
-    rows = _kernels.chunk_rows(pairs, chunks)
-    dim = L + 1
-    tot = np.zeros(dim)
-    tot2 = np.zeros(dim)
-    for c, r in enumerate(rows):
-        gen = _kernels.chunk_generator(seed, c)
-        step = max(1, 2_000_000 // L)
-        done = 0
-        while done < r:
-            take = min(step, r - done)
-            z = gen.standard_normal((take, L))
-            s = z @ sf
-            stats = _mc_cluster_stats(s, beta, ell)
-            stats += _mc_cluster_stats(-s, beta, ell)
-            stats *= 0.5
-            tot += stats.sum(axis=0)
-            tot2 += (stats * stats).sum(axis=0)
-            done += take
-    mean = tot / pairs
-    var = np.maximum(tot2 / pairs - mean * mean, 0.0)
-    half = 3.0 * np.sqrt(var / pairs)
-    return OracleResult(value=mean[:L], mass=float(mean[L]),
-                        error_bound=max(float(half[:L].max()), 1e-15),
-                        mass_bound=max(float(half[L]), 1e-15),
-                        method="refMC", nodes_or_samples=2 * pairs)
-
-
-def _mc_cluster_stats(s, beta, ell):
-    """Per-sample [S_k * weight_ell ..., weight_ell] rows."""
-    rows, L = s.shape
-    out = np.empty((rows, L + 1))
-    if math.isinf(beta):
-        win = s.argmax(axis=1) == ell
-        out[:, :L] = s * win[:, None]
-        out[:, L] = win
-    else:
-        logits = beta * s
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        pl = p[:, ell] / p.sum(axis=1)
-        out[:, :L] = s * pl[:, None]
-        out[:, L] = pl
-    return out
+    val, err = quad(dens, -hi, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return OracleResult(value=np.array([val]), mass=1.0,
+                        error_bound=max(err, 1e-14),
+                        mass_bound=_EXACT_BOUND, method="quadrature",
+                        nodes_or_samples=400)

@@ -203,6 +203,7 @@ def test_single_sample_soft_stderr_is_infinite():
     diag = engine.soft_assign_diag(4, cfg)
     assert np.isinf(diag.stderr_diag).all()
     assert math.isinf(diag.avg_self_stderr)
+    assert diag.warnings == est.warnings
 
 
 def test_save_csv_writes_three_tables(tmp_path):

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from bias_lab import (
-    BudgetError,
     DimensionError,
     DomainError,
+    ExperimentConfig,
     GramModel,
+    engine,
     oracle,
     templates as tpl,
 )
@@ -174,15 +175,22 @@ def test_hard_tensor_quadrature_l4():
         ex.error_bound + qd.error_bound + 1e-9
 
 
-def test_hard_refmc_within_bound():
+def _assert_engine_agrees(ref, est, ell):
+    """Engine row ell against an oracle result: the correlation row within
+    4 * (stderr + ratio_bound), the mass within 4 binomial standard
+    errors, which bound the spread of any weight in [0, 1]."""
+    gap = np.abs(est.corr[ell] - ref.ratio())
+    assert np.all(gap <= 4.0 * (est.stderr[ell] + ref.ratio_bound()))
+    mass_se = math.sqrt(ref.mass * (1.0 - ref.mass) / est.m)
+    assert abs(est.mass[ell] - ref.mass) <= 4.0 * mass_se + ref.mass_bound
+
+
+def test_hard_exact_l5_matches_engine():
     rng = np.random.default_rng(17)
     g = GramModel.from_correlation(tpl.random_correlation(rng, 5, rmax=0.5))
     ex = oracle.hard_moments(g, 2)
-    mc = oracle.hard_moments(g, 2, method="refmc", samples=400_000)
-    assert mc.method == "refMC"
-    assert np.max(np.abs(ex.value - mc.value)) <= \
-        ex.error_bound + mc.error_bound
-    assert abs(ex.mass - mc.mass) <= ex.mass_bound + mc.mass_bound
+    est = engine.hard_assign(g, ExperimentConfig(m=400_000))
+    _assert_engine_agrees(ex, est, 2)
 
 
 # ------------------------------------------------------------- soft oracle
@@ -194,7 +202,7 @@ def test_soft_pair_one_dimensional_reduction():
     assert res.mass == 0.5
     assert res.mass_method == "exact"
     assert res.value[1] == pytest.approx(-res.value[0], abs=1e-14)
-    tensor = oracle.soft_moments(g, 1.0, 0, method="quadrature", nodes=120)
+    tensor = oracle._tensor_quadrature("soft", g, 1.0, 0, 120, 1)
     np.testing.assert_allclose(res.value, tensor.value, atol=1e-9)
 
 
@@ -225,15 +233,13 @@ def test_soft_masses_sum_to_one():
         assert total == pytest.approx(1.0, abs=1e-9), f"L={L}"
 
 
-def test_soft_refmc_agrees_with_quadrature():
+def test_soft_quadrature_l3_matches_engine():
     rng = np.random.default_rng(77)
     g = GramModel.from_correlation(tpl.random_correlation(rng, 3, rmax=0.5))
     qd = oracle.soft_moments(g, 1.0, 1)
-    mc = oracle.soft_moments(g, 1.0, 1, method="refmc", samples=400_000,
-                             seed=5)
-    assert np.max(np.abs(qd.value - mc.value)) <= \
-        qd.error_bound + mc.error_bound
-    assert abs(qd.mass - mc.mass) <= qd.mass_bound + mc.mass_bound
+    est = engine.soft_assign(g, ExperimentConfig(m=400_000, seed=5,
+                                                 beta=1.0))
+    _assert_engine_agrees(qd, est, 1)
 
 
 def test_soft_second_moments_consistency():
@@ -275,20 +281,11 @@ def test_max_gaussian_mean_frozen_values():
         1.0 / math.sqrt(math.pi), abs=1e-12)
 
 
-def test_max_gaussian_mean_refmc():
-    res = oracle.max_gaussian_mean(16, method="refmc", samples=200_000,
-                                   seed=1)
-    assert res.method == "refMC"
-    assert abs(res.value[0] - MAX_GAUSSIAN_MEAN[16]) <= res.error_bound
-
-
 def test_max_gaussian_mean_errors():
     with pytest.raises(DomainError):
         oracle.max_gaussian_mean(0)
     with pytest.raises(DomainError):
         oracle.max_gaussian_mean(2.5)
-    with pytest.raises(DomainError):
-        oracle.max_gaussian_mean(4, method="bogus")
 
 
 # --------------------------------------------------------- result contract
@@ -302,13 +299,6 @@ def test_oracle_result_contract():
     rb = res.ratio_bound()
     assert rb > 0.0
     np.testing.assert_allclose(res.ratio(), res.value / res.mass, atol=0)
-
-
-def test_budget_error_reports_achieved_bound():
-    g = GramModel.from_correlation(np.eye(3))
-    with pytest.raises(BudgetError) as exc:
-        oracle.hard_moments(g, 0, precision=1e-30, method="quadrature")
-    assert exc.value.achieved_bound > 1e-30
 
 
 def test_oracle_argument_validation():
@@ -330,9 +320,11 @@ def test_oracle_argument_validation():
         oracle.hard_moments(g7, 0, method="quadrature")
     with pytest.raises(DimensionError):
         oracle.ibp_residual(g7, 1.0, 0)
-    # L = 7 without an explicit method falls through to reference MC
-    res = oracle.hard_moments(g7, 0, samples=50_000)
-    assert res.method == "refMC"
+    # beyond L = 6 the oracle has no route at all
+    with pytest.raises(DimensionError):
+        oracle.hard_moments(g7, 0)
+    with pytest.raises(DimensionError):
+        oracle.soft_moments(g7, 1.0, 0)
 
 
 def test_soft_sweep_entry_points_validate_beta():
