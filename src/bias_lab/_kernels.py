@@ -19,7 +19,11 @@ over st = s.T, so the argmax and the softmax run over axis 0, every
 per-cluster pass reads a contiguous row of st and the soft moments are
 (L, rows) @ (rows, L) products; soft_block returns its weights as
 (L, rows). The soft diagonal worker keeps its (rows, L) draws and takes
-the same softmax over their transpose view.
+the same softmax over their transpose view. Full mode's label_vectors
+and weighted_vectors take the block's in-span coordinates: the (rows, L)
+standard normals z behind its projections, not d-dimensional noise.
+They add into (L, L) sums from which the engine builds the estimator
+vectors once per run.
 
 The oracle's node sweeps work on cluster-major blocks too: projections y
 of shape (L, N) for N grid nodes, so the softmax and argmax reduce over
@@ -126,17 +130,24 @@ def soft_block(backend, s, beta, w1, w2, a1, a2, a3, pooled):
     return p
 
 
-def label_vectors(backend, n, labels, vec):
-    """vec[l] += sum of the noise rows labelled l."""
+def label_vectors(backend, z, labels, vec):
+    """vec[l] += sum of the in-span coordinate rows z labelled l.
+
+    z is the (rows, L) block of standard normals behind the block's
+    projections; vec is (L, L).
+    """
     L = vec.shape[0]
-    onehot = np.zeros((n.shape[0], L))
-    onehot[np.arange(n.shape[0]), labels] = 1.0
-    vec += onehot.T @ n
+    onehot = np.zeros((z.shape[0], L))
+    onehot[np.arange(z.shape[0]), labels] = 1.0
+    vec += onehot.T @ z
 
 
-def weighted_vectors(backend, n, p, vec):
-    """vec[l] += sum of the noise rows weighted by p[l]."""
-    vec += p @ n
+def weighted_vectors(backend, z, p, vec):
+    """vec[l] += sum of the in-span coordinate rows z weighted by p[l].
+
+    z is (rows, L) as in label_vectors, p the (L, rows) weights.
+    """
+    vec += p @ z
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def finite_l(clusters, m, seed, threads=None):
         rows.append(_near(
             f"soft L=3 orthonormal cluster {ell} self correlation vs oracle",
             measured, truth, oracle_tol(se, ref),
-            f"oracle {ref.method} ({ref.nodes_or_samples} nodes)"))
+            f"oracle {ref.method} ({ref.nodes} nodes)"))
         table.append((measured, se, truth, float(ref.ratio_bound()),
                       float(approx[ell][ell])))
     _, _, truth, _, expansion = table[0]

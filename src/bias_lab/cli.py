@@ -289,7 +289,7 @@ def _exp_pair_soft(cfg, outdir, threads):
     tol = float(cfg.get("tolerance",
                         checks.oracle_tol(float(est.stderr[0, 0]), ref)))
     row = ReportRow("self correlation of estimate 0", measured, truth, tol,
-                    f"oracle {ref.method} ({ref.nodes_or_samples} nodes)",
+                    f"oracle {ref.method} ({ref.nodes} nodes)",
                     abs(measured - truth) <= tol)
     report.add(row)
     approx = theory.soft_pair_prediction(rho, scale)

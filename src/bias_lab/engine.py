@@ -5,11 +5,18 @@ observation to its best-matching template by inner product, then average
 per class) and a single soft step (softmax-weighted averages at
 sharpness beta), in two sampling modes:
 
-* full mode draws observations n ~ N(0, I_d) and also returns the
-  estimator vectors themselves;
 * gram mode draws the projection vector S = scale * (factor @ z) with
   z ~ N(0, I_L) directly, which has exactly the distribution of
-  (<n, x_k>)_k and makes the cost dimension-free.
+  (<n, x_k>)_k and makes the cost dimension-free;
+* full mode also returns the estimator vectors themselves. It runs on
+  gram mode's draws, so its correlations, stderrs and masses are
+  bitwise those of gram mode, and builds each vector from two parts.
+  The part inside the template span is B z for a fixed d x L map B,
+  summed per cluster like the projections. The part outside the span
+  is, given the weights, exactly Gaussian and independent of the
+  assignment, so it is drawn once per run, L x d numbers, rather than
+  per observation. The vectors therefore match the literal experiment
+  with n ~ N(0, I_d) in law rather than draw for draw.
 
 Samples are split into a fixed number of chunks; each chunk owns an RNG
 stream derived from (seed, chunk index) and accumulates partial sums,
@@ -44,8 +51,7 @@ from .templates import GramModel, TemplateSet
 
 _AUTO_CHUNK_ROWS = 131072
 _MAX_AUTO_CHUNKS = 64
-_GRAM_SLICE = 4_000_000
-_FULL_SLICE = 2_000_000
+_SLICE = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,8 @@ def _psd_factor(corr):
 
     Cholesky when positive definite; otherwise an eigendecomposition
     with negative eigenvalues clipped at zero, which handles exactly
-    antipodal template pairs (correlation -1).
+    antipodal template pairs (correlation -1). Full soft runs also
+    factor their weight products sum_i p_i p_i^T with it.
     """
     try:
         return np.linalg.cholesky(corr)
@@ -238,47 +245,70 @@ def _accumulate(cfg, shapes, fill):
 
 
 def _sampler(templates, cfg):
-    """(L, d, blocks): blocks(chunk, rows) yields one chunk's (n, s) slices.
+    """(L, factor, blocks): blocks(chunk, rows) yields one chunk's (z, s)
+    slices.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
-    s holds the projections <n, x_k>. Each slice draws a (rows, width)
-    block n of standard normals from the chunk's stream and forms the
-    projections cluster-major, as the C-contiguous (L, rows) product
-    proj @ n.T with proj of shape (L, width); s is its (rows, L)
+    Each slice draws a (rows, L) block z of standard normals from the
+    chunk's stream and forms the projections S = factor @ z, which have
+    the law of (<n, x_k>)_k for n ~ N(0, I_d), cluster-major: the
+    C-contiguous (L, rows) product factor @ z.T. s is its (rows, L)
     transpose view, so the kernels reduce over contiguous rows of s.T.
-    Full mode draws the noise (width d, proj the transposed template
-    matrix) and yields n as well, a view of one reused buffer that is
-    valid until the next slice. Gram mode draws z (width L, proj =
-    scale * factor), whose projections have the same law; it yields
-    n = None and reports d = None.
+    Both modes draw the same blocks. Full mode yields z as well, a view
+    of one reused buffer that is valid until the next slice, for the
+    in-span sums of its estimator vectors (see _full_vectors); gram mode
+    yields z = None.
     """
     if isinstance(templates, GramModel):
         if cfg.mode != "gram":
             raise ConfigError("a GramModel supports gram mode only")
         factor = templates.scale * templates.factor
     elif isinstance(templates, TemplateSet):
-        if cfg.mode == "gram":
-            factor = templates.common_norm * _psd_factor(
-                templates.correlation())
+        factor = templates.common_norm * _psd_factor(templates.correlation())
     else:
         raise ConfigError(
             f"expected TemplateSet or GramModel, got {type(templates)!r}")
     L = templates.L
-    if cfg.mode == "gram":
-        d, proj = None, factor
-        width, slice_rows = L, max(1, _GRAM_SLICE // L)
-    else:
-        d, proj = templates.d, templates.matrix.T
-        width, slice_rows = d, max(1, _FULL_SLICE // d)
+    full = cfg.mode == "full"
+    slice_rows = max(1, _SLICE // L)
 
     def blocks(chunk, rows):
         g = _kernels.chunk_generator(cfg.seed, chunk)
-        buf = np.empty((min(slice_rows, rows), width))
+        buf = np.empty((min(slice_rows, rows), L))
         for done in range(0, rows, slice_rows):
-            n = g.standard_normal(out=buf[:min(slice_rows, rows - done)])
-            yield (None if d is None else n), (proj @ n.T).T
+            z = g.standard_normal(out=buf[:min(slice_rows, rows - done)])
+            yield (z if full else None), (factor @ z.T).T
 
-    return L, d, blocks
+    return L, factor, blocks
+
+
+def _full_vectors(templates, factor, cfg, span_sums, noise_factor, weights):
+    """Estimator vectors v_l = (B S_l + O_l) / w_l of a full-mode run.
+
+    S_l = sum_i p_il z_i are the in-span sums of cluster l (p the hard
+    labels as 0/1 or the soft weights) and w_l = sum_i p_il. Writing the
+    template matrix X = U diag(sv) V^T by a rank-revealing SVD, B is
+    X^+T factor: X^T B z = factor @ z = s, and B z has the law of the
+    noise's component in span(X), so B S_l is the in-span part of the
+    literal sum sum_i p_il n_i. The rest, sum_i p_il P n_i with P the
+    projector onto the complement of span(X), is independent of the
+    weights and, given them, Gaussian with covariance C_lk P, where
+    C = noise_factor @ noise_factor.T = sum_i p_i p_i^T. It is drawn
+    once as O = noise_factor @ (Z P), with Z an L x d standard normal
+    block from the stream of chunk index cfg.chunks, which no chunk
+    uses, so O depends on (seed, chunks) only. P has rank d - rank(X),
+    also when X is rank deficient. Empty hard clusters give NaN rows.
+    """
+    x = templates.matrix
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    rank = int(np.sum(sv > sv[0] * max(x.shape) * np.finfo(np.float64).eps))
+    q = u[:, :rank]
+    basis = q @ ((vt[:rank] / sv[:rank, None]) @ factor)
+    noise = _kernels.chunk_generator(cfg.seed, cfg.chunks).standard_normal(
+        (templates.L, templates.d))
+    noise -= (noise @ q) @ q.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (span_sums @ basis.T + noise_factor @ noise) / weights[:, None]
 
 
 def _pooled(pooled, m):
@@ -344,20 +374,20 @@ def hard_assign(templates, cfg):
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign expects cfg.beta = inf; use soft_assign")
-    L, d, blocks = _sampler(templates, cfg)
+    L, factor, blocks = _sampler(templates, cfg)
 
-    def fill(chunk, rows, counts, sum1, sum2, pooled, vec=None):
-        for n, s in blocks(chunk, rows):
+    def fill(chunk, rows, counts, sum1, sum2, pooled, span=None):
+        for z, s in blocks(chunk, rows):
             labels = _kernels.hard_block(None, s, counts, sum1, sum2, pooled)
-            if vec is not None:
-                _kernels.label_vectors(None, n, labels, vec)
+            if span is not None:
+                _kernels.label_vectors(None, z, labels, span)
 
-    shapes = [L, (L, L), (L, L), 2] + ([] if d is None else [(L, d)])
-    counts, sum1, sum2, pooled, *vec_sum = _accumulate(cfg, shapes, fill)
+    shapes = [L, (L, L), (L, L), 2] + ([(L, L)] if cfg.mode == "full" else [])
+    counts, sum1, sum2, pooled, *span = _accumulate(cfg, shapes, fill)
     vec = None
-    if vec_sum:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vec = vec_sum[0] / counts[:, None]
+    if span:
+        vec = _full_vectors(templates, factor, cfg, span[0],
+                            np.diag(np.sqrt(counts)), counts)
     m = cfg.m
     corr, stderr = _mean(sum1, sum2, counts[:, None])
     undefined, warnings_ = _empty_clusters(counts)
@@ -375,17 +405,22 @@ def soft_assign(templates, cfg):
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign expects finite cfg.beta")
     beta = float(cfg.beta)
-    L, d, blocks = _sampler(templates, cfg)
+    L, factor, blocks = _sampler(templates, cfg)
 
-    def fill(chunk, rows, w1, w2, a1, a2, a3, pooled, vec=None):
-        for n, s in blocks(chunk, rows):
+    def fill(chunk, rows, w1, w2, a1, a2, a3, pooled, span=None, cross=None):
+        for z, s in blocks(chunk, rows):
             p = _kernels.soft_block(None, s, beta, w1, w2, a1, a2, a3, pooled)
-            if vec is not None:
-                _kernels.weighted_vectors(None, n, p, vec)
+            if span is not None:
+                _kernels.weighted_vectors(None, z, p, span)
+                cross += p @ p.T
 
-    shapes = [L, L, (L, L), (L, L), (L, L), 2] + ([] if d is None else [(L, d)])
-    w1, w2, a1, a2, a3, pooled, *vec_sum = _accumulate(cfg, shapes, fill)
-    vec = vec_sum[0] / w1[:, None] if vec_sum else None
+    shapes = [L, L, (L, L), (L, L), (L, L), 2]
+    shapes += [(L, L), (L, L)] if cfg.mode == "full" else []
+    w1, w2, a1, a2, a3, pooled, *span = _accumulate(cfg, shapes, fill)
+    vec = None
+    if span:
+        vec = _full_vectors(templates, factor, cfg, span[0],
+                            _psd_factor(span[1]), w1)
     m = cfg.m
     corr, stderr = _ratio(a1, a2, a3, w1[:, None], w2[:, None], m)
     avg, avg_se = _pooled(pooled, m)

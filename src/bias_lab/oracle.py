@@ -49,6 +49,7 @@ from .templates import GramModel
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 _EXACT_BOUND = 1e-13
+_PLACKETT_NODES = 64      # Gauss-Legendre points of the Plackett path
 _GH_CACHE = {}
 _GL_CACHE = {}
 _SWEEPS = {}
@@ -146,7 +147,7 @@ def _orthant_zero(corr):
     if m > 5:
         raise DimensionError(f"orthant closed forms implemented for m <= 5, "
                              f"got {m}")
-    x, w = _gl_rule(64)
+    x, w = _gl_rule(_PLACKETT_NODES)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
     total = 2.0 ** (-m)
@@ -180,6 +181,14 @@ class OracleResult:
     estimates. error_bound covers every entry of value; mass_bound
     covers mass. method names the route, "exact" or "quadrature";
     mass_method differs from it where the mass is known exactly.
+
+    nodes is the size of the rule behind value, never a sample count:
+    for a quadrature moment query the nodes per axis of its finer sweep;
+    for the exact hard branch the Gauss-Legendre points of the Plackett
+    path integral (_PLACKETT_NODES, used for orthants of dimension 4 and
+    5, so from L = 5 on; smaller orthants have closed forms); for
+    max_gaussian_mean the integrand evaluations its adaptive quadrature
+    made, 0 at n = 1.
     """
 
     value: np.ndarray
@@ -187,7 +196,7 @@ class OracleResult:
     error_bound: float
     mass_bound: float
     method: str
-    nodes_or_samples: int
+    nodes: int
     mass_method: str = None
 
     def __post_init__(self):
@@ -269,7 +278,7 @@ def _hard_exact(g, ell):
         value[j] = float(cross @ boundary)
     return OracleResult(value=value, mass=prob, error_bound=_EXACT_BOUND,
                         mass_bound=_EXACT_BOUND, method="exact",
-                        nodes_or_samples=64)
+                        nodes=_PLACKETT_NODES)
 
 
 def _hard_conditional_quadrature(g, ell, n):
@@ -284,7 +293,7 @@ def _hard_conditional_quadrature(g, ell, n):
     mbound = max(abs(mass - mass_h), 1e-12)
     return OracleResult(value=val, mass=mass, error_bound=bound,
                         mass_bound=mbound, method="quadrature",
-                        nodes_or_samples=n)
+                        nodes=n)
 
 
 def _hard_conditional_once(g, ell, n):
@@ -384,7 +393,7 @@ def _tensor_quadrature(kind, g, beta, ell, n, moment):
         mbound = max(abs(mass - float(half[0][ell])), 1e-15)
     return OracleResult(value=val, mass=mass, error_bound=bound,
                         mass_bound=mbound, method="quadrature",
-                        nodes_or_samples=n)
+                        nodes=n)
 
 
 def _check_beta(beta):
@@ -432,7 +441,7 @@ def _soft_pair_quadrature(g, beta, ell, n):
     value = np.array([half, -half]) if ell == 0 else np.array([-half, half])
     return OracleResult(value=value, mass=0.5, error_bound=bound,
                         mass_bound=_EXACT_BOUND, method="quadrature",
-                        nodes_or_samples=n, mass_method="exact")
+                        nodes=n, mass_method="exact")
 
 
 def _stable_sigmoid(z):
@@ -499,15 +508,16 @@ def max_gaussian_mean(n):
         return OracleResult(value=np.array([0.0]), mass=1.0,
                             error_bound=_EXACT_BOUND,
                             mass_bound=_EXACT_BOUND, method="exact",
-                            nodes_or_samples=0)
+                            nodes=0)
     hi = math.sqrt(2.0 * math.log(max(n, 2))) + 9.0
 
     def dens(t):
         return t * n * math.exp(-0.5 * t * t) / _SQRT2PI \
             * ndtr(t) ** (n - 1)
 
-    val, err = quad(dens, -hi, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
+    val, err, info = quad(dens, -hi, hi, epsabs=1e-13, epsrel=1e-13,
+                          limit=400, full_output=1)[:3]
     return OracleResult(value=np.array([val]), mass=1.0,
                         error_bound=max(err, 1e-14),
                         mass_bound=_EXACT_BOUND, method="quadrature",
-                        nodes_or_samples=400)
+                        nodes=int(info["neval"]))

@@ -122,16 +122,38 @@ def test_thread_count_never_changes_results():
                                               err_msg=f"{name}.{field}")
 
 
+def _rank2_set():
+    """Distinct unit columns e0, e1 and (e0 + e1) / sqrt(2) in R^4."""
+    m = np.zeros((4, 3))
+    m[0, 0] = 1.0
+    m[1, 1] = 1.0
+    m[:2, 2] = 1.0 / math.sqrt(2.0)
+    return TemplateSet(matrix=m)
+
+
+def _unit_columns(d, L, seed):
+    m = np.random.default_rng(seed).standard_normal((d, L))
+    return TemplateSet(matrix=m / np.linalg.norm(m, axis=0))
+
+
 def test_gram_equals_full_for_identity_templates():
-    """With the identity template matrix the two modes see the same draws."""
-    ts = TemplateSet(matrix=np.eye(3))
-    hg = engine.hard_assign(ts, _cfg(60_000))
-    hf = engine.hard_assign(ts, _cfg(60_000, mode="full"))
-    np.testing.assert_array_equal(hg.corr, hf.corr)
-    np.testing.assert_array_equal(hg.mass, hf.mass)
-    sg = engine.soft_assign(ts, _cfg(60_000, beta=1.0))
-    sf = engine.soft_assign(ts, _cfg(60_000, mode="full", beta=1.0))
-    np.testing.assert_array_equal(sg.corr, sf.corr)
+    """Full mode runs on gram mode's draws: identical statistics, bitwise,
+    for the identity, a random, a rank-deficient and a d < L set."""
+    sets = {"identity": TemplateSet(matrix=np.eye(3)),
+            "random": _unit_columns(12, 4, 3),
+            "rank 2": _rank2_set(),
+            "d < L": _unit_columns(3, 5, 4)}
+    for name, ts in sets.items():
+        for beta in (math.inf, 1.0):
+            fn = engine.hard_assign if math.isinf(beta) else engine.soft_assign
+            g = fn(ts, _cfg(60_000, beta=beta))
+            f = fn(ts, _cfg(60_000, mode="full", beta=beta))
+            for field in ("corr", "stderr", "mass", "avg_self_corr",
+                          "avg_self_stderr"):
+                np.testing.assert_array_equal(
+                    getattr(g, field), getattr(f, field),
+                    err_msg=f"{name}, beta={beta}: {field}")
+            assert f.estimates.shape == (ts.L, ts.d)
 
 
 # ------------------------------------------------------- estimate contract
@@ -387,6 +409,99 @@ def test_full_mode_correlation_recompute():
                                        est.corr, atol=1e-9, err_msg=f"L={L}")
 
 
+def _literal_run(x, m, beta, rng):
+    """The experiment as stated: n_i ~ N(0, I_d), weights from <n_i, x_k>,
+    v_l = sum_i p_il n_i / w_l. Returns (v, p) with p of shape (L, m)."""
+    n = rng.standard_normal((m, x.shape[0]))
+    s = n @ x
+    if math.isinf(beta):
+        p = np.eye(x.shape[1])[np.argmax(s, axis=1)].T
+    else:
+        e = np.exp(beta * (s - s.max(axis=1, keepdims=True)))
+        p = (e / e.sum(axis=1, keepdims=True)).T
+    return (p @ n) / p.sum(axis=1)[:, None], p
+
+
+def _engine_run(ts, m, beta, seed, monkeypatch):
+    """A full-mode run and the weights its kernels saw, as (v, p)."""
+    seen = []
+    if math.isinf(beta):
+        def record(backend, z, labels, vec, _fn=_kernels.label_vectors):
+            seen.append(np.eye(ts.L)[labels].T)
+            return _fn(backend, z, labels, vec)
+        monkeypatch.setattr(_kernels, "label_vectors", record)
+        est = engine.hard_assign(ts, _cfg(m, seed=seed, mode="full",
+                                          chunks=1))
+    else:
+        def record(backend, z, p, vec, _fn=_kernels.weighted_vectors):
+            seen.append(p.copy())
+            return _fn(backend, z, p, vec)
+        monkeypatch.setattr(_kernels, "weighted_vectors", record)
+        est = engine.soft_assign(ts, _cfg(m, seed=seed, mode="full",
+                                          chunks=1, beta=beta))
+    monkeypatch.undo()
+    return est.estimates, np.concatenate(seen, axis=1)
+
+
+def _out_of_span_law(ts, beta, runs, monkeypatch, m=200):
+    """Check both the literal experiment and full mode against the law of
+    the part of each estimate outside the template span.
+
+    With P the projector onto the complement of span(X), of rank
+    k = d - rank(X), and C = sum_i p_i p_i^T, the out-of-span sums
+    w_l P v_l are given the weights Gaussian with covariance C_lk P. So
+    q_lk = <P v_l, P v_k> w_l w_k / C_lk has mean k, and variance
+    k (C_ll C_kk / C_lk^2 + 1); for l = k, q_ll ~ chi-square(k). Hard
+    runs have C = diag(counts), so only l = k is checked. Every mean
+    over the runs must lie within 4 sigma of k, and the two sides within
+    4 sigma of each other.
+    """
+    x = ts.matrix
+    u, sv, _ = np.linalg.svd(x)
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    dof = ts.d - rank
+    perp = u[:, rank:] @ u[:, rank:].T
+    pairs = [(l, l) for l in range(ts.L)]
+    if not math.isinf(beta):
+        pairs += [(l, k) for l in range(ts.L) for k in range(l + 1, ts.L)]
+    stats_ = {}
+    for side in ("literal", "full"):
+        q = np.empty((runs, len(pairs)))
+        var = np.empty_like(q)
+        for j in range(runs):
+            if side == "literal":
+                v, p = _literal_run(x, m, beta, np.random.default_rng(j))
+            else:
+                v, p = _engine_run(ts, m, beta, 5000 + j, monkeypatch)
+            w = p.sum(axis=1)
+            c = p @ p.T
+            r = v @ perp
+            for i, (l, k) in enumerate(pairs):
+                q[j, i] = (r[l] @ r[k]) * w[l] * w[k] / c[l, k]
+                var[j, i] = dof * (c[l, l] * c[k, k] / c[l, k] ** 2 + 1.0)
+        mean = q.mean(axis=0)
+        sigma = np.sqrt(var.sum(axis=0)) / runs
+        assert np.all(np.abs(mean - dof) <= 4.0 * sigma), (side, mean, dof)
+        stats_[side] = mean, sigma
+    (a, sa), (b, sb) = stats_["literal"], stats_["full"]
+    assert np.all(np.abs(a - b) <= 4.0 * np.hypot(sa, sb)), (a, b)
+    return dof
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1.0])
+def test_full_mode_out_of_span_law_matches_literal_noise(beta, monkeypatch):
+    ts = _unit_columns(40, 3, 11)
+    assert _out_of_span_law(ts, beta, 300, monkeypatch) == 37
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1.0])
+def test_rank_deficient_out_of_span_has_d_minus_rank_dof(beta, monkeypatch):
+    # the 4 x 3 set spans a plane: two out-of-span degrees of freedom,
+    # which a complement taken from a plain QR of the three columns
+    # would cut to one
+    assert _out_of_span_law(_rank2_set(), beta, 300, monkeypatch) == 2
+
+
 def test_correlation_matrix_requires_full_mode():
     g = GramModel.from_correlation(np.eye(3))
     est = engine.hard_assign(g, _cfg(10_000))
@@ -417,12 +532,7 @@ def test_span_residual_errors():
     full = engine.hard_assign(square, _cfg(5_000, mode="full"))
     with pytest.raises(DimensionError):
         engine.span_residual(full, square)     # needs d > L
-    # distinct columns, rank-deficient set
-    m = np.zeros((4, 3))
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
-    m[:2, 2] = 1.0 / math.sqrt(2.0)
-    bad = TemplateSet(matrix=m)
+    bad = _rank2_set()                          # distinct columns, rank 2
     full_bad = engine.hard_assign(bad, _cfg(5_000, mode="full"))
     with pytest.raises(RankError):
         engine.span_residual(full_bad, bad)
@@ -442,11 +552,7 @@ def test_extract_coefficients_round_trip():
 
 
 def test_extract_coefficients_rank_error():
-    m = np.zeros((4, 3))
-    m[0, 0] = 1.0
-    m[1, 1] = 1.0
-    m[:2, 2] = 1.0 / math.sqrt(2.0)
-    bad = TemplateSet(matrix=m)
+    bad = _rank2_set()
     est = engine.hard_assign(bad, _cfg(5_000, mode="full"))
     with pytest.raises(RankError):
         engine.extract_coefficients(est, bad)

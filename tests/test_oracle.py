@@ -281,6 +281,18 @@ def test_max_gaussian_mean_frozen_values():
         1.0 / math.sqrt(math.pi), abs=1e-12)
 
 
+def test_oracle_nodes_count_the_rule():
+    # the integrand evaluations of the adaptive rule: whole 21-point
+    # Gauss-Kronrod panels, not the subinterval limit of 400
+    for n in (2, 16, 4096):
+        used = oracle.max_gaussian_mean(n).nodes
+        assert used > 0 and used % 21 == 0 and used != 400, (n, used)
+    assert oracle.max_gaussian_mean(1).nodes == 0
+    g = GramModel.from_correlation(np.eye(3))
+    assert oracle.hard_moments(g, 0, method="exact").nodes == 64
+    assert oracle.soft_moments(g, 1.0, 0, nodes=24).nodes == 24
+
+
 def test_max_gaussian_mean_errors():
     with pytest.raises(DomainError):
         oracle.max_gaussian_mean(0)
