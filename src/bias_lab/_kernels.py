@@ -25,6 +25,17 @@ standard normals z behind its projections, not d-dimensional noise.
 They add into (L, L) sums from which the engine builds the estimator
 vectors once per run.
 
+Block size: every path that draws (rows, L) normals, the engine's
+sampler and the soft diagonal worker, draws them through normal_blocks
+in blocks of block_rows(L) rows, max(1024, 65536 // L). A block and the
+temporaries a kernel makes from it then fit in a few MiB of cache, and
+the working set of a run stays flat in m. The block size is not a
+result parameter: the generator fills blocks in stream order, so the
+draws and the hard labels do not depend on it; it only groups the
+per-block partial sums, which moves sums in their last bits. The hard
+diagonal worker draws in its own fixed steps (_HARD_DIAG_STEP), which
+fix its stream.
+
 The oracle's node sweeps work on cluster-major blocks too: projections y
 of shape (L, N) for N grid nodes, so the softmax and argmax reduce over
 axis 0 and the moments are (L, N) @ (N, L) products. The grid is visited
@@ -48,7 +59,12 @@ from scipy.special import ndtri
 # reported in the benchmark's run manifest; nothing here uses numba
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
-_DIAG_SLICE = 4_000_000
+# sample blocks of (rows, L) values: see block_rows
+_BLOCK_VALUES = 1 << 16
+_BLOCK_MIN_ROWS = 1024
+# hard_diag_chunk's step fixes its stream: which draws become uniforms
+# and which become labels, so changing it changes every result
+_HARD_DIAG_STEP = 2_000_000
 _NODE_BLOCK = 1 << 14
 
 
@@ -74,13 +90,28 @@ def chunk_rows(m, chunks):
     return [base + (1 if c < extra else 0) for c in range(chunks)]
 
 
-def _normal_slices(seed, chunk, rows, L):
-    """One chunk's (rows, L) standard normals, in slices of bounded size.
+def block_rows(L):
+    """Rows of one sample block of (rows, L) values.
 
-    Every slice is a view of one reused buffer, valid until the next.
+    A block holds 65536 values (512 KiB of float64) up to L = 64, so the
+    block and the few temporaries a kernel makes from it stay in a 4 MiB
+    L2 cache and the working set does not grow with m. Above L = 64 the
+    floor of 1024 rows keeps the per-cluster passes of hard_block long
+    enough to amortize their per-call cost.
+    """
+    return max(_BLOCK_MIN_ROWS, _BLOCK_VALUES // L)
+
+
+def normal_blocks(seed, chunk, rows, L):
+    """One chunk's (rows, L) standard normals, in blocks of block_rows(L).
+
+    Every block is a view of one reused buffer, valid until the next.
+    The generator fills the blocks in stream order, so the draws do not
+    depend on the block size; only the grouping of per-block partial
+    sums does.
     """
     g = chunk_generator(seed, chunk)
-    step = max(1, _DIAG_SLICE // L)
+    step = block_rows(L)
     buf = np.empty((min(step, rows), L))
     for done in range(0, rows, step):
         yield g.standard_normal(out=buf[:min(step, rows - done)])
@@ -99,15 +130,24 @@ def _softmax(logits):
 # ---------------------------------------------------------------------------
 
 def hard_block(backend, s, counts, sum1, sum2, pooled):
-    """Argmax statistics of one (rows, L) block; returns the row labels."""
+    """Argmax statistics of one (rows, L) block; returns the row labels.
+
+    The labels and row maxima come from a running maximum over the
+    contiguous rows of st: the same first-maximum labels and the same
+    maxima as argmax over axis 0, without the copy that argmax makes of
+    a strided block.
+    """
     st = s.T
     L, rows = st.shape
-    labels = np.argmax(st, axis=0)
+    mx = st[0].copy()
+    labels = np.zeros(rows, dtype=np.intp)
+    for k in range(1, L):
+        np.copyto(labels, k, where=np.greater(st[k], mx))
+        np.maximum(mx, st[k], out=mx)
     counts += np.bincount(labels, minlength=L).astype(np.float64)
     for k in range(L):
         sum1[:, k] += np.bincount(labels, weights=st[k], minlength=L)
         sum2[:, k] += np.bincount(labels, weights=st[k] ** 2, minlength=L)
-    mx = st[labels, np.arange(rows)]
     pooled[0] += mx.sum()
     pooled[1] += (mx * mx).sum()
     return labels
@@ -169,7 +209,7 @@ def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
     [2**-53, 1 - 2**-53], so every maximum is finite.
     """
     g = chunk_generator(seed, chunk)
-    step = _DIAG_SLICE // 2
+    step = _HARD_DIAG_STEP
     for done in range(0, rows, step):
         n = min(step, rows - done)
         u = g.random(n)
@@ -191,8 +231,8 @@ def soft_diag_chunk(backend, seed, chunk, rows, L, scale, beta,
     b1[l] += p_l s_l, b2[l] += p_l**2 s_l, b3[l] += p_l**2 s_l**2 and
     the pooled sum_l p_l s_l statistic.
     """
-    for z in _normal_slices(seed, chunk, rows, L):
-        # the same bits as a row softmax of the (rows, L) slice
+    for z in normal_blocks(seed, chunk, rows, L):
+        # the same bits as a row softmax of the (rows, L) block
         p = _softmax(((beta * scale) * z).T).T
         s = scale * z
         p2 = p * p

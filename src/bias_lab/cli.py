@@ -27,9 +27,14 @@ Artifacts: every experiment writes CSV tables (UTF-8, comma separated,
 CSV bytes are deterministic for a fixed config and seed. What describes
 the run rather than its results appears only in report.txt and on
 stdout: the "## run" section (bias_lab, Python, numpy and scipy
-versions, --threads as given, "auto" when not, and os.cpu_count()) and
-wall-clock time, including the seconds each check took (the
-"## timings" section).
+versions, --threads as given, "auto" when not, os.cpu_count() and
+peak_rss_mb, the process's peak resident set size in MB so far, from
+getrusage) and wall-clock time, including the seconds each check took
+(the "## timings" section).
+
+--threads must be an integer >= 1 when given; anything else is a config
+error. A check that raises a package error during `verify` becomes one
+FAIL row, "<check> raised <TypeName>: <message>", and the suite goes on.
 """
 
 import argparse
@@ -37,6 +42,7 @@ import math
 import os
 import platform
 import re
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -46,7 +52,8 @@ import scipy
 
 from . import __version__, checks, oracle, theory
 from . import templates as tpl
-from .checks import ReportRow
+from .checks import CheckResult, ReportRow
+from .engine import thread_count
 from .errors import BiasLabError, ConfigError
 from .templates import GramModel
 
@@ -143,7 +150,8 @@ def _effective_seed(cfg):
 @dataclass
 class RunReport:
     """Self-contained record of one run: config echo, rows, what ran
-    (versions, --threads as given, cores), seconds per check, artifacts."""
+    (versions, --threads as given, cores, peak RSS), seconds per check,
+    artifacts."""
 
     title: str
     config: dict
@@ -178,7 +186,8 @@ class RunReport:
                   f"numpy = {np.__version__}",
                   f"scipy = {scipy.__version__}",
                   f"threads = {threads}",
-                  f"cpu_count = {os.cpu_count()}"]
+                  f"cpu_count = {os.cpu_count()}",
+                  f"peak_rss_mb = {_peak_rss_mb():.1f}"]
         lines.append("## timings")
         lines.extend(f"{name} = {secs:.3f}"
                      for name, secs in self.timings.items())
@@ -188,10 +197,19 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def write(self, outdir):
-        path = os.path.join(outdir, "report.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
-        return path
+        """Write report.txt into outdir; returns the text written, so
+        stdout can show the same peak RSS."""
+        text = self.text()
+        with open(os.path.join(outdir, "report.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
+        return text
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (Linux
+    reports ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _write_csv(outdir, name, header, rows, report):
@@ -313,9 +331,11 @@ def _gumbel_sweep(cfg, outdir, threads):
     levels = tuple(cfg.get("levels", (16, 64, 256, 1024, 4096)))
     seed = _effective_seed(cfg)
     report = RunReport("gumbel_sweep", dict(cfg, seed=seed, levels=levels))
-    _run_check(report, outdir, "gumbel_sweep.csv", "gumbel", levels=levels,
-               m=int(cfg.get("M", 1_000_000)), seed=seed,
-               chunks=cfg.get("chunks"), threads=threads)
+    err = _run_check(report, outdir, "gumbel_sweep.csv", "gumbel",
+                     levels=levels, m=int(cfg.get("M", 1_000_000)),
+                     seed=seed, chunks=cfg.get("chunks"), threads=threads)
+    if err is not None:
+        raise err  # an experiment that raises exits 3 (see _cmd_run)
     return report
 
 
@@ -378,13 +398,27 @@ _EXPERIMENT_FUNCS = {
 
 
 def _run_check(report, outdir, csv_name, name, **inputs):
-    """Run one entry of the check table into report, timing it."""
+    """Run one entry of the check table into report, timing it.
+
+    A check that raises a BiasLabError adds one FAIL row naming the
+    error in place of its rows and table, and the error is returned, so
+    a suite can go on; otherwise the result is None.
+    """
     t0 = time.perf_counter()
-    res = checks.CHECKS[name](**inputs)
+    err = None
+    try:
+        res = checks.CHECKS[name](**inputs)
+    except BiasLabError as exc:
+        err = exc
+        res = CheckResult([ReportRow(
+            f"{name} raised {type(exc).__name__}: {exc}", math.nan,
+            math.nan, math.nan, "the check stopped before its comparisons",
+            False)])
     report.timings[name] = time.perf_counter() - t0
     report.rows.extend(res.rows)
     if res.table is not None:
         _write_csv(outdir, csv_name, *res.table, report)
+    return err
 
 
 def _oracle_inputs(n_ibp):
@@ -440,6 +474,7 @@ def verify(suite, outdir, threads=None):
     """Run the fast or full verification suite; returns the RunReport."""
     if suite not in ("fast", "full"):
         raise ConfigError(f"unknown suite {suite!r}")
+    thread_count(threads)
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
     report = RunReport(f"verify --suite {suite}", {"suite": suite},
@@ -536,6 +571,7 @@ def _cmd_run(args):
         cfg = parse_config(args.config)
         seed_check = _effective_seed(cfg)
         del seed_check
+        thread_count(args.threads)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -564,20 +600,23 @@ def _cmd_run(args):
     if not report.timings:
         # an experiment outside the check table counts as one check
         report.timings[name] = report.wall_time
-    report.write(outdir)
-    print(report.text(), end="")
+    print(report.write(outdir), end="")
     return EXIT_OK if report.all_pass() else EXIT_ROW_FAILED
 
 
 def _cmd_verify(args):
+    try:
+        thread_count(args.threads)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     outdir = args.out or f"bias_lab_verify_{args.suite}"
     if not _prepare_outdir(outdir):
         print(f"cannot write to output directory {outdir!r}",
               file=sys.stderr)
         return EXIT_UNWRITABLE
     report = verify(args.suite, outdir, args.threads)
-    report.write(outdir)
-    print(report.text(), end="")
+    print(report.write(outdir), end="")
     return EXIT_OK if report.all_pass() else EXIT_ROW_FAILED
 
 

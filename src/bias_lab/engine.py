@@ -51,7 +51,19 @@ from .templates import GramModel, TemplateSet
 
 _AUTO_CHUNK_ROWS = 131072
 _MAX_AUTO_CHUNKS = 64
-_SLICE = 4_000_000
+
+
+def thread_count(threads):
+    """Worker thread count as an int, or None for automatic.
+
+    Raises ConfigError unless threads is None or an integer >= 1.
+    """
+    if threads is None:
+        return None
+    if int(threads) != threads or threads < 1:
+        raise ConfigError(
+            f"threads must be an integer >= 1 or None, got {threads}")
+    return int(threads)
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,8 @@ class ExperimentConfig:
     m is the number of observations, beta the softmax sharpness
     (math.inf selects hard assignment), chunks the number of independent
     accumulation blocks (None picks a deterministic default from m).
-    threads never affect values.
+    threads is the number of worker threads, None for one per core up
+    to the number of chunks; it never affects values.
     """
 
     m: int
@@ -86,6 +99,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"chunks must be an integer in [1, m], got {self.chunks}")
         object.__setattr__(self, "chunks", int(self.chunks))
+        object.__setattr__(self, "threads", thread_count(self.threads))
 
 
 @dataclass(frozen=True)
@@ -246,16 +260,19 @@ def _accumulate(cfg, shapes, fill):
 
 def _sampler(templates, cfg):
     """(L, factor, blocks): blocks(chunk, rows) yields one chunk's (z, s)
-    slices.
+    blocks.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
-    Each slice draws a (rows, L) block z of standard normals from the
-    chunk's stream and forms the projections S = factor @ z, which have
-    the law of (<n, x_k>)_k for n ~ N(0, I_d), cluster-major: the
-    C-contiguous (L, rows) product factor @ z.T. s is its (rows, L)
+    z is one (rows, L) block of standard normals from the chunk's stream,
+    drawn by _kernels.normal_blocks with rows = _kernels.block_rows(L):
+    65536 values (512 KiB) up to L = 64, so that z, its projections and
+    the kernels' temporaries stay in cache and the working set does not
+    grow with m. The projections S = factor @ z have the law of
+    (<n, x_k>)_k for n ~ N(0, I_d) and are formed cluster-major, as the
+    C-contiguous (L, rows) product factor @ z.T; s is its (rows, L)
     transpose view, so the kernels reduce over contiguous rows of s.T.
     Both modes draw the same blocks. Full mode yields z as well, a view
-    of one reused buffer that is valid until the next slice, for the
+    of one reused buffer that is valid until the next block, for the
     in-span sums of its estimator vectors (see _full_vectors); gram mode
     yields z = None.
     """
@@ -270,13 +287,9 @@ def _sampler(templates, cfg):
             f"expected TemplateSet or GramModel, got {type(templates)!r}")
     L = templates.L
     full = cfg.mode == "full"
-    slice_rows = max(1, _SLICE // L)
 
     def blocks(chunk, rows):
-        g = _kernels.chunk_generator(cfg.seed, chunk)
-        buf = np.empty((min(slice_rows, rows), L))
-        for done in range(0, rows, slice_rows):
-            z = g.standard_normal(out=buf[:min(slice_rows, rows - done)])
+        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L):
             yield (z if full else None), (factor @ z.T).T
 
     return L, factor, blocks

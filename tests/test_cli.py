@@ -4,8 +4,8 @@ artifact determinism, and the kernel mutation harness."""
 import numpy as np
 import pytest
 
-from bias_lab import (ConfigError, _kernels, checks, cli, engine,
-                      templates as tpl)
+from bias_lab import (ConfigError, DomainError, _kernels, checks, cli,
+                      engine, templates as tpl)
 from bias_lab.engine import ExperimentConfig
 from bias_lab.templates import GramModel
 
@@ -125,6 +125,43 @@ def test_run_mid_run_error_names_its_type(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: FactorizationError: ")
     assert "config error" not in err
+    # an experiment run through the check table still exits 3
+    cfg = _write_cfg(tmp_path / "g.cfg", experiment="gumbel_sweep",
+                     levels="1", M=1000)
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "g")])
+    assert code == cli.EXIT_BAD_CONFIG
+    assert capsys.readouterr().err.startswith("error: DomainError: ")
+
+
+def test_thread_count_must_be_positive(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard", M=1000)
+    for threads in ("0", "-3"):
+        for argv in (["run", "--config", cfg], ["verify", "--suite", "fast"]):
+            code = cli.main(argv + ["--out", str(tmp_path / "o"),
+                                    "--threads", threads])
+            assert code == cli.EXIT_BAD_CONFIG
+            assert capsys.readouterr().err.startswith("config error: threads")
+    with pytest.raises(ConfigError):
+        cli.verify("fast", str(tmp_path / "v"), threads=0)
+
+
+def test_verify_survives_a_raising_check(tmp_path, monkeypatch, capsys):
+    def broken(**inputs):
+        raise DomainError("injected")
+
+    suite = cli._suite
+    keep = ("bridge", "span", "finite_l")
+    monkeypatch.setattr(cli, "_suite", lambda full: [
+        entry for entry in suite(full) if entry[0] in keep])
+    monkeypatch.setitem(checks.CHECKS, "span", broken)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--suite", "fast",
+                     "--out", str(out)]) == cli.EXIT_ROW_FAILED
+    assert "[FAIL] span raised DomainError: injected" in \
+        capsys.readouterr().out
+    assert {p.name for p in out.glob("*.csv")} == {
+        "verify_bridge.csv", "verify_finite_l.csv"}
+    assert set(_timings(out / "report.txt")) == set(keep)
 
 
 def test_run_unwritable_outdir(tmp_path, capsys):
@@ -242,8 +279,9 @@ def test_report_times_every_check(tmp_path, capsys):
         block = text.split("## run\n", 1)[1].split("## timings\n", 1)[0]
         record = dict(line.split(" = ") for line in block.splitlines())
         assert record.keys() == {"bias_lab", "python", "numpy", "scipy",
-                                 "threads", "cpu_count"}
+                                 "threads", "cpu_count", "peak_rss_mb"}
         assert record["threads"] == threads
+        assert float(record["peak_rss_mb"]) > 0
         assert not any(line.startswith(("[PASS]", "[FAIL]"))
                        for line in block.splitlines())
     # seconds and the run record go to report.txt and stdout, never into

@@ -6,6 +6,7 @@ acceptance suite.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ def test_config_validation():
         ExperimentConfig(m=100, chunks=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(m=100, chunks=101)
+    for threads in (0, -3, 1.5):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(m=100, threads=threads)
+    assert ExperimentConfig(m=100, threads=2.0).threads == 2
+    assert ExperimentConfig(m=100).threads is None
 
 
 def test_config_auto_chunks():
@@ -97,6 +103,10 @@ def test_chunk_rows_partition(m, chunks):
 
 # ------------------------------------------------------------- determinism
 
+_RESULT_FIELDS = ("corr", "stderr", "mass", "estimates", "corr_diag",
+                  "stderr_diag", "avg_self_corr", "avg_self_stderr")
+
+
 def test_thread_count_never_changes_results():
     g = GramModel.from_correlation(_pair_rho(0.3))
     ts = TemplateSet(matrix=np.eye(6)[:, :3] + 0.1)
@@ -114,12 +124,84 @@ def test_thread_count_never_changes_results():
     for name, run in runs.items():
         base = run(dict(chunks=5, threads=1))
         other = run(dict(chunks=5, threads=3))
-        for field in ("corr", "stderr", "mass", "estimates", "corr_diag",
-                      "stderr_diag", "avg_self_corr", "avg_self_stderr"):
+        for field in _RESULT_FIELDS:
             if hasattr(base, field):
                 np.testing.assert_array_equal(getattr(base, field),
                                               getattr(other, field),
                                               err_msg=f"{name}.{field}")
+
+
+# ----------------------------------------------------------- sample blocks
+
+def _block_runs(threads=1):
+    """One run per path that draws (rows, L) normals, plus the hard
+    diagonal path, whose stream steps do not follow the block rule."""
+    g = GramModel.from_correlation(
+        tpl.random_correlation(np.random.default_rng(3), 3))
+    ts = _unit_columns(12, 4, 3)
+    kw = dict(chunks=3, threads=threads)
+    return {
+        "hard": engine.hard_assign(g, _cfg(20_000, **kw)),
+        "soft": engine.soft_assign(g, _cfg(20_000, beta=1.5, **kw)),
+        "hard_full": engine.hard_assign(ts, _cfg(20_000, mode="full", **kw)),
+        "soft_full": engine.soft_assign(
+            ts, _cfg(20_000, mode="full", beta=1.5, **kw)),
+        "soft_diag": engine.soft_assign_diag(
+            8, _cfg(20_000, beta=1.5, **kw)),
+        "hard_diag": engine.hard_assign_diag(8, _cfg(20_000, **kw)),
+    }
+
+
+def test_block_geometry_is_not_a_result_parameter(monkeypatch):
+    """The block rule sets only how per-block partial sums group: draws
+    and labels stay, sums move in the last bits, threads never matter."""
+    default = _block_runs()
+    monkeypatch.setattr(_kernels, "_BLOCK_VALUES", 61)
+    monkeypatch.setattr(_kernels, "_BLOCK_MIN_ROWS", 7)
+    assert _kernels.block_rows(3) == 20 and _kernels.block_rows(8) == 7
+    odd = _block_runs()
+    for name, want in default.items():
+        got = odd[name]
+        for field in _RESULT_FIELDS:
+            if not hasattr(want, field) or getattr(want, field) is None:
+                continue
+            a, b = getattr(want, field), getattr(got, field)
+            if name == "hard_diag" or field == "mass" and "hard" in name:
+                np.testing.assert_array_equal(a, b, err_msg=f"{name}.{field}")
+            else:
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=0,
+                                           err_msg=f"{name}.{field}")
+        assert got.undefined == want.undefined, name
+    for name, two in _block_runs(threads=2).items():
+        for field in _RESULT_FIELDS:
+            if hasattr(two, field):
+                np.testing.assert_array_equal(
+                    getattr(odd[name], field), getattr(two, field),
+                    err_msg=f"{name}.{field}")
+
+
+@pytest.mark.parametrize("L", (4, 64))
+def test_working_set_is_bounded_in_m(L):
+    """One thread's numpy allocations stay within a few sample blocks,
+    whatever m is: tracemalloc sees numpy's data buffers."""
+    g = GramModel.from_correlation(np.eye(L))
+    runs = {
+        "hard_assign": lambda m: engine.hard_assign(
+            g, ExperimentConfig(m=m, threads=1)),
+        "soft_assign": lambda m: engine.soft_assign(
+            g, ExperimentConfig(m=m, beta=1.0, threads=1)),
+        "soft_assign_diag": lambda m: engine.soft_assign_diag(
+            L, ExperimentConfig(m=m, beta=1.0, threads=1)),
+    }
+    for name, run in runs.items():
+        for m in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                run(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2 ** 20, (name, m, peak / 2 ** 20)
 
 
 def _rank2_set():
