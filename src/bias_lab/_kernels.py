@@ -11,6 +11,11 @@ bitwise reproducible for a fixed (seed, chunks) regardless of thread
 count. The soft diagonal worker draws the L normals of each sample; the
 hard one draws two numbers per sample, a uniform that it maps to the
 maximum of L normals and the winning label (see hard_diag_chunk).
+Nothing here starts a thread: the engine passes normal_blocks, directly
+or through soft_diag_chunk, an executor with a spare thread when it has
+one, and normal_blocks then draws each chunk's next block there while
+the kernels work on the current one. The draws stay one at a time and
+in stream order, so the blocks are the same bits either way.
 
 Block contract of the general paths: the engine forms the projections
 of a sample block as one C-contiguous cluster-major (L, rows) array and
@@ -102,19 +107,38 @@ def block_rows(L):
     return max(_BLOCK_MIN_ROWS, _BLOCK_VALUES // L)
 
 
-def normal_blocks(seed, chunk, rows, L):
+def normal_blocks(seed, chunk, rows, L, ahead=None):
     """One chunk's (rows, L) standard normals, in blocks of block_rows(L).
 
-    Every block is a view of one reused buffer, valid until the next.
+    Every block is a view of a reused buffer, valid until the next.
     The generator fills the blocks in stream order, so the draws do not
     depend on the block size; only the grouping of per-block partial
-    sums does.
+    sums does. ahead, when given, is an executor with a thread to spare:
+    while the caller works on block b, block b + 1 is drawn there from
+    the same generator into a second buffer. The first block is drawn
+    here, so a chunk of one block never uses the executor. Draws run one
+    at a time and in stream order either way, so the blocks are bitwise
+    the same.
     """
     g = chunk_generator(seed, chunk)
     step = block_rows(L)
-    buf = np.empty((min(step, rows), L))
-    for done in range(0, rows, step):
-        yield g.standard_normal(out=buf[:min(step, rows - done)])
+    sizes = [min(step, rows - done) for done in range(0, rows, step)]
+    bufs = [np.empty((sizes[0], L))
+            for _ in range(1 if ahead is None else min(2, len(sizes)))]
+
+    def draw(b):
+        return g.standard_normal(out=bufs[b % len(bufs)][:sizes[b]])
+
+    z = draw(0)
+    for b in range(1, len(sizes)):
+        if ahead is None:
+            yield z
+            z = draw(b)
+        else:
+            pending = ahead.submit(draw, b)
+            yield z
+            z = pending.result()
+    yield z
 
 
 def _softmax(logits):
@@ -224,14 +248,15 @@ def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
 
 
 def soft_diag_chunk(backend, seed, chunk, rows, L, scale, beta,
-                    w1, w2, b1, b2, b3, pooled):
+                    w1, w2, b1, b2, b3, pooled, *, ahead=None):
     """Diagonal-only soft statistics for orthonormal templates, one chunk.
 
     With s = scale * z, accumulates w1[l] += p_l, w2[l] += p_l**2,
     b1[l] += p_l s_l, b2[l] += p_l**2 s_l, b3[l] += p_l**2 s_l**2 and
-    the pooled sum_l p_l s_l statistic.
+    the pooled sum_l p_l s_l statistic. ahead is normal_blocks'
+    draw-ahead executor, or None.
     """
-    for z in normal_blocks(seed, chunk, rows, L):
+    for z in normal_blocks(seed, chunk, rows, L, ahead=ahead):
         # the same bits as a row softmax of the (rows, L) block
         p = _softmax(((beta * scale) * z).T).T
         s = scale * z

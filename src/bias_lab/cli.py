@@ -27,10 +27,11 @@ Artifacts: every experiment writes CSV tables (UTF-8, comma separated,
 CSV bytes are deterministic for a fixed config and seed. What describes
 the run rather than its results appears only in report.txt and on
 stdout: the "## run" section (bias_lab, Python, numpy and scipy
-versions, --threads as given, "auto" when not, os.cpu_count() and
-peak_rss_mb, the process's peak resident set size in MB so far, from
-getrusage) and wall-clock time, including the seconds each check took
-(the "## timings" section).
+versions, --threads as given, "auto" when not, os.cpu_count(),
+engine_blas, the BLAS threads inside engine runs: "1 thread
+(<library>)" or "not controlled", and peak_rss_mb, the process's peak
+resident set size in MB so far, from getrusage) and wall-clock time,
+including the seconds each check took (the "## timings" section).
 
 --threads must be an integer >= 1 when given; anything else is a config
 error. A check that raises a package error during `verify` becomes one
@@ -53,7 +54,7 @@ import scipy
 from . import __version__, checks, oracle, theory
 from . import templates as tpl
 from .checks import CheckResult, ReportRow
-from .engine import thread_count
+from .engine import blas_control, thread_count
 from .errors import BiasLabError, ConfigError
 from .templates import GramModel
 
@@ -150,8 +151,8 @@ def _effective_seed(cfg):
 @dataclass
 class RunReport:
     """Self-contained record of one run: config echo, rows, what ran
-    (versions, --threads as given, cores, peak RSS), seconds per check,
-    artifacts."""
+    (versions, --threads as given, cores, engine BLAS threads, peak
+    RSS), seconds per check, artifacts."""
 
     title: str
     config: dict
@@ -187,6 +188,7 @@ class RunReport:
                   f"scipy = {scipy.__version__}",
                   f"threads = {threads}",
                   f"cpu_count = {os.cpu_count()}",
+                  f"engine_blas = {_engine_blas()}",
                   f"peak_rss_mb = {_peak_rss_mb():.1f}"]
         lines.append("## timings")
         lines.extend(f"{name} = {secs:.3f}"
@@ -204,6 +206,13 @@ class RunReport:
                   encoding="utf-8") as fh:
             fh.write(text)
         return text
+
+
+def _engine_blas():
+    """BLAS threads inside engine runs: '1 thread (<library>)', or 'not
+    controlled' when numpy's OpenBLAS cannot be reached."""
+    lib = blas_control()
+    return "not controlled" if lib is None else f"1 thread ({lib})"
 
 
 def _peak_rss_mb():

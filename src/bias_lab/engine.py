@@ -20,9 +20,17 @@ sharpness beta), in two sampling modes:
 
 Samples are split into a fixed number of chunks; each chunk owns an RNG
 stream derived from (seed, chunk index) and accumulates partial sums,
-which are then combined in index order with compensated summation.
-Results are therefore bitwise reproducible for fixed (seed, chunks) no
-matter how many worker threads run.
+which are folded, in index order and as they arrive, into compensated
+totals. Results are therefore bitwise reproducible for fixed (seed,
+chunks) no matter how many worker threads run.
+
+The engine schedules the cores of a run itself. cfg.threads caps the
+threads working on it; chunks run in parallel up to that cap, and when
+it is at least twice the number of chunks each chunk gets a helper
+thread that draws its next block of normals while the chunk's kernels
+work on the current one. OpenBLAS is held at one thread during a run
+(see _OneBlasThread), so its own threads do not compete for the same
+cores; its products give the same bits on any number of threads.
 
 The orthonormal high-L sweeps get dedicated diagonal-only entry points
 that track just the per-sample argmax / softmax self terms, avoiding the
@@ -32,8 +40,14 @@ its uniform label, so it matches hard_assign on an identity Gram in law
 rather than draw for draw.
 """
 
+import collections
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,8 +87,12 @@ class ExperimentConfig:
     m is the number of observations, beta the softmax sharpness
     (math.inf selects hard assignment), chunks the number of independent
     accumulation blocks (None picks a deterministic default from m).
-    threads is the number of worker threads, None for one per core up
-    to the number of chunks; it never affects values.
+    threads is the number of cores the engine uses, BLAS included: a run
+    works on at most that many threads, and OpenBLAS runs on one thread
+    inside it. None means all cores (os.cpu_count()), even for one
+    chunk. Chunks run in parallel up to threads; when threads >=
+    2 * chunks, each chunk also draws its next block of normals on a
+    helper thread. threads never affects values.
     """
 
     m: int
@@ -221,46 +239,134 @@ def _psd_factor(corr):
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+@functools.cache
+def _openblas():
+    """(get, set, file name) of the thread-count functions of numpy's
+    bundled OpenBLAS, or None when the library or a symbol is missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put, os.path.basename(path)
+    return None
+
+
+def blas_control():
+    """File name of the OpenBLAS that engine runs hold at one thread, or
+    None when it cannot be controlled (runs then differ only in speed)."""
+    blas = _openblas()
+    return blas[2] if blas else None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any engine run is active.
+
+    The engine schedules the cores itself; BLAS threads of its own would
+    compete with the chunk workers and draw-ahead helpers for them. The
+    setter is process-wide, so the first run to enter saves the count
+    and sets 1, and the last to leave restores it, also when a run
+    raises. The lock and depth counter make concurrent and nested runs
+    restore correctly.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            blas = _openblas()
+            if self._depth == 0 and blas:
+                get, put, _ = blas
+                self._restore = functools.partial(put, get())
+                put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def _run_chunks(cfg, worker):
-    """Run worker(chunk_index, rows) over all chunks, in parallel when asked."""
+    """Sum worker(chunk, rows, ahead) over all chunks, compensated, in
+    chunk order.
+
+    worker returns a list of accumulator arrays. A run uses at most
+    cfg.threads threads (None: one per core), and OpenBLAS one thread
+    inside it. When threads >= 2 * chunks, each chunk also gets a helper
+    thread, ahead, that draws its next block of normals (see
+    _kernels.normal_blocks); otherwise ahead is None. Each chunk's
+    result is folded into the totals as soon as it and every earlier
+    chunk are done, and at most two results per worker are in flight,
+    so a run holds a bounded number of chunks' partial sums.
+    """
     rows = _kernels.chunk_rows(cfg.m, cfg.chunks)
-    threads = cfg.threads
-    if threads is None:
-        threads = min(len(rows), os.cpu_count() or 1)
-    if threads <= 1 or len(rows) == 1:
-        return [worker(c, r) for c, r in enumerate(rows)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(worker, c, r) for c, r in enumerate(rows)]
-        return [f.result() for f in futs]
+    threads = cfg.threads or os.cpu_count() or 1
+    workers = min(threads, len(rows))
+    helpers = (ThreadPoolExecutor(max_workers=len(rows))
+               if threads >= 2 * len(rows) else contextlib.nullcontext())
+    with _ONE_BLAS_THREAD, helpers as ahead:
+        if workers == 1:
+            return _kahan_combine(worker(c, r, ahead)
+                                  for c, r in enumerate(rows))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            def in_order():
+                running = collections.deque()
+                for c, r in enumerate(rows):
+                    running.append(pool.submit(worker, c, r, ahead))
+                    if len(running) == 2 * workers:
+                        yield running.popleft().result()
+                while running:
+                    yield running.popleft().result()
+
+            return _kahan_combine(in_order())
 
 
 def _kahan_combine(parts):
-    """Sum tuples of accumulator arrays over chunks, compensated, in order."""
-    totals = [np.zeros_like(a) for a in parts[0]]
-    comps = [np.zeros_like(a) for a in parts[0]]
+    """Sum lists of accumulator arrays, compensated, in the order parts
+    yields them; each part is folded in as it arrives."""
+    totals = comps = None
     for part in parts:
+        if totals is None:
+            totals = [np.zeros_like(a) for a in part]
+            comps = [np.zeros_like(a) for a in part]
         for t, c, v in zip(totals, comps, part):
             y = v - c
             s = t + y
             c[...] = (s - t) - y
             t[...] = s
+        del part  # not alive while parts makes the next one
     return totals
 
 
 def _accumulate(cfg, shapes, fill):
     """Zeroed accumulators of the given shapes, filled per chunk by
-    fill(chunk, rows, *acc) and combined in chunk order."""
-    def worker(chunk, rows):
+    fill(chunk, rows, ahead, *acc) and combined in chunk order."""
+    def worker(chunk, rows, ahead):
         acc = [np.zeros(shape) for shape in shapes]
-        fill(chunk, rows, *acc)
+        fill(chunk, rows, ahead, *acc)
         return acc
 
-    return _kahan_combine(_run_chunks(cfg, worker))
+    return _run_chunks(cfg, worker)
 
 
 def _sampler(templates, cfg):
-    """(L, factor, blocks): blocks(chunk, rows) yields one chunk's (z, s)
-    blocks.
+    """(L, factor, blocks): blocks(chunk, rows, ahead) yields one chunk's
+    (z, s) blocks, drawn one block ahead on the executor ahead unless it
+    is None.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
     z is one (rows, L) block of standard normals from the chunk's stream,
@@ -272,7 +378,7 @@ def _sampler(templates, cfg):
     C-contiguous (L, rows) product factor @ z.T; s is its (rows, L)
     transpose view, so the kernels reduce over contiguous rows of s.T.
     Both modes draw the same blocks. Full mode yields z as well, a view
-    of one reused buffer that is valid until the next block, for the
+    of a reused buffer that is valid until the next block, for the
     in-span sums of its estimator vectors (see _full_vectors); gram mode
     yields z = None.
     """
@@ -288,8 +394,9 @@ def _sampler(templates, cfg):
     L = templates.L
     full = cfg.mode == "full"
 
-    def blocks(chunk, rows):
-        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L):
+    def blocks(chunk, rows, ahead):
+        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L,
+                                        ahead=ahead):
             yield (z if full else None), (factor @ z.T).T
 
     return L, factor, blocks
@@ -389,8 +496,8 @@ def hard_assign(templates, cfg):
         raise ConfigError("hard_assign expects cfg.beta = inf; use soft_assign")
     L, factor, blocks = _sampler(templates, cfg)
 
-    def fill(chunk, rows, counts, sum1, sum2, pooled, span=None):
-        for z, s in blocks(chunk, rows):
+    def fill(chunk, rows, ahead, counts, sum1, sum2, pooled, span=None):
+        for z, s in blocks(chunk, rows, ahead):
             labels = _kernels.hard_block(None, s, counts, sum1, sum2, pooled)
             if span is not None:
                 _kernels.label_vectors(None, z, labels, span)
@@ -420,8 +527,9 @@ def soft_assign(templates, cfg):
     beta = float(cfg.beta)
     L, factor, blocks = _sampler(templates, cfg)
 
-    def fill(chunk, rows, w1, w2, a1, a2, a3, pooled, span=None, cross=None):
-        for z, s in blocks(chunk, rows):
+    def fill(chunk, rows, ahead, w1, w2, a1, a2, a3, pooled, span=None,
+             cross=None):
+        for z, s in blocks(chunk, rows, ahead):
             p = _kernels.soft_block(None, s, beta, w1, w2, a1, a2, a3, pooled)
             if span is not None:
                 _kernels.weighted_vectors(None, z, p, span)
@@ -445,10 +553,11 @@ def soft_assign(templates, cfg):
 
 
 def _check_diag(L):
-    L = int(L)
-    if L < 2:
-        raise DomainError(f"need at least two templates, got L={L}")
-    return L
+    """L as an int; DomainError unless it is an integer >= 2."""
+    if not (float(L).is_integer() and L >= 2):
+        raise DomainError(f"need an integer number L >= 2 of templates, "
+                          f"got L={L}")
+    return int(L)
 
 
 def hard_assign_diag(L, cfg, scale=1.0):
@@ -466,7 +575,7 @@ def hard_assign_diag(L, cfg, scale=1.0):
     L = _check_diag(L)
     scale = float(scale)
 
-    def fill(chunk, rows, *acc):
+    def fill(chunk, rows, ahead, *acc):
         _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, scale, *acc)
 
     counts, d1, d2, pooled = _accumulate(cfg, (L, L, L, 2), fill)
@@ -488,9 +597,9 @@ def soft_assign_diag(L, cfg, scale=1.0):
     L = _check_diag(L)
     scale = float(scale)
 
-    def fill(chunk, rows, *acc):
+    def fill(chunk, rows, ahead, *acc):
         _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, scale, beta,
-                                 *acc)
+                                 *acc, ahead=ahead)
 
     w1, w2, b1, b2, b3, pooled = _accumulate(cfg, (L, L, L, L, L, 2), fill)
     diag, se = _ratio(b1, b2, b3, w1, w2, cfg.m)

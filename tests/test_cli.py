@@ -279,8 +279,12 @@ def test_report_times_every_check(tmp_path, capsys):
         block = text.split("## run\n", 1)[1].split("## timings\n", 1)[0]
         record = dict(line.split(" = ") for line in block.splitlines())
         assert record.keys() == {"bias_lab", "python", "numpy", "scipy",
-                                 "threads", "cpu_count", "peak_rss_mb"}
+                                 "threads", "cpu_count", "engine_blas",
+                                 "peak_rss_mb"}
         assert record["threads"] == threads
+        lib = engine.blas_control()
+        assert record["engine_blas"] == (
+            "not controlled" if lib is None else f"1 thread ({lib})")
         assert float(record["peak_rss_mb"]) > 0
         assert not any(line.startswith(("[PASS]", "[FAIL]"))
                        for line in block.splitlines())
@@ -419,8 +423,9 @@ def _flip_soft_kernels(monkeypatch):
     def bad_block(backend, s, beta, *acc):
         return orig_block(backend, s, -beta, *acc)
 
-    def bad_diag(backend, seed, chunk, rows, L, scale, beta, *acc):
-        return orig_diag(backend, seed, chunk, rows, L, scale, -beta, *acc)
+    def bad_diag(backend, seed, chunk, rows, L, scale, beta, *acc, **kw):
+        return orig_diag(backend, seed, chunk, rows, L, scale, -beta, *acc,
+                         **kw)
 
     monkeypatch.setattr(_kernels, "soft_block", bad_block)
     monkeypatch.setattr(_kernels, "soft_diag_chunk", bad_diag)

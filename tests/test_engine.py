@@ -6,7 +6,9 @@ acceptance suite.
 """
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -108,27 +110,188 @@ _RESULT_FIELDS = ("corr", "stderr", "mass", "estimates", "corr_diag",
 
 
 def test_thread_count_never_changes_results():
-    g = GramModel.from_correlation(_pair_rho(0.3))
-    ts = TemplateSet(matrix=np.eye(6)[:, :3] + 0.1)
-    runs = {
-        "hard": lambda kw: engine.hard_assign(g, _cfg(40_000, **kw)),
-        "soft": lambda kw: engine.soft_assign(g, _cfg(40_000, beta=1.0, **kw)),
-        "hard_full": lambda kw: engine.hard_assign(
-            ts, _cfg(20_000, mode="full", **kw)),
-        "soft_full": lambda kw: engine.soft_assign(
-            ts, _cfg(20_000, mode="full", beta=1.0, **kw)),
-        "hard_diag": lambda kw: engine.hard_assign_diag(8, _cfg(40_000, **kw)),
-        "soft_diag": lambda kw: engine.soft_assign_diag(
-            8, _cfg(40_000, beta=1.0, **kw)),
+    _assert_same_bits(_six_paths(40_000, chunks=5, threads=1),
+                      _six_paths(40_000, chunks=5, threads=3), "chunks=5")
+
+
+def _six_paths(m, **kw):
+    """The six estimator paths at L = 8, m samples and the given config
+    fields."""
+    g = GramModel.from_correlation(
+        tpl.random_correlation(np.random.default_rng(4), 8))
+    ts = _unit_columns(12, 8, 4)
+    return {
+        "hard": engine.hard_assign(g, _cfg(m, **kw)),
+        "soft": engine.soft_assign(g, _cfg(m, beta=1.0, **kw)),
+        "hard_full": engine.hard_assign(ts, _cfg(m, mode="full", **kw)),
+        "soft_full": engine.soft_assign(
+            ts, _cfg(m, mode="full", beta=1.0, **kw)),
+        "hard_diag": engine.hard_assign_diag(8, _cfg(m, **kw)),
+        "soft_diag": engine.soft_assign_diag(8, _cfg(m, beta=1.0, **kw)),
     }
-    for name, run in runs.items():
-        base = run(dict(chunks=5, threads=1))
-        other = run(dict(chunks=5, threads=3))
+
+
+def _assert_same_bits(want, got, tag):
+    for name, a in want.items():
         for field in _RESULT_FIELDS:
-            if hasattr(base, field):
-                np.testing.assert_array_equal(getattr(base, field),
-                                              getattr(other, field),
-                                              err_msg=f"{name}.{field}")
+            if hasattr(a, field):
+                np.testing.assert_array_equal(
+                    getattr(a, field), getattr(got[name], field),
+                    err_msg=f"{tag}: {name}.{field}")
+
+
+def test_draw_ahead_and_blas_control_keep_every_bit(monkeypatch):
+    """threads >= 2 * chunks draws each chunk's blocks one ahead on a
+    helper thread; neither that nor OpenBLAS's thread count moves a bit.
+    Every chunk is one block, or two blocks and a short last one."""
+    step = _kernels.block_rows(8)
+    for chunks in (1, 2):
+        for per_chunk in (step, 2 * step + 123):
+            m = chunks * per_chunk
+            base = _six_paths(m, chunks=chunks, threads=1)
+            for threads in (3, 4):
+                _assert_same_bits(
+                    base, _six_paths(m, chunks=chunks, threads=threads),
+                    f"chunks={chunks}, m={m}, threads={threads}")
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_openblas", lambda: None)
+                for threads in (1, 3):
+                    _assert_same_bits(
+                        base, _six_paths(m, chunks=chunks, threads=threads),
+                        f"no BLAS control, chunks={chunks}, m={m}, "
+                        f"threads={threads}")
+
+
+def test_normal_blocks_drawn_ahead_are_the_same_blocks():
+    step = _kernels.block_rows(64)
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        for rows in (1, 7, step, 3 * step + 5):
+            want = [z.copy() for z in _kernels.normal_blocks(3, 1, rows, 64)]
+            got = [z.copy() for z in _kernels.normal_blocks(
+                3, 1, rows, 64, ahead=ahead)]
+            assert len(got) == len(want) == -(-rows // step)
+            for a, b in zip(want, got):
+                np.testing.assert_array_equal(a, b)
+
+
+class _FakeBlas:
+    """Stands in for OpenBLAS's thread count: records every set."""
+
+    def __init__(self, n):
+        self.n = n
+        self.sets = []
+
+    def get(self):
+        return self.n
+
+    def put(self, n):
+        self.sets.append(n)
+        self.n = n
+
+
+def test_blas_held_at_one_thread_and_restored(monkeypatch):
+    blas = _FakeBlas(5)
+    monkeypatch.setattr(engine, "_openblas",
+                        lambda: (blas.get, blas.put, "fake.so"))
+    seen = []
+    hard_block = _kernels.hard_block
+
+    def spy(*args):
+        seen.append(blas.n)
+        return hard_block(*args)
+
+    monkeypatch.setattr(_kernels, "hard_block", spy)
+    g = GramModel.from_correlation(_pair_rho(0.3))
+    engine.hard_assign(g, _cfg(5000, chunks=3, threads=2))
+    assert blas.n == 5 and blas.sets == [1, 5] and set(seen) == {1}
+    # only the outermost of nested runs saves and restores
+    with engine._ONE_BLAS_THREAD:
+        engine.hard_assign(g, _cfg(5000, threads=2))
+        assert blas.n == 1
+    assert blas.n == 5 and blas.sets == [1, 5, 1, 5]
+    # concurrent runs: the last to leave restores
+    errors = []
+
+    def run():
+        try:
+            for _ in range(5):
+                engine.hard_assign(g, _cfg(20_000, chunks=2, threads=2))
+        except Exception as exc:   # reported below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run) for _ in range(3)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers) and not errors
+    assert blas.n == 5 and set(seen) == {1}
+
+    def boom(*args):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(_kernels, "hard_block", boom)
+    for kw in (dict(chunks=1, threads=1), dict(chunks=3, threads=2)):
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            engine.hard_assign(g, _cfg(5000, **kw))
+        assert blas.n == 5
+
+
+@pytest.mark.skipif(engine.blas_control() is None,
+                    reason="numpy's OpenBLAS thread count is not reachable")
+def test_openblas_thread_count_restored(monkeypatch):
+    get, put, _ = engine._openblas()
+    saved = get()
+    seen = []
+    soft_block = _kernels.soft_block
+
+    def spy(*args):
+        seen.append(get())
+        return soft_block(*args)
+
+    g = GramModel.from_correlation(_pair_rho(0.3))
+    try:
+        put(2)
+        engine.soft_assign(g, _cfg(5000, beta=1.0, threads=2))
+        assert get() == 2
+        monkeypatch.setattr(_kernels, "soft_block", spy)
+        engine.soft_assign(g, _cfg(5000, beta=1.0, threads=2))
+        assert set(seen) == {1} and get() == 2
+
+        def boom(*args):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(_kernels, "soft_block", boom)
+        with pytest.raises(RuntimeError):
+            engine.soft_assign(g, _cfg(5000, beta=1.0, threads=2))
+        assert get() == 2
+    finally:
+        put(saved)
+
+
+def test_threads_bound_the_threads_a_run_starts(monkeypatch):
+    """threads=1 starts no thread besides the caller; a run never starts
+    more threads than it is given."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for chunks in (1, 3):
+        _six_paths(30_000, chunks=chunks, threads=1)
+        assert started == [], chunks
+    for threads, chunks in ((2, 1), (2, 3), (3, 1), (4, 2)):
+        for name, run in (
+                ("hard", lambda kw: engine.hard_assign(
+                    GramModel.from_correlation(np.eye(3)), _cfg(60_000, **kw))),
+                ("soft_diag", lambda kw: engine.soft_assign_diag(
+                    64, _cfg(60_000, beta=1.0, **kw)))):
+            started.clear()
+            run(dict(threads=threads, chunks=chunks))
+            assert 1 <= len(started) <= threads, (name, threads, chunks)
 
 
 # ----------------------------------------------------------- sample blocks
@@ -183,25 +346,28 @@ def test_block_geometry_is_not_a_result_parameter(monkeypatch):
 @pytest.mark.parametrize("L", (4, 64))
 def test_working_set_is_bounded_in_m(L):
     """One thread's numpy allocations stay within a few sample blocks,
-    whatever m is: tracemalloc sees numpy's data buffers."""
+    whatever m and the number of chunks are: each chunk's partial sums
+    are folded into the totals as they arrive (64 chunks of soft sums
+    at L = 64 held at once took 9.2 MiB). tracemalloc sees numpy's data
+    buffers."""
     g = GramModel.from_correlation(np.eye(L))
     runs = {
-        "hard_assign": lambda m: engine.hard_assign(
-            g, ExperimentConfig(m=m, threads=1)),
-        "soft_assign": lambda m: engine.soft_assign(
-            g, ExperimentConfig(m=m, beta=1.0, threads=1)),
-        "soft_assign_diag": lambda m: engine.soft_assign_diag(
-            L, ExperimentConfig(m=m, beta=1.0, threads=1)),
+        "hard_assign": lambda m, c: engine.hard_assign(
+            g, ExperimentConfig(m=m, chunks=c, threads=1)),
+        "soft_assign": lambda m, c: engine.soft_assign(
+            g, ExperimentConfig(m=m, chunks=c, beta=1.0, threads=1)),
+        "soft_assign_diag": lambda m, c: engine.soft_assign_diag(
+            L, ExperimentConfig(m=m, chunks=c, beta=1.0, threads=1)),
     }
     for name, run in runs.items():
-        for m in (200_000, 2_000_000):
+        for m, chunks in ((200_000, None), (2_000_000, None), (131_072, 64)):
             tracemalloc.start()
             try:
-                run(m)
+                run(m, chunks)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * 2 ** 20, (name, m, peak / 2 ** 20)
+            assert peak <= 8 * 2 ** 20, (name, m, chunks, peak / 2 ** 20)
 
 
 def _rank2_set():
@@ -369,6 +535,17 @@ def test_diag_scale_argument():
     two = engine.hard_assign_diag(8, cfg, scale=2.0)
     np.testing.assert_allclose(two.corr_diag, 2.0 * one.corr_diag,
                                rtol=1e-12)
+
+
+def test_diag_paths_reject_bad_L():
+    hard, soft = _cfg(1000), _cfg(1000, beta=1.0)
+    for L in (3.9, 2.5, 1, 0, -4, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            engine.soft_assign_diag(L, soft)
+        with pytest.raises(DomainError):
+            engine.hard_assign_diag(L, hard)
+    assert engine.soft_assign_diag(4.0, soft).L == 4
+    assert engine.hard_assign_diag(np.int64(3), hard).L == 3
 
 
 class _UniformExtremes:
