@@ -25,21 +25,21 @@ per-cluster pass reads a contiguous row of st and the soft moments are
 (L, rows) @ (rows, L) products; soft_block returns its weights as
 (L, rows). The soft diagonal worker keeps its (rows, L) draws and takes
 the same softmax over their transpose view. Full mode's label_vectors
-and weighted_vectors take the block's in-span coordinates: the (rows, L)
-standard normals z behind its projections, not d-dimensional noise.
-They add into (L, L) sums from which the engine builds the estimator
-vectors once per run.
+and weighted_vectors take the block's in-span coordinates: the (rows, r)
+standard normals z behind its projections, r <= L the rank of the
+template correlation, not d-dimensional noise. They add into (L, r)
+sums from which the engine builds the estimator vectors once per run.
 
-Block size: every path that draws (rows, L) normals, the engine's
-sampler and the soft diagonal worker, draws them through normal_blocks
-in blocks of block_rows(L) rows, max(1024, 65536 // L). A block and the
-temporaries a kernel makes from it then fit in a few MiB of cache, and
-the working set of a run stays flat in m. The block size is not a
-result parameter: the generator fills blocks in stream order, so the
-draws and the hard labels do not depend on it; it only groups the
-per-block partial sums, which moves sums in their last bits. The hard
-diagonal worker draws in its own fixed steps (_HARD_DIAG_STEP), which
-fix its stream.
+Block size: every path that draws normals for L projections, the
+engine's sampler ((rows, r) normals) and the soft diagonal worker
+((rows, L)), draws them through normal_blocks in blocks of
+block_rows(L) rows, max(1024, 65536 // L). A block and the temporaries
+a kernel makes from it then fit in a few MiB of cache, and the working
+set of a run stays flat in m. The block size is not a result parameter:
+the generator fills blocks in stream order, so the draws and the hard
+labels do not depend on it; it only groups the per-block partial sums,
+which moves sums in their last bits. The hard diagonal worker draws in
+its own fixed steps (_HARD_DIAG_STEP), which fix its stream.
 
 The oracle's node sweeps work on cluster-major blocks too: projections y
 of shape (L, N) for N grid nodes, so the softmax and argmax reduce over
@@ -107,8 +107,9 @@ def block_rows(L):
     return max(_BLOCK_MIN_ROWS, _BLOCK_VALUES // L)
 
 
-def normal_blocks(seed, chunk, rows, L, ahead=None):
-    """One chunk's (rows, L) standard normals, in blocks of block_rows(L).
+def normal_blocks(seed, chunk, rows, L, ahead=None, width=None):
+    """One chunk's (rows, width) standard normals, width L unless given,
+    in blocks of block_rows(L).
 
     Every block is a view of a reused buffer, valid until the next.
     The generator fills the blocks in stream order, so the draws do not
@@ -123,7 +124,7 @@ def normal_blocks(seed, chunk, rows, L, ahead=None):
     g = chunk_generator(seed, chunk)
     step = block_rows(L)
     sizes = [min(step, rows - done) for done in range(0, rows, step)]
-    bufs = [np.empty((sizes[0], L))
+    bufs = [np.empty((sizes[0], width or L))
             for _ in range(1 if ahead is None else min(2, len(sizes)))]
 
     def draw(b):
@@ -197,8 +198,8 @@ def soft_block(backend, s, beta, w1, w2, a1, a2, a3, pooled):
 def label_vectors(backend, z, labels, vec):
     """vec[l] += sum of the in-span coordinate rows z labelled l.
 
-    z is the (rows, L) block of standard normals behind the block's
-    projections; vec is (L, L).
+    z is the (rows, r) block of standard normals behind the block's
+    projections; vec is (L, r).
     """
     L = vec.shape[0]
     onehot = np.zeros((z.shape[0], L))
@@ -209,7 +210,7 @@ def label_vectors(backend, z, labels, vec):
 def weighted_vectors(backend, z, p, vec):
     """vec[l] += sum of the in-span coordinate rows z weighted by p[l].
 
-    z is (rows, L) as in label_vectors, p the (L, rows) weights.
+    z is (rows, r) as in label_vectors, p the (L, rows) weights.
     """
     vec += p @ z
 

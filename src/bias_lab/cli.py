@@ -506,7 +506,7 @@ def _templates_make(args):
     elif fam == "circulant":
         if not args.rho_seq:
             raise ConfigError("circulant family needs --rho-seq")
-        seq = np.array([float(p) for p in args.rho_seq.split(",")])
+        seq = np.array(_parse_scalar("rho_seq", args.rho_seq, "floats"))
         ts = tpl.make_circulant(seq, d=args.d, norm=args.scale)
     elif fam == "exponential":
         # a single decaying profile, not a template set; written as a
@@ -548,12 +548,12 @@ def _templates_inspect(args):
     corr = ts.correlation()
     off = corr[~np.eye(ts.L, dtype=bool)]
     print(f"common norm: {ts.common_norm:.6g}")
-    if off.size:
-        print(f"off-diagonal correlation range: [{off.min():+.4f}, "
-              f"{off.max():+.4f}]")
+    print(f"off-diagonal correlation range: [{off.min():+.4f}, "
+          f"{off.max():+.4f}]")
     eig = np.linalg.eigvalsh(corr)
     print(f"correlation eigenvalues: min {eig.min():.4g}, "
           f"max {eig.max():.4g}")
+    print(f"correlation rank: {tpl.rank_factor(corr).shape[1]} of {ts.L}")
     if ts.labels:
         print("labels: " + ", ".join(ts.labels))
     return EXIT_OK

@@ -6,8 +6,9 @@ per class) and a single soft step (softmax-weighted averages at
 sharpness beta), in two sampling modes:
 
 * gram mode draws the projection vector S = scale * (factor @ z) with
-  z ~ N(0, I_L) directly, which has exactly the distribution of
-  (<n, x_k>)_k and makes the cost dimension-free;
+  z ~ N(0, I_r) directly, r the rank of the template correlation, which
+  has exactly the distribution of (<n, x_k>)_k and makes the cost
+  dimension-free;
 * full mode also returns the estimator vectors themselves. It runs on
   gram mode's draws, so its correlations, stderrs and masses are
   bitwise those of gram mode, and builds each vector from two parts.
@@ -54,14 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DomainError,
-    FactorizationError,
-    RankError,
-)
-from .templates import GramModel, TemplateSet
+from .errors import ConfigError, DimensionError, DomainError, RankError
+from .templates import GramModel, TemplateSet, rank_factor
 
 _AUTO_CHUNK_ROWS = 131072
 _MAX_AUTO_CHUNKS = 64
@@ -221,24 +216,6 @@ class GramDiagEstimate:
         return self.mass.shape[0]
 
 
-def _psd_factor(corr):
-    """Factor F with F @ F.T = corr, tolerating a semidefinite matrix.
-
-    Cholesky when positive definite; otherwise an eigendecomposition
-    with negative eigenvalues clipped at zero, which handles exactly
-    antipodal template pairs (correlation -1). Full soft runs also
-    factor their weight products sum_i p_i p_i^T with it.
-    """
-    try:
-        return np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(corr)
-        if vals.min() < -1e-8:
-            raise FactorizationError(
-                f"correlation matrix has eigenvalue {vals.min():.3e} < 0")
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 @functools.cache
 def _openblas():
     """(get, set, file name) of the thread-count functions of numpy's
@@ -369,25 +346,26 @@ def _sampler(templates, cfg):
     is None.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
-    z is one (rows, L) block of standard normals from the chunk's stream,
-    drawn by _kernels.normal_blocks with rows = _kernels.block_rows(L):
-    65536 values (512 KiB) up to L = 64, so that z, its projections and
-    the kernels' temporaries stay in cache and the working set does not
-    grow with m. The projections S = factor @ z have the law of
-    (<n, x_k>)_k for n ~ N(0, I_d) and are formed cluster-major, as the
-    C-contiguous (L, rows) product factor @ z.T; s is its (rows, L)
-    transpose view, so the kernels reduce over contiguous rows of s.T.
-    Both modes draw the same blocks. Full mode yields z as well, a view
-    of a reused buffer that is valid until the next block, for the
-    in-span sums of its estimator vectors (see _full_vectors); gram mode
-    yields z = None.
+    factor is L x r: a GramModel's own (r = L) or, for a TemplateSet,
+    common_norm * templates.rank_factor(correlation()), r the rank of
+    the set's correlation. z is one (rows, r) block of standard normals
+    from the chunk's stream, drawn by _kernels.normal_blocks in blocks
+    of _kernels.block_rows(L) rows, so the working set does not grow
+    with m. The projections S = factor @ z have the law of (<n, x_k>)_k
+    for n ~ N(0, I_d) and lie exactly in the range of the set's Gram.
+    They are formed cluster-major, as the C-contiguous (L, rows) product
+    factor @ z.T; s is its (rows, L) transpose view, so the kernels
+    reduce over contiguous rows of s.T. Both modes draw the same blocks.
+    Full mode yields z as well, a view of a reused buffer that is valid
+    until the next block, for the in-span sums of its estimator vectors
+    (see _full_vectors); gram mode yields z = None.
     """
     if isinstance(templates, GramModel):
         if cfg.mode != "gram":
             raise ConfigError("a GramModel supports gram mode only")
         factor = templates.scale * templates.factor
     elif isinstance(templates, TemplateSet):
-        factor = templates.common_norm * _psd_factor(templates.correlation())
+        factor = templates.common_norm * rank_factor(templates.correlation())
     else:
         raise ConfigError(
             f"expected TemplateSet or GramModel, got {type(templates)!r}")
@@ -395,8 +373,8 @@ def _sampler(templates, cfg):
     full = cfg.mode == "full"
 
     def blocks(chunk, rows, ahead):
-        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L,
-                                        ahead=ahead):
+        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L, ahead,
+                                        factor.shape[1]):
             yield (z if full else None), (factor @ z.T).T
 
     return L, factor, blocks
@@ -405,27 +383,27 @@ def _sampler(templates, cfg):
 def _full_vectors(templates, factor, cfg, span_sums, noise_factor, weights):
     """Estimator vectors v_l = (B S_l + O_l) / w_l of a full-mode run.
 
-    S_l = sum_i p_il z_i are the in-span sums of cluster l (p the hard
-    labels as 0/1 or the soft weights) and w_l = sum_i p_il. Writing the
-    template matrix X = U diag(sv) V^T by a rank-revealing SVD, B is
-    X^+T factor: X^T B z = factor @ z = s, and B z has the law of the
-    noise's component in span(X), so B S_l is the in-span part of the
-    literal sum sum_i p_il n_i. The rest, sum_i p_il P n_i with P the
-    projector onto the complement of span(X), is independent of the
-    weights and, given them, Gaussian with covariance C_lk P, where
-    C = noise_factor @ noise_factor.T = sum_i p_i p_i^T. It is drawn
-    once as O = noise_factor @ (Z P), with Z an L x d standard normal
-    block from the stream of chunk index cfg.chunks, which no chunk
-    uses, so O depends on (seed, chunks) only. P has rank d - rank(X),
-    also when X is rank deficient. Empty hard clusters give NaN rows.
+    S_l = sum_i p_il z_i are the in-span sums of cluster l, of length r
+    (p the hard labels as 0/1 or the soft weights; factor is the sampler's
+    L x r factor) and w_l = sum_i p_il. With U_r diag(sv) V_r^T the top r
+    singular triplets of the template matrix X, B = U_r diag(1/sv) V_r^T
+    factor: X^T B z = factor @ z = s, as factor's columns lie in the range
+    of X^T X, and B z has the law of the noise's component in span(X), so
+    B S_l is the in-span part of the literal sum sum_i p_il n_i. The rest,
+    sum_i p_il P n_i with P the projector onto the complement of span(X),
+    of rank d - r, is independent of the weights and, given them, Gaussian
+    with covariance C_lk P, where C = noise_factor @ noise_factor.T =
+    sum_i p_i p_i^T. It is drawn once as O = noise_factor @ (Z P), with Z a
+    standard normal block of noise_factor.shape[1] x d numbers from the
+    stream of chunk index cfg.chunks, which no chunk uses, so O depends on
+    (seed, chunks) only. Empty hard clusters give NaN rows.
     """
-    x = templates.matrix
-    u, sv, vt = np.linalg.svd(x, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * max(x.shape) * np.finfo(np.float64).eps))
-    q = u[:, :rank]
-    basis = q @ ((vt[:rank] / sv[:rank, None]) @ factor)
+    u, sv, vt = np.linalg.svd(templates.matrix, full_matrices=False)
+    r = factor.shape[1]
+    q = u[:, :r]
+    basis = q @ ((vt[:r] / sv[:r, None]) @ factor)
     noise = _kernels.chunk_generator(cfg.seed, cfg.chunks).standard_normal(
-        (templates.L, templates.d))
+        (noise_factor.shape[1], templates.d))
     noise -= (noise @ q) @ q.T
     with np.errstate(invalid="ignore", divide="ignore"):
         return (span_sums @ basis.T + noise_factor @ noise) / weights[:, None]
@@ -502,7 +480,8 @@ def hard_assign(templates, cfg):
             if span is not None:
                 _kernels.label_vectors(None, z, labels, span)
 
-    shapes = [L, (L, L), (L, L), 2] + ([(L, L)] if cfg.mode == "full" else [])
+    shapes = [L, (L, L), (L, L), 2]
+    shapes += [(L, factor.shape[1])] if cfg.mode == "full" else []
     counts, sum1, sum2, pooled, *span = _accumulate(cfg, shapes, fill)
     vec = None
     if span:
@@ -536,12 +515,12 @@ def soft_assign(templates, cfg):
                 cross += p @ p.T
 
     shapes = [L, L, (L, L), (L, L), (L, L), 2]
-    shapes += [(L, L), (L, L)] if cfg.mode == "full" else []
+    shapes += [(L, factor.shape[1]), (L, L)] if cfg.mode == "full" else []
     w1, w2, a1, a2, a3, pooled, *span = _accumulate(cfg, shapes, fill)
     vec = None
     if span:
         vec = _full_vectors(templates, factor, cfg, span[0],
-                            _psd_factor(span[1]), w1)
+                            rank_factor(span[1]), w1)
     m = cfg.m
     corr, stderr = _ratio(a1, a2, a3, w1[:, None], w2[:, None], m)
     avg, avg_se = _pooled(pooled, m)
@@ -622,43 +601,39 @@ def correlation_matrix(est, templates):
     return est.estimates @ templates.matrix
 
 
+def _full_rank(corr):
+    """RankError unless corr has full rank by templates.rank_factor."""
+    rank = rank_factor(corr).shape[1]
+    if rank < corr.shape[0]:
+        raise RankError(f"template correlation is singular: rank {rank} "
+                        f"of {corr.shape[0]}")
+
+
 def span_residual(est, templates):
-    """Fraction of each estimator vector outside the template span."""
+    """Fraction of each estimator vector outside the template span (NaN
+    for an empty cluster); a singular set raises RankError."""
     if est.mode != "full" or est.estimates is None:
         raise ConfigError("span_residual needs a full-mode estimate")
     if templates.d <= templates.L:
         raise DimensionError("span residual needs d > L")
-    q, r = np.linalg.qr(templates.matrix)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-        raise RankError("template matrix is numerically rank deficient")
-    out = np.empty(est.L)
-    for l in range(est.L):
-        v = est.estimates[l]
-        nv = np.linalg.norm(v)
-        if not np.isfinite(nv) or nv == 0.0:
-            out[l] = np.nan
-            continue
-        resid = v - q @ (q.T @ v)
-        out[l] = np.linalg.norm(resid) / nv
-    return out
+    _full_rank(templates.correlation())
+    q = np.linalg.svd(templates.matrix, full_matrices=False)[0]
+    v = est.estimates
+    with np.errstate(invalid="ignore"):
+        return (np.linalg.norm(v - (v @ q) @ q.T, axis=1)
+                / np.linalg.norm(v, axis=1))
 
 
 def extract_coefficients(est, templates):
     """Least-squares coefficients of each estimator in the template basis.
 
     Solves corr = alpha @ G for alpha, with G the unnormalized Gram
-    matrix of the templates.
+    matrix of the templates; a singular G raises RankError.
     """
     if isinstance(templates, GramModel):
+        _full_rank(templates.rho)
         gram = templates.covariance()
     else:
+        _full_rank(templates.correlation())
         gram = templates.matrix.T @ templates.matrix
-    try:
-        alpha = np.linalg.solve(gram.T, est.corr.T).T
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"singular Gram matrix: {exc}") from exc
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RankError(f"Gram matrix numerically singular (cond={cond:.2e})")
-    return alpha
+    return np.linalg.solve(gram.T, est.corr.T).T

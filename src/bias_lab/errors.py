@@ -26,7 +26,7 @@ class DimensionError(BiasLabError, ValueError):
 
 
 class FactorizationError(BiasLabError, ValueError):
-    """A Gram matrix is not positive definite enough to factor."""
+    """A matrix is indefinite, or a GramModel singular (rank_factor rule)."""
 
 
 class ParseError(BiasLabError, ValueError):
@@ -38,7 +38,7 @@ class ConfigError(BiasLabError, ValueError):
 
 
 class RankError(BiasLabError, ValueError):
-    """A template matrix lost rank where full rank is required."""
+    """A template set is singular (rank_factor rule) where rank L is needed."""
 
 
 class ApproximationBreakdownError(BiasLabError, ValueError):

@@ -5,6 +5,13 @@ cluster centers handed to a single assignment pass. All columns share
 one Euclidean norm. Everything the estimators measure depends on the
 columns only through the L x L Gram matrix, so the set carries a
 normalized correlation model (GramModel) alongside the raw vectors.
+
+Rank rule: rank_factor alone decides the rank r of a singular Gram (the
+antipodal pair, three templates in a plane, d < L), under the one
+tolerance RANK_RTOL. Gram and full mode draw r normals per sample, so
+they stay exactly in its range. GramModel.from_correlation (behind
+TemplateSet.gram() and the oracle's models) and make_circulant refuse
+a singular set; span_residual and extract_coefficients raise RankError.
 """
 
 import math
@@ -25,8 +32,35 @@ from .errors import (
 
 NORM_RTOL = 1e-9          # relative spread allowed among column norms
 CORR_CAP = 1.0 - 1e-12    # pairwise correlation above this means duplicates
-EIG_FLOOR = 1e-12         # smallest eigenvalue accepted as positive
+RANK_RTOL = 1e-12         # eigenvalues up to this times the largest are zero
 FACTOR_ATOL = 1e-10       # per-entry tolerance for factor @ factor.T == rho
+
+
+def rank_factor(c):
+    """L x r factor F with F @ F.T == c, r the rank of symmetric c.
+
+    An eigenvalue at or below RANK_RTOL * lambda_max counts as zero; one
+    below -RANK_RTOL * lambda_max raises FactorizationError (for a
+    correlation, rank L means cond < 1 / RANK_RTOL). A positive definite
+    c gets np.linalg.cholesky(c), a singular one the eigenvectors of its
+    nonzero eigenvalues scaled by their square roots.
+    """
+    if not np.all(np.isfinite(c)):
+        raise DomainError("matrix contains non-finite entries")
+    vals = np.linalg.eigvalsh(c)
+    tol = RANK_RTOL * vals[-1]
+    if vals[0] < -tol:
+        raise FactorizationError(
+            f"matrix is not positive semidefinite (eigenvalues "
+            f"{vals[0]:.3e} to {vals[-1]:.3e})")
+    if vals[0] > tol:
+        try:
+            return np.linalg.cholesky(c)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"Cholesky failed: {exc}") from exc
+    vals, vecs = np.linalg.eigh(c)
+    keep = vals > tol
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _readonly(a):
@@ -81,32 +115,22 @@ class GramModel:
         """Build a model from a correlation matrix, factoring by Cholesky.
 
         Raises FactorizationError when the matrix is not positive definite
-        (smallest eigenvalue at or below the acceptance floor).
+        under the rank rule of rank_factor.
         """
         rho = np.asarray(rho, dtype=np.float64)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DimensionError("rho must be a square matrix")
         rho = 0.5 * (rho + rho.T)
-        if _offdiag_absent(rho):
-            return cls(rho=rho, scale=scale, factor=np.eye(rho.shape[0]))
-        lo = float(np.linalg.eigvalsh(rho)[0])
-        if lo <= EIG_FLOOR:
+        factor = rank_factor(rho)
+        if factor.shape[1] < rho.shape[0]:
             raise FactorizationError(
-                f"correlation matrix is not positive definite "
-                f"(smallest eigenvalue {lo:.3e})")
-        try:
-            factor = np.linalg.cholesky(rho)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"Cholesky failed: {exc}") from exc
+                f"correlation matrix is singular: rank {factor.shape[1]} "
+                f"of {rho.shape[0]}")
         return cls(rho=rho, scale=scale, factor=factor)
 
     def covariance(self):
         """Covariance of the raw template projections, scale**2 * rho."""
         return (self.scale ** 2) * self.rho
-
-
-def _offdiag_absent(m):
-    return np.count_nonzero(m - np.diag(np.diag(m))) == 0
 
 
 @dataclass(frozen=True)
@@ -217,7 +241,7 @@ def make_circulant(rho_seq, d=None, norm=1.0):
     lam = circulant_spectrum(rho_seq)
     L = lam.size
     lo = float(lam.min())
-    if lo <= EIG_FLOOR:
+    if lo <= RANK_RTOL * float(lam.max()):
         raise SpectrumError(
             f"circulant spectrum has eigenvalue {lo:.3e}; "
             f"the correlation model is not positive definite")

@@ -374,6 +374,27 @@ def test_templates_make_and_inspect(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "5 templates" in text
     assert "off-diagonal correlation range" in text
+    assert "correlation rank: 5 of 5" in text
+    # the antipodal pair is singular: one direction, by the rank rule
+    assert cli.main(["templates", "make", "--family", "pair", "--rho", "-1",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["templates", "inspect",
+                     str(out / "pair_templates.csv")]) == cli.EXIT_OK
+    assert "correlation rank: 1 of 2" in capsys.readouterr().out
+
+
+def test_templates_make_parses_rho_seq_like_the_config_key(tmp_path, capsys):
+    out = tmp_path / "sets"
+    code = cli.main(["templates", "make", "--family", "circulant",
+                     "--rho-seq", "1,x,0.2", "--out", str(out)])
+    assert code == cli.EXIT_BAD_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    # empty fields are skipped, as in a config file's rho_seq
+    code = cli.main(["templates", "make", "--family", "circulant",
+                     "--rho-seq", "1,,0.2,0.2", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    assert tpl.load_csv(out / "circulant_templates.csv").L == 3
 
 
 def test_templates_make_haar(tmp_path, capsys):

@@ -21,8 +21,10 @@ from bias_lab import (
     DimensionError,
     DomainError,
     ExperimentConfig,
+    FactorizationError,
     GramModel,
     RankError,
+    SpectrumError,
     TemplateSet,
     engine,
     templates as tpl,
@@ -360,7 +362,7 @@ def test_working_set_is_bounded_in_m(L):
             L, ExperimentConfig(m=m, chunks=c, beta=1.0, threads=1)),
     }
     for name, run in runs.items():
-        for m, chunks in ((200_000, None), (2_000_000, None), (131_072, 64)):
+        for m, chunks in ((200_000, None), (400_000, 4), (131_072, 64)):
             tracemalloc.start()
             try:
                 run(m, chunks)
@@ -825,3 +827,49 @@ def test_antipodal_pair_runs_in_gram_mode():
     assert abs(est.corr[0, 0] - want) < 6.0 * est.stderr[0, 0]
     # with S1 = -S0 the cross entry is exactly the negated self entry
     assert est.corr[0, 1] == pytest.approx(-est.corr[0, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1.0])
+def test_singular_sets_project_exactly_in_range(beta):
+    """A singular set draws r normals per sample, r its rank, in blocks
+    of block_rows(L) rows, so its projections lie in the range of its
+    Gram and full mode's vectors reproduce corr to rounding, as on
+    full-rank sets."""
+    fn = engine.hard_assign if math.isinf(beta) else engine.soft_assign
+    for ts, rank in ((_rank2_set(), 2), (_unit_columns(3, 5, 4), 3)):
+        cfg = _cfg(50_000, mode="full", beta=beta)
+        _, factor, blocks = engine._sampler(ts, cfg)
+        z, s = next(blocks(0, 50_000, None))
+        rows = _kernels.block_rows(ts.L)
+        assert factor.shape == (ts.L, rank)
+        assert z.shape == (rows, rank) and s.shape == (rows, ts.L)
+        est = fn(ts, cfg)
+        gap = np.max(np.abs(engine.correlation_matrix(est, ts) - est.corr))
+        assert gap <= 1e-14, (ts.d, ts.L, gap)
+
+
+def test_singular_sets_are_refused_with_typed_errors():
+    """Each consumer that needs full rank refuses a singular set with
+    its own error type."""
+    rank2 = _rank2_set()
+    full = engine.hard_assign(rank2, _cfg(5_000, mode="full"))
+    wide = _unit_columns(3, 5, 4)
+    full_wide = engine.soft_assign(wide, _cfg(5_000, mode="full", beta=1.0))
+    antipodal = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    singular_model = GramModel(rho=antipodal, scale=1.0,
+                               factor=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    cases = [
+        (FactorizationError, lambda: GramModel.from_correlation(antipodal)),
+        (FactorizationError, rank2.gram),
+        (FactorizationError, tpl.make_pair(-1.0).gram),
+        (SpectrumError, lambda: tpl.make_circulant([1.0, -0.5, -0.5])),
+        (RankError, lambda: engine.span_residual(full, rank2)),
+        (RankError, lambda: engine.extract_coefficients(full, rank2)),
+        (RankError, lambda: engine.extract_coefficients(full_wide, wide)),
+        (RankError, lambda: engine.extract_coefficients(
+            engine.hard_assign(singular_model, _cfg(5_000)),
+            singular_model)),
+    ]
+    for error, call in cases:
+        with pytest.raises(error):
+            call()

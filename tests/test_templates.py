@@ -137,6 +137,43 @@ def test_gram_model_factor_reproduces_rho():
         g.rho[0, 1] = 0.0
 
 
+def _with_spectrum(vals, seed=3):
+    """Symmetric matrix with the given eigenvalues in a random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(vals), len(vals))))
+    c = (q * np.asarray(vals)) @ q.T
+    return 0.5 * (c + c.T)
+
+
+def test_rank_factor_is_cholesky_on_positive_definite_input():
+    rng = np.random.default_rng(11)
+    mats = [np.eye(6), _with_spectrum([1e-11, 0.5, 1.0, 2.0])]
+    mats += [tpl.random_correlation(rng, L) for L in (2, 3, 8, 32)]
+    p = rng.uniform(size=(5, 400))
+    mats.append(p @ p.T)                    # a full soft run's sum p p^T
+    for c in mats:
+        np.testing.assert_array_equal(tpl.rank_factor(c),
+                                      np.linalg.cholesky(c))
+
+
+def test_rank_factor_both_sides_of_the_tolerance():
+    # lambda_min = 1e-13 lambda_max counts as zero: an L x (L - 1) factor
+    c = _with_spectrum([2e-13, 0.5, 1.0, 2.0])
+    f = tpl.rank_factor(c)
+    assert f.shape == (4, 3)
+    assert np.max(np.abs(f @ f.T - c)) <= 1e-12
+    # lambda_min = -1e-10 lambda_max is not rounding: refused
+    with pytest.raises(FactorizationError):
+        tpl.rank_factor(_with_spectrum([-2e-10, 0.5, 1.0, 2.0]))
+    # the antipodal pair has rank 1, exactly
+    f = tpl.rank_factor(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert f.shape == (2, 1)
+    np.testing.assert_allclose(f @ f.T, [[1.0, -1.0], [-1.0, 1.0]],
+                               atol=1e-15)
+    with pytest.raises(DomainError):
+        tpl.rank_factor(np.full((2, 2), np.nan))
+
+
 def test_gram_model_identity_fast_path():
     g = GramModel.from_correlation(np.eye(5))
     np.testing.assert_array_equal(g.factor, np.eye(5))
