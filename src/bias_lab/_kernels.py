@@ -44,7 +44,11 @@ its own fixed steps (_HARD_DIAG_STEP), which fix its stream.
 The oracle's node sweeps work on cluster-major blocks too: projections y
 of shape (L, N) for N grid nodes, so the softmax and argmax reduce over
 axis 0 and the moments are (L, N) @ (N, L) products. The grid is visited
-in a fixed order (first axis slowest) and in blocks of bounded size.
+in a fixed order and in blocks of bounded size, and a node whose
+product weight is below _NODE_TAU (1e-30) is not visited at all: at the
+oracle's default node counts all such nodes together move a sum by less
+than 1e-18 at unit scale, far below the rounding error of the sum
+itself (see _grid_blocks).
 
 Every entry point takes a leading ``backend`` argument that is ignored:
 the benchmark in ``perfbench/`` wraps the module attributes and counts
@@ -52,11 +56,11 @@ rows and nodes from the entry points' positional arguments (the
 transpose view keeps a block's rows as s.shape[0]). The node
 sweeps keep the signatures hard_nodes(backend, a, x, w) and
 soft_nodes(backend, a, x, w, beta), with a of size L x L and x the 1-D
-rule, so one sweep visits x.size ** L nodes.
+rule; a sweep visits at most x.size ** L nodes, fewer when the grid
+has nodes under _NODE_TAU.
 """
 
 import importlib.util
-import itertools
 
 import numpy as np
 from scipy.special import ndtri
@@ -71,6 +75,10 @@ _BLOCK_MIN_ROWS = 1024
 # and which become labels, so changing it changes every result
 _HARD_DIAG_STEP = 2_000_000
 _NODE_BLOCK = 1 << 14
+# quadrature nodes of smaller product weight are skipped, and head rows
+# are enumerated in slabs of at most this many: see _grid_blocks
+_NODE_TAU = 1e-30
+_HEAD_ROWS = 1 << 17
 
 
 def active_backend():
@@ -289,16 +297,46 @@ def _axis_grid(a, x, w):
     return y, wp
 
 
+def _pruned_rows(w, h, idx, hw):
+    """Extend grid rows by h axes, keeping the nodes whose product weight
+    is at least _NODE_TAU; first axis slowest.
+
+    idx holds (R, j) node indices and hw their (R,) product weights.
+    Every 1-D weight is below one, so a partial product under _NODE_TAU
+    has no extension above it and is dropped as soon as it appears.
+    """
+    n = w.size
+    for _ in range(h):
+        cand = np.multiply.outer(hw, w).reshape(-1)
+        keep = np.flatnonzero(cand >= _NODE_TAU)
+        idx = np.column_stack((idx[keep // n], keep % n))
+        hw = cand[keep]
+    return idx, hw
+
+
 def _grid_blocks(a, x, w):
-    """Yield (y, wp) per block of the n**L grid, first axis slowest.
+    """Yield (y, wp) per block of the nodes of the n**L grid whose product
+    weight is at least _NODE_TAU.
 
     y is the cluster-major (L, N) block of projections a @ node and wp
     the product weights. x, w are the 1-D rule scaled for a standard
     normal, w summing to 1. The grid over the last t axes (n**t at most
-    _NODE_BLOCK) is built once; each block adds a group of head rows,
-    nodes of the first L - t axes, to it. There is one head row per
-    n**t nodes, so projecting the head rows and forming their weight
-    products is a small share of the sweep.
+    _NODE_BLOCK) is built once. The nodes of the first L - t axes, the
+    head rows, are enumerated without those under _NODE_TAU, in slabs of
+    at most _HEAD_ROWS candidates. When the grid has nodes under
+    _NODE_TAU, the tail is sorted by weight and a head row of weight h
+    takes the prefix whose weights are at least _NODE_TAU / h. Each
+    block adds a group of head rows with the same prefix length to that
+    prefix: at most _NODE_BLOCK nodes, unless one row's prefix is longer.
+
+    Every node left out weighs less than _NODE_TAU, so all of them
+    together move a sum of wp, wp * y or wp * p by less than
+    n**L * _NODE_TAU * max(1, max|y|): below 1e-18 at unit scale for
+    every node count the oracle uses by default, far below the rounding
+    error of a sum over that many nodes. A grid without such nodes is
+    swept whole, head rows in order; otherwise the blocks group nodes
+    by weight, and the sums round differently from a whole sweep in
+    their last bits.
     """
     L = a.shape[0]
     n = x.size
@@ -306,19 +344,42 @@ def _grid_blocks(a, x, w):
     while t < L and n ** (t + 1) <= _NODE_BLOCK:
         t += 1
     head = L - t
+    outer = 0
+    while n ** (head - outer) > _HEAD_ROWS:
+        outer += 1
     tail_y, tail_w = _axis_grid(a[:, head:], x, w)
-    group = max(1, _NODE_BLOCK // tail_w.size)
+    cut = w.min() ** L < _NODE_TAU
+    if cut:
+        order = np.argsort(-tail_w)
+        tail_y, tail_w = np.take(tail_y, order, axis=1), tail_w[order]
     a_head = a[:, :head]
-    rows = itertools.product(range(n), repeat=head)
-    while True:
-        chunk = list(itertools.islice(rows, group))
-        if not chunk:
-            return
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), head)
-        head_y = a_head @ x[idx].T
-        head_w = np.prod(w[idx], axis=1)
-        yield ((head_y[:, :, None] + tail_y[:, None, :]).reshape(L, -1),
-               np.multiply.outer(head_w, tail_w).reshape(-1))
+    pre, pre_w = _pruned_rows(w, outer, np.zeros((1, 0), dtype=np.intp),
+                              np.ones(1))
+    for r in range(pre_w.size):
+        idx, head_w = _pruned_rows(w, head - outer, pre[r:r + 1],
+                                   pre_w[r:r + 1])
+        if cut:
+            # the count of tail weights >= tau / head weight
+            k = np.searchsorted(-tail_w, -_NODE_TAU / head_w, side="right")
+        else:
+            k = np.full(head_w.size, tail_w.size)
+        rows = np.argsort(k, kind="stable")
+        sizes, starts = np.unique(k[rows], return_index=True)
+        for size, lo, hi in zip(sizes, starts,
+                                np.append(starts[1:], rows.size)):
+            if size == 0:
+                continue
+            step = max(1, _NODE_BLOCK // size)
+            for s in range(lo, hi, step):
+                sel = rows[s:min(s + step, hi)]
+                head_y = a_head @ x[idx[sel]].T
+                # order "C": from a one-row group and a tail prefix view,
+                # numpy would otherwise lay the block out column-major
+                y = np.add(head_y[:, :, None], tail_y[:, None, :size],
+                           order="C")
+                yield (y.reshape(L, -1),
+                       np.multiply.outer(head_w[sel], tail_w[:size]
+                                         ).reshape(-1))
 
 
 def hard_nodes(backend, a, x, w):

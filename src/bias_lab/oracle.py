@@ -21,11 +21,17 @@ engine and of the closed-form theory module:
   integration of the smooth conditional form (bivariate normal CDF and
   partial moments inside); for 4 <= L <= 6, tensor-product
   Gauss-Hermite over the whitened vector with direct indicator/softmax
-  evaluation at the nodes. Error bounds come from the difference
-  against a run at half the node count. One sweep yields every cluster
-  and every moment, so the sweep of one (Gram, beta, n) is computed
-  once and shared by soft_moments, soft_second_moments,
-  softmax_weights, ibp_residual and hard_moments for every ell.
+  evaluation at the nodes. The sweep skips every node whose product
+  weight is below _kernels._NODE_TAU (1e-30): together those nodes
+  carry less than n**L * 1e-30 times the largest |S_k| on the grid,
+  under 1e-18 at unit scale for every default node count and far
+  below the rounding error of the sweep's own sums. Error bounds come
+  from the difference against a run at half the node count, which
+  must differ from the run it bounds (DomainError otherwise). One
+  sweep yields every cluster and every moment, so the sweep of one
+  (Gram, beta, n) is computed once and shared by soft_moments,
+  soft_second_moments, softmax_weights, ibp_residual and hard_moments
+  for every ell.
 
 The moment queries answer for L <= 6 and raise DimensionError beyond
 it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle
@@ -131,19 +137,18 @@ def _orthant_zero(corr):
 
     Closed forms through three dimensions; Plackett's path identity
     (one-dimensional Gauss-Legendre over a correlation homotopy from the
-    identity) for four and five.
+    identity) for four and five. The path integral takes all its nodes
+    at once for each pair (i, j): one batched solve gives the
+    conditional correlations of the other m - 2 coordinates, and the
+    closed forms of dimension two or three apply to the whole stack.
     """
     m = corr.shape[0]
     if m == 0:
         return 1.0
     if m == 1:
         return 0.5
-    if m == 2:
-        return 0.25 + math.asin(float(corr[0, 1])) / _TWO_PI
-    if m == 3:
-        s = (math.asin(float(corr[0, 1])) + math.asin(float(corr[0, 2]))
-             + math.asin(float(corr[1, 2])))
-        return 0.125 + s / (2.0 * _TWO_PI)
+    if m <= 3:
+        return float(_orthant_closed(corr))
     if m > 5:
         raise DimensionError(f"orthant closed forms implemented for m <= 5, "
                              f"got {m}")
@@ -151,24 +156,35 @@ def _orthant_zero(corr):
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
     total = 2.0 ** (-m)
-    eye = np.eye(m)
+    # the homotopy (1 - t) I + t corr at every node, (nodes, m, m)
+    rt = (1.0 - t)[:, None, None] * np.eye(m) + t[:, None, None] * corr
     for i in range(m):
         for j in range(i + 1, m):
             rij = float(corr[i, j])
             if rij == 0.0:
                 continue
-            for tn, wn in zip(t, wt):
-                rt = (1.0 - tn) * eye + tn * corr
-                r_now = tn * rij
-                dens = 1.0 / (_TWO_PI * math.sqrt(max(1.0 - r_now * r_now,
-                                                      1e-300)))
-                keep = [a for a in range(m) if a not in (i, j)]
-                pair = rt[np.ix_([i, j], [i, j])]
-                cross = rt[np.ix_(keep, [i, j])]
-                cond = rt[np.ix_(keep, keep)] - cross @ np.linalg.solve(
-                    pair, cross.T)
-                total += wn * rij * dens * _orthant_zero(_corr_of(cond))
+            r_now = t * rij
+            dens = 1.0 / (_TWO_PI * np.sqrt(np.maximum(1.0 - r_now * r_now,
+                                                       1e-300)))
+            keep = [a for a in range(m) if a not in (i, j)]
+            pair = rt[:, [i, j]][:, :, [i, j]]
+            cross = rt[:, keep][:, :, [i, j]]
+            cond = rt[:, keep][:, :, keep] - cross @ np.linalg.solve(
+                pair, cross.transpose(0, 2, 1))
+            sd = np.sqrt(np.diagonal(cond, axis1=1, axis2=2))
+            total += float(np.sum(wt * rij * dens * _orthant_closed(
+                cond / (sd[:, :, None] * sd[:, None, :]))))
     return total
+
+
+def _orthant_closed(c):
+    """P(X > 0) for centered normals with correlation c (..., k, k),
+    k = 2 or 3, by the arcsine closed forms; vectorized over a stack."""
+    s = np.arcsin(c[..., 0, 1])
+    if c.shape[-1] == 2:
+        return 0.25 + s / _TWO_PI
+    s = s + np.arcsin(c[..., 0, 2]) + np.arcsin(c[..., 1, 2])
+    return 0.125 + s / (2.0 * _TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -281,12 +297,25 @@ def _hard_exact(g, ell):
                         nodes=_PLACKETT_NODES)
 
 
+def _halved(n, floor):
+    """Node count of the run that bounds a run at n nodes: n // 2, but at
+    least floor. DomainError unless it is below n, since a run compared
+    with itself bounds nothing."""
+    half = max(floor, n // 2)
+    if half >= n:
+        raise DomainError(f"a node-halving bound needs more than {floor} "
+                          f"nodes, got {n}")
+    return half
+
+
 def _hard_conditional_quadrature(g, ell, n):
+    n_half = _halved(n, 8)
+
     def run(nn):
         return _hard_conditional_once(g, ell, nn)
 
     val, mass = run(n)
-    val_h, mass_h = run(max(8, n // 2))
+    val_h, mass_h = run(n_half)
     # floor covers the fixed-resolution inner bivariate CDF, which the
     # outer node halving cannot sense
     bound = max(float(np.max(np.abs(val - val_h))), 1e-12)
@@ -377,13 +406,14 @@ def _sweep(kind, g, beta, n):
 
 def _tensor_quadrature(kind, g, beta, ell, n, moment):
     """Row ell of one sweep moment at n nodes per axis, bounded by its gap
-    to the sweep at max(8, n // 2).
+    to the sweep at _halved(n, 8) nodes.
 
     moment 1 is E[S_k ; argmax = ell] or E[S_k p_ell] with its mass from
     moment 0; moment 2 is E[p_ell p_j], whose weights sum to one.
     """
+    n_half = _halved(n, 8)
     full = _sweep(kind, g, beta, n)
-    half = _sweep(kind, g, beta, max(8, n // 2))
+    half = _sweep(kind, g, beta, n_half)
     val = full[moment][ell].copy()
     bound = max(float(np.max(np.abs(val - half[moment][ell]))), 1e-15)
     if moment == 2:
@@ -425,6 +455,7 @@ def _soft_pair_quadrature(g, beta, ell, n):
     E[S_0 p_0] = E[D sigmoid(beta D)] / 2 = -E[S_1 p_0], and
     E[p] = 1/2 exactly by the sigmoid's antisymmetry.
     """
+    n_half = _halved(n, 16)
     cov = g.covariance()
     var_d = cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]
     sd = math.sqrt(max(var_d, 0.0))
@@ -436,7 +467,7 @@ def _soft_pair_quadrature(g, beta, ell, n):
         return 0.5 * float(w @ (d * sig))
 
     half = run(n)
-    half_h = run(max(16, n // 2))
+    half_h = run(n_half)
     bound = max(abs(half - half_h), 1e-15)
     value = np.array([half, -half]) if ell == 0 else np.array([-half, half])
     return OracleResult(value=value, mass=0.5, error_bound=bound,

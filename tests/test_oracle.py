@@ -8,8 +8,10 @@ their reported bounds; the reported bounds themselves are checked to be
 honest against exact values where those exist.
 """
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +135,53 @@ def test_hard_exact_invariants_random_grams():
         np.testing.assert_allclose(moment_sum, 0.0, atol=1e-9)
 
 
+def _orthant_zero_loop(corr):
+    """Orthant probability by Plackett's path identity taken one
+    Gauss-Legendre node at a time, with scalar arcsine closed forms: the
+    reference for the batched path of oracle._orthant_zero."""
+    m = corr.shape[0]
+    if m == 2:
+        return 0.25 + math.asin(float(corr[0, 1])) / (2.0 * math.pi)
+    if m == 3:
+        s = (math.asin(float(corr[0, 1])) + math.asin(float(corr[0, 2]))
+             + math.asin(float(corr[1, 2])))
+        return 0.125 + s / (4.0 * math.pi)
+    x, w = oracle._gl_rule(oracle._PLACKETT_NODES)
+    total = 2.0 ** (-m)
+    eye = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            rij = float(corr[i, j])
+            if rij == 0.0:
+                continue
+            for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w):
+                rt = (1.0 - tn) * eye + tn * corr
+                r_now = tn * rij
+                dens = 1.0 / (2.0 * math.pi * math.sqrt(
+                    max(1.0 - r_now * r_now, 1e-300)))
+                keep = [a for a in range(m) if a not in (i, j)]
+                pair = rt[np.ix_([i, j], [i, j])]
+                cross = rt[np.ix_(keep, [i, j])]
+                cond = rt[np.ix_(keep, keep)] - cross @ np.linalg.solve(
+                    pair, cross.T)
+                total += wn * rij * dens * _orthant_zero_loop(
+                    oracle._corr_of(cond))
+    return total
+
+
+def test_plackett_batch_matches_node_loop():
+    rng = np.random.default_rng(1954)
+    for m in (4, 5):
+        corrs = [tpl.random_correlation(rng, m) for _ in range(5)]
+        # a zero off-diagonal entry: its pair adds nothing to the path
+        sparse = tpl.random_correlation(rng, m, rmax=0.3)
+        sparse[0, 2] = sparse[2, 0] = 0.0
+        assert np.linalg.eigvalsh(sparse)[0] > 0.0
+        for corr in corrs + [sparse, np.eye(m)]:
+            assert abs(oracle._orthant_zero(corr)
+                       - _orthant_zero_loop(corr)) <= 1e-15, (m, corr)
+
+
 def test_hard_exact_scale_covariance():
     g1 = GramModel.from_correlation(np.eye(3), scale=1.0)
     g2 = GramModel.from_correlation(np.eye(3), scale=2.0)
@@ -173,6 +222,37 @@ def test_hard_tensor_quadrature_l4():
     assert qd.method == "quadrature"
     assert np.max(np.abs(ex.value - qd.value)) <= \
         ex.error_bound + qd.error_bound + 1e-9
+
+
+def test_node_halving_bound_compares_two_rules():
+    """A bound from the run at the halving floor compared with itself
+    reads its floor: on these models 1e-15 against true gaps of 7.9e-7
+    (soft L = 3, 8 nodes), 0.027 (hard L = 4, 8 nodes) and 6.6e-8 (soft
+    L = 2, 16 nodes), 1e-12 against 1.6e-6 (hard L = 3, 8 nodes). Such
+    node counts are refused; one node above the floor compares two
+    different rules."""
+    rng = np.random.default_rng(2024)
+    g2 = GramModel.from_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
+    g3 = GramModel.from_correlation(tpl.random_correlation(rng, 3))
+    g4 = GramModel.from_correlation(tpl.random_correlation(rng, 4,
+                                                           rmax=0.6))
+    at_floor = [
+        lambda: oracle.soft_moments(g3, 1.0, 0, nodes=8),
+        lambda: oracle.hard_moments(g4, 0, method="quadrature", nodes=8),
+        lambda: oracle.soft_moments(g2, 1.0, 0, nodes=16),
+        lambda: oracle.hard_moments(g3, 0, method="quadrature", nodes=8),
+        lambda: oracle.soft_second_moments(g4, 1.0, 0, nodes=4),
+    ]
+    for query in at_floor:
+        with pytest.raises(DomainError, match="node-halving"):
+            query()
+    above = [oracle.soft_moments(g3, 1.0, 0, nodes=9),
+             oracle.soft_moments(g4, 1.0, 0, nodes=10),
+             oracle.hard_moments(g4, 0, method="quadrature", nodes=9),
+             oracle.hard_moments(g3, 0, method="quadrature", nodes=9),
+             oracle.soft_moments(g2, 1.0, 0, nodes=17)]
+    for res in above:
+        assert res.error_bound > 1e-12
 
 
 def _assert_engine_agrees(ref, est, ell):
@@ -373,24 +453,48 @@ def _brute_force_nodes(a, x, w, beta):
     return (prob, hmom), (mass, smom, pp)
 
 
-@pytest.mark.parametrize("block", [None, 50])
-@pytest.mark.parametrize("n", [5, 6, 7])
-@pytest.mark.parametrize("L", [3, 4, 5])
-def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
-    """Both sweeps equal a node-by-node loop, also when the grid is cut
-    into many head groups; the identity Gram at odd n puts real weight on
-    exact ties, which the hard sweep splits evenly."""
-    if block is not None:
-        monkeypatch.setattr(_kernels, "_NODE_BLOCK", block)
+@functools.lru_cache(maxsize=None)
+def _brute_force_case(L, n):
+    """Whitenings of one random Gram and, at odd n, the identity, with
+    their brute-force sweep outputs at beta = 1.3."""
     x, w = oracle._gh_rule(n)
     rng = np.random.default_rng(100 * L + n)
     grams = [1.1 * np.linalg.cholesky(tpl.random_correlation(rng, L))]
     if n % 2:
         grams.append(np.eye(L))
-    for a in grams:
-        hard_ref, soft_ref = _brute_force_nodes(a, x, w, 1.3)
+    return [(a, *_brute_force_nodes(a, x, w, 1.3)) for a in grams]
+
+
+@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("L, n", [(L, n) for L in (3, 4, 5)
+                                  for n in (5, 6, 7)] + [(3, 31)])
+def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
+    """Both sweeps equal a node-by-node loop, also when the grid is cut
+    into many head groups and head slabs; the identity Gram at odd n
+    puts real weight on exact ties, which the hard sweep splits evenly.
+    At n = 31 the grid has nodes of weight under _NODE_TAU, which the
+    sweeps skip (ties included) while the loop visits them all; the
+    smaller grids have none and are swept whole."""
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_NODE_BLOCK", block)
+        monkeypatch.setattr(_kernels, "_HEAD_ROWS", 2 * block)
+    visited = []
+    blocks = _kernels._grid_blocks
+
+    def counted(a, x, w):
+        for y, wp in blocks(a, x, w):
+            visited.append(wp.size)
+            yield y, wp
+    monkeypatch.setattr(_kernels, "_grid_blocks", counted)
+    x, w = oracle._gh_rule(n)
+    for a, hard_ref, soft_ref in _brute_force_case(L, n):
+        visited.clear()
         for got, want in zip(_kernels.hard_nodes(None, a, x, w), hard_ref):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        if n == 31:
+            assert sum(visited) < n ** L
+        else:
+            assert sum(visited) == n ** L
         for got, want in zip(_kernels.soft_nodes(None, a, x, w, 1.3),
                              soft_ref):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -398,6 +502,43 @@ def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
         # ties split evenly: on the identity every cluster is equally likely
         prob, _ = _kernels.hard_nodes(None, np.eye(L), x, w)
         np.testing.assert_allclose(prob, 1.0 / L, rtol=0, atol=1e-13)
+
+
+def test_skipped_nodes_cannot_show():
+    """The nodes a sweep skips weigh under _NODE_TAU each, so together they
+    move a sum of weights, weighted projections or weighted softmax
+    products by at most n**L * _NODE_TAU * max(1, max|y|). With unit-norm
+    template rows and unit scale, |y_k| <= |node| <= sqrt(L) * max|x|.
+    Every node count the oracle's defaults reach keeps that under 1e-16:
+    40 and its half 20 at L = 4..6, 80 and 40 at L <= 3, and the
+    integration-by-parts counts 96 to 320 at L <= 3."""
+    counts = ([(L, n) for L in (4, 5, 6) for n in (20, 40)]
+              + [(L, n) for L in (2, 3)
+                 for n in (40, 80, 96, 160, 240, 320)])
+    for L, n in counts:
+        x, _ = oracle._gh_rule(n)
+        ymax = math.sqrt(L) * float(np.max(np.abs(x)))
+        dropped = n ** L * _kernels._NODE_TAU * max(1.0, ymax)
+        assert dropped <= 1e-16, (L, n, dropped)
+
+
+def test_head_rows_are_built_in_slabs():
+    """At L = 6 and 40 nodes, a default count, the pruned head grid has
+    about 1e6 rows of four axes: built at once, it took 84 MiB before the
+    first block. In slabs of at most _HEAD_ROWS candidates the first
+    block needs only its own slab (0.3 MiB here), and no slab has more
+    than _HEAD_ROWS candidates."""
+    x, w = oracle._gh_rule(40)
+    a = np.linalg.cholesky(tpl.random_correlation(
+        np.random.default_rng(6), 6))
+    tracemalloc.start()
+    try:
+        y, wp = next(_kernels._grid_blocks(a, x, w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (6, wp.size) and wp.size <= _kernels._NODE_BLOCK
+    assert peak < 8 * 2 ** 20, peak
 
 
 def _count_sweeps(monkeypatch):
