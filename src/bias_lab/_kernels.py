@@ -321,22 +321,20 @@ def _grid_blocks(a, x, w):
     y is the cluster-major (L, N) block of projections a @ node and wp
     the product weights. x, w are the 1-D rule scaled for a standard
     normal, w summing to 1. The grid over the last t axes (n**t at most
-    _NODE_BLOCK) is built once. The nodes of the first L - t axes, the
-    head rows, are enumerated without those under _NODE_TAU, in slabs of
-    at most _HEAD_ROWS candidates. When the grid has nodes under
-    _NODE_TAU, the tail is sorted by weight and a head row of weight h
-    takes the prefix whose weights are at least _NODE_TAU / h. Each
-    block adds a group of head rows with the same prefix length to that
-    prefix: at most _NODE_BLOCK nodes, unless one row's prefix is longer.
+    _NODE_BLOCK) is built once and sorted by weight. The nodes of the
+    first L - t axes, the head rows, are enumerated without those under
+    _NODE_TAU, in slabs of at most _HEAD_ROWS candidates, and a head row
+    of weight h takes the tail prefix whose weights are at least
+    _NODE_TAU / h. Each block adds a group of head rows with the same
+    prefix length to that prefix: at most _NODE_BLOCK nodes, unless one
+    row's prefix is longer. A grid without nodes under _NODE_TAU is
+    visited whole, every head row taking the whole tail.
 
     Every node left out weighs less than _NODE_TAU, so all of them
     together move a sum of wp, wp * y or wp * p by less than
     n**L * _NODE_TAU * max(1, max|y|): below 1e-18 at unit scale for
     every node count the oracle uses by default, far below the rounding
-    error of a sum over that many nodes. A grid without such nodes is
-    swept whole, head rows in order; otherwise the blocks group nodes
-    by weight, and the sums round differently from a whole sweep in
-    their last bits.
+    error of a sum over that many nodes.
     """
     L = a.shape[0]
     n = x.size
@@ -348,21 +346,16 @@ def _grid_blocks(a, x, w):
     while n ** (head - outer) > _HEAD_ROWS:
         outer += 1
     tail_y, tail_w = _axis_grid(a[:, head:], x, w)
-    cut = w.min() ** L < _NODE_TAU
-    if cut:
-        order = np.argsort(-tail_w)
-        tail_y, tail_w = np.take(tail_y, order, axis=1), tail_w[order]
+    order = np.argsort(-tail_w)
+    tail_y, tail_w = np.take(tail_y, order, axis=1), tail_w[order]
     a_head = a[:, :head]
     pre, pre_w = _pruned_rows(w, outer, np.zeros((1, 0), dtype=np.intp),
                               np.ones(1))
     for r in range(pre_w.size):
         idx, head_w = _pruned_rows(w, head - outer, pre[r:r + 1],
                                    pre_w[r:r + 1])
-        if cut:
-            # the count of tail weights >= tau / head weight
-            k = np.searchsorted(-tail_w, -_NODE_TAU / head_w, side="right")
-        else:
-            k = np.full(head_w.size, tail_w.size)
+        # the count of tail weights >= tau / head weight
+        k = np.searchsorted(-tail_w, -_NODE_TAU / head_w, side="right")
         rows = np.argsort(k, kind="stable")
         sizes, starts = np.unique(k[rows], return_index=True)
         for size, lo, hi in zip(sizes, starts,

@@ -4,9 +4,10 @@ tools.
 Config files are flat ``key = value`` text. '#' starts a comment at the
 start of a line or after whitespace; elsewhere it is part of the value,
 so ``template_dir = /data/run#3`` keeps the '#'.
-Recognized keys: experiment, L, d, M, mode, beta, seed, chunks, rho,
-rho_seq, alpha, scale, levels, width, height, template_dir, out_dir,
-tolerance. Every experiment documents its own defaults; M accepts
+Recognized keys: experiment, L, M, beta, seed, chunks, rho, alpha,
+scale, levels, width, height, template_dir, out_dir, tolerance; any
+other key is a config error. Every experiment documents its own
+defaults; M accepts
 scientific notation (M = 5e6). The environment variable BIAS_LAB_SEED,
 when set, overrides the config seed.
 
@@ -71,14 +72,11 @@ EXIT_UNWRITABLE = 4
 _KEY_PARSERS = {
     "experiment": str,
     "L": "int",
-    "d": "int",
     "M": "int",
-    "mode": str,
     "beta": float,
     "seed": "int",
     "chunks": "int",
     "rho": float,
-    "rho_seq": "floats",
     "alpha": float,
     "scale": float,
     "levels": "ints",
@@ -542,12 +540,20 @@ def _templates_inspect(args):
     if os.path.isdir(path):
         ts, (width, height) = tpl.load_pgm_dir(path)
         print(f"{path}: {ts.L} PGM templates, {width}x{height} pixels")
+        print(f"common norm: {ts.common_norm:.6g}")
     else:
         ts = tpl.load_csv(path)
         print(f"{path}: {ts.L} templates, dimension {ts.d}")
+        # load_csv rescales the columns, so the norm comes from the file
+        norms = np.linalg.norm(tpl.read_csv(path)[0], axis=0)
+        lo, hi = norms.min(), norms.max()
+        if hi - lo > tpl.NORM_RTOL * hi:
+            print(f"column norms: {lo:.6g} to {hi:.6g} (not common; "
+                  f"inspected at norm 1)")
+        else:
+            print(f"common norm: {norms[0]:.6g}")
     corr = ts.correlation()
     off = corr[~np.eye(ts.L, dtype=bool)]
-    print(f"common norm: {ts.common_norm:.6g}")
     print(f"off-diagonal correlation range: [{off.min():+.4f}, "
           f"{off.max():+.4f}]")
     eig = np.linalg.eigvalsh(corr)
@@ -578,8 +584,7 @@ def _prepare_outdir(path):
 def _cmd_run(args):
     try:
         cfg = parse_config(args.config)
-        seed_check = _effective_seed(cfg)
-        del seed_check
+        _effective_seed(cfg)  # a bad BIAS_LAB_SEED is a config error
         thread_count(args.threads)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

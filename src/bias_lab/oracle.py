@@ -17,21 +17,25 @@ engine and of the closed-form theory module:
   to three dimensions have arcsine closed forms; four and five
   dimensions use Plackett's identity, which turns the orthant into a
   one-dimensional integral of those closed forms.
-* a quadrature branch: for L <= 3, one-dimensional Gauss-Hermite
-  integration of the smooth conditional form (bivariate normal CDF and
-  partial moments inside); for 4 <= L <= 6, tensor-product
-  Gauss-Hermite over the whitened vector with direct indicator/softmax
-  evaluation at the nodes. The sweep skips every node whose product
-  weight is below _kernels._NODE_TAU (1e-30): together those nodes
-  carry less than n**L * 1e-30 times the largest |S_k| on the grid,
-  under 1e-18 at unit scale for every default node count and far
-  below the rounding error of the sweep's own sums. Error bounds come
-  from the difference against a run at half the node count, which
-  must differ from the run it bounds (DomainError otherwise). One
-  sweep yields every cluster and every moment, so the sweep of one
-  (Gram, beta, n) is computed once and shared by soft_moments,
-  soft_second_moments, softmax_weights, ibp_residual and hard_moments
-  for every ell.
+* a quadrature branch, one memoized sweep per (Gram, beta, n) that
+  yields every cluster and every moment at once: for hard queries at
+  L <= 3, one-dimensional Gauss-Hermite integration over each S_ell of
+  the smooth conditional form (bivariate normal CDF and partial
+  moments inside); for soft queries at every L and hard ones at
+  4 <= L <= 6, tensor-product Gauss-Hermite over the whitened vector
+  with direct indicator/softmax evaluation at the nodes. The tensor
+  sweep skips every node whose product weight is below
+  _kernels._NODE_TAU (1e-30): together those nodes carry less than
+  n**L * 1e-30 times the largest |S_k| on the grid, under 1e-18 at
+  unit scale for every default node count and far below the rounding
+  error of the sweep's own sums. Error bounds come from the difference
+  against the sweep at half the node count, but at least 8 nodes, which
+  must differ from the sweep it bounds (DomainError otherwise). A bound
+  is at least 1e-15, and at least 1e-12 on the conditional route, whose
+  inner bivariate CDF has a fixed resolution that halving the outer
+  nodes cannot sense. soft_moments, soft_second_moments,
+  softmax_weights, ibp_residual and hard_moments read the same memo for
+  every ell.
 
 The moment queries answer for L <= 6 and raise DimensionError beyond
 it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle
@@ -55,6 +59,7 @@ from .templates import GramModel
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 _EXACT_BOUND = 1e-13
+_CONDITIONAL_FLOOR = 1e-12  # least bound of the L <= 3 hard route
 _PLACKETT_NODES = 64      # Gauss-Legendre points of the Plackett path
 _GH_CACHE = {}
 _GL_CACHE = {}
@@ -121,7 +126,8 @@ def bvn_cdf(h, k, r):
 
 
 def _bvn_lower_moment(a, b, r):
-    """E[U ; U < a, V < b] for standard bivariate normals, correlation r."""
+    """E[U ; U < a, V < b] for standard bivariate normals, correlation r;
+    vectorized over a and b."""
     s = math.sqrt(max(1.0 - r * r, 1e-300))
     return (-_phi(a) * ndtr((b - r * a) / s)
             - r * _phi(b) * ndtr((a - r * b) / s))
@@ -195,8 +201,7 @@ class OracleResult:
     (E[S_k p_l])_k for soft ones; mass the matching P[argmax = l] or
     E[p_l]. ratio() = value / mass is the correlation row the engine
     estimates. error_bound covers every entry of value; mass_bound
-    covers mass. method names the route, "exact" or "quadrature";
-    mass_method differs from it where the mass is known exactly.
+    covers mass. method names the route, "exact" or "quadrature".
 
     nodes is the size of the rule behind value, never a sample count:
     for a quadrature moment query the nodes per axis of its finer sweep;
@@ -213,7 +218,6 @@ class OracleResult:
     mass_bound: float
     method: str
     nodes: int
-    mass_method: str = None
 
     def __post_init__(self):
         v = np.asarray(self.value, dtype=np.float64)
@@ -223,8 +227,6 @@ class OracleResult:
             raise DomainError("error bounds must be positive")
         if self.method == "exact" and self.error_bound > 1e-12:
             raise DomainError("exact method requires error_bound <= 1e-12")
-        if self.mass_method is None:
-            object.__setattr__(self, "mass_method", self.method)
 
     def ratio(self):
         return self.value / self.mass
@@ -253,16 +255,15 @@ def hard_moments(g, ell, method=None, nodes=None):
     """P[argmax S = ell] and (E[S_k ; argmax S = ell])_k for L <= 6.
 
     method None or "exact" uses the orthant reduction; "quadrature" the
-    conditional route (L <= 3) or the tensor node sweep (L in 4..6).
+    memoized sweep: the conditional route (L <= 3, 96 nodes by default)
+    or the tensor node sweep (L in 4..6, 40 nodes).
     """
-    L = _check_query(g, ell, "hard_moments")
+    _check_query(g, ell, "hard_moments")
     if method in (None, "exact"):
         return _hard_exact(g, ell)
     if method != "quadrature":
         raise DomainError(f"unknown method {method!r}")
-    if L <= 3:
-        return _hard_conditional_quadrature(g, ell, nodes or 96)
-    return _tensor_quadrature("hard", g, None, ell, nodes or 40, 1)
+    return _tensor_quadrature("hard", g, None, ell, nodes, 1)
 
 
 def _hard_exact(g, ell):
@@ -297,104 +298,65 @@ def _hard_exact(g, ell):
                         nodes=_PLACKETT_NODES)
 
 
-def _halved(n, floor):
-    """Node count of the run that bounds a run at n nodes: n // 2, but at
-    least floor. DomainError unless it is below n, since a run compared
-    with itself bounds nothing."""
-    half = max(floor, n // 2)
-    if half >= n:
-        raise DomainError(f"a node-halving bound needs more than {floor} "
-                          f"nodes, got {n}")
-    return half
-
-
-def _hard_conditional_quadrature(g, ell, n):
-    n_half = _halved(n, 8)
-
-    def run(nn):
-        return _hard_conditional_once(g, ell, nn)
-
-    val, mass = run(n)
-    val_h, mass_h = run(n_half)
-    # floor covers the fixed-resolution inner bivariate CDF, which the
-    # outer node halving cannot sense
-    bound = max(float(np.max(np.abs(val - val_h))), 1e-12)
-    mbound = max(abs(mass - mass_h), 1e-12)
-    return OracleResult(value=val, mass=mass, error_bound=bound,
-                        mass_bound=mbound, method="quadrature",
-                        nodes=n)
-
-
 def _hard_conditional_once(g, ell, n):
-    """Outer Gauss-Hermite over t = S_ell, closed conditional CDFs inside."""
+    """Hard moments of cluster ell at L <= 3, as (value, prob): outer
+    Gauss-Hermite over t = S_ell, closed conditional CDFs inside."""
     L = g.rho.shape[0]
     cov = g.covariance()
     others = [k for k in range(L) if k != ell]
-    s_ell = math.sqrt(cov[ell, ell])
     x, w = _gh_rule(n)
-    t = s_ell * x
-    # conditional mean slope and residual spread of S_k given S_ell = t
+    t = math.sqrt(cov[ell, ell]) * x
+    # conditional mean slope and residual spread of S_k given S_ell = t,
+    # and the standardized bound a_k of the event S_k < t
     slope = np.array([cov[k, ell] / cov[ell, ell] for k in others])
     resid = np.array([cov[k, k] - cov[k, ell] ** 2 / cov[ell, ell]
                       for k in others])
     sig = np.sqrt(np.maximum(resid, 1e-300))
+    a = [(t - slope[i] * t) / sig[i] for i in range(L - 1)]
+    # p: P(every S_k < t | t); low[i]: E[U_i ; every S_k < t | t] for
+    # the standardized residual U_i of the i-th other coordinate
     if L == 2:
-        a = (t - slope[0] * t) / sig[0]
-        inside = ndtr(a)
-        prob = float(w @ inside)
-        e_own = float(w @ (t * inside))
-        mu = slope[0] * t
-        e_oth = float(w @ (mu * ndtr(a) + sig[0] * (-_phi(a))))
-        value = np.empty(2)
-        value[ell] = e_own
-        value[others[0]] = e_oth
-        return value, prob
-    # L == 3: bivariate conditional of the two other coordinates
-    j, k = others
-    r_c = ((cov[j, k] - cov[j, ell] * cov[k, ell] / cov[ell, ell])
-           / (sig[0] * sig[1]))
-    r_c = min(max(r_c, -1.0 + 1e-12), 1.0 - 1e-12)
-    aj = (t - slope[0] * t) / sig[0]
-    ak = (t - slope[1] * t) / sig[1]
-    p2 = bvn_cdf(aj, ak, r_c)
-    prob = float(w @ p2)
-    e_own = float(w @ (t * p2))
-    mom_j = np.array([_bvn_lower_moment(aj[i], ak[i], r_c)
-                      for i in range(n)])
-    mom_k = np.array([_bvn_lower_moment(ak[i], aj[i], r_c)
-                      for i in range(n)])
-    e_j = float(w @ (slope[0] * t * p2 + sig[0] * mom_j))
-    e_k = float(w @ (slope[1] * t * p2 + sig[1] * mom_k))
-    value = np.empty(3)
-    value[ell] = e_own
-    value[j] = e_j
-    value[k] = e_k
-    return value, prob
-
-
-def _whitening(g):
-    return (g.scale * g.factor).astype(np.float64)
+        p, low = ndtr(a[0]), [-_phi(a[0])]
+    else:
+        j, k = others
+        r_c = ((cov[j, k] - cov[j, ell] * cov[k, ell] / cov[ell, ell])
+               / (sig[0] * sig[1]))
+        r_c = min(max(r_c, -1.0 + 1e-12), 1.0 - 1e-12)
+        p = bvn_cdf(a[0], a[1], r_c)
+        low = [_bvn_lower_moment(a[0], a[1], r_c),
+               _bvn_lower_moment(a[1], a[0], r_c)]
+    value = np.empty(L)
+    value[ell] = float(w @ (t * p))
+    for i, k in enumerate(others):
+        value[k] = float(w @ (slope[i] * t * p + sig[i] * low[i]))
+    return value, float(w @ p)
 
 
 def _sweep(kind, g, beta, n):
-    """The tensor node sweep of one (Gram, beta, n), shared by every cluster.
+    """The node sweep of one (Gram, beta, n), shared by every cluster.
 
-    kind "hard" returns (prob, mom) of the argmax sweep, "soft" returns
-    (mass, mom, pp) of the softmax sweep at a validated beta. The last
-    _SWEEP_SLOTS sweeps are kept, keyed by the whitening's bytes, and
+    kind "hard" returns (prob, mom), prob[l] = P[argmax = l] and
+    mom[l][k] = E[S_k ; argmax = l]: from the conditional route at
+    L <= 3, from the argmax tensor sweep above. kind "soft" returns
+    (mass, mom, pp) of the softmax tensor sweep at a validated beta. The
+    last _SWEEP_SLOTS sweeps are kept, keyed by the model's bytes, and
     their arrays are read-only.
     """
-    a = _whitening(g)
-    key = (kind, a.shape, a.tobytes(), beta, n)
+    a = g.scale * g.factor
+    key = (kind, a.shape, a.tobytes(), g.rho.tobytes(), beta, n)
     with _SWEEP_LOCK:
         hit = _SWEEPS.get(key)
     if hit is not None:
         return hit
     x, w = _gh_rule(n)
-    if kind == "hard":
+    if kind == "soft":
+        hit = _kernels.soft_nodes(None, a, x, w, beta)
+    elif g.L > 3:
         hit = _kernels.hard_nodes(None, a, x, w)
     else:
-        hit = _kernels.soft_nodes(None, a, x, w, beta)
+        vals, probs = zip(*(_hard_conditional_once(g, ell, n)
+                            for ell in range(g.L)))
+        hit = (np.array(probs), np.array(vals))
     for arr in hit:
         arr.setflags(write=False)
     with _SWEEP_LOCK:
@@ -404,23 +366,32 @@ def _sweep(kind, g, beta, n):
     return hit
 
 
-def _tensor_quadrature(kind, g, beta, ell, n, moment):
-    """Row ell of one sweep moment at n nodes per axis, bounded by its gap
-    to the sweep at _halved(n, 8) nodes.
+def _tensor_quadrature(kind, g, beta, ell, nodes, moment):
+    """Row ell of one sweep moment at n = nodes per axis, bounded by its
+    gap to the sweep at n // 2 nodes, but at least 8. DomainError unless
+    that count is below n, since a sweep compared with itself bounds
+    nothing.
 
-    moment 1 is E[S_k ; argmax = ell] or E[S_k p_ell] with its mass from
-    moment 0; moment 2 is E[p_ell p_j], whose weights sum to one.
+    nodes None takes the default: 40 above L = 3; at L <= 3, 96 for hard
+    queries and 80 for soft ones. moment 1 is E[S_k ; argmax = ell] or
+    E[S_k p_ell] with its mass from moment 0; moment 2 is E[p_ell p_j],
+    whose weights sum to one.
     """
-    n_half = _halved(n, 8)
+    n = nodes or (40 if g.L > 3 else 96 if kind == "hard" else 80)
+    floor = _CONDITIONAL_FLOOR if kind == "hard" and g.L <= 3 else 1e-15
+    n_half = max(8, n // 2)
+    if n_half >= n:
+        raise DomainError(f"a node-halving bound needs more than 8 nodes, "
+                          f"got {n}")
     full = _sweep(kind, g, beta, n)
     half = _sweep(kind, g, beta, n_half)
     val = full[moment][ell].copy()
-    bound = max(float(np.max(np.abs(val - half[moment][ell]))), 1e-15)
+    bound = max(float(np.max(np.abs(val - half[moment][ell]))), floor)
     if moment == 2:
         mass, mbound = 1.0, _EXACT_BOUND
     else:
         mass = float(full[0][ell])
-        mbound = max(abs(mass - float(half[0][ell])), 1e-15)
+        mbound = max(abs(mass - float(half[0][ell])), floor)
     return OracleResult(value=val, mass=mass, error_bound=bound,
                         mass_bound=mbound, method="quadrature",
                         nodes=n)
@@ -434,61 +405,18 @@ def _check_beta(beta):
 
 
 def soft_moments(g, beta, ell, nodes=None):
-    """E[p_ell] and (E[S_k p_ell])_k for p = softmax(beta * S), L <= 6.
-
-    L = 2 reduces to one-dimensional integrals over the difference
-    coordinate, with E[p] = 1/2 exact by symmetry. Larger L uses the
-    tensor node sweep.
-    """
-    L = _check_query(g, ell, "soft_moments")
-    beta = _check_beta(beta)
-    if L == 2:
-        return _soft_pair_quadrature(g, beta, ell, nodes or 200)
-    return _tensor_quadrature("soft", g, beta, ell,
-                              nodes or (80 if L == 3 else 40), 1)
-
-
-def _soft_pair_quadrature(g, beta, ell, n):
-    """L = 2 route: p_0 = sigmoid(beta * D), D = S_0 - S_1 carries it all.
-
-    The sum coordinate is independent of D (equal norms), so
-    E[S_0 p_0] = E[D sigmoid(beta D)] / 2 = -E[S_1 p_0], and
-    E[p] = 1/2 exactly by the sigmoid's antisymmetry.
-    """
-    n_half = _halved(n, 16)
-    cov = g.covariance()
-    var_d = cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1]
-    sd = math.sqrt(max(var_d, 0.0))
-
-    def run(nn):
-        x, w = _gh_rule(nn)
-        d = sd * x
-        sig = _stable_sigmoid(beta * d)
-        return 0.5 * float(w @ (d * sig))
-
-    half = run(n)
-    half_h = run(n_half)
-    bound = max(abs(half - half_h), 1e-15)
-    value = np.array([half, -half]) if ell == 0 else np.array([-half, half])
-    return OracleResult(value=value, mass=0.5, error_bound=bound,
-                        mass_bound=_EXACT_BOUND, method="quadrature",
-                        nodes=n, mass_method="exact")
-
-
-def _stable_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """E[p_ell] and (E[S_k p_ell])_k for p = softmax(beta * S), L <= 6,
+    from the softmax tensor sweep (80 nodes by default for L <= 3, 40
+    above)."""
+    _check_query(g, ell, "soft_moments")
+    return _tensor_quadrature("soft", g, _check_beta(beta), ell, nodes, 1)
 
 
 def soft_second_moments(g, beta, ell, nodes=None):
-    """(E[p_ell p_j])_j with a node-halving bound; quadrature only."""
-    L = _check_query(g, ell, "soft_second_moments")
-    return _tensor_quadrature("soft", g, _check_beta(beta), ell,
-                              nodes or (80 if L <= 3 else 40), 2)
+    """(E[p_ell p_j])_j with a node-halving bound, from the sweep that
+    soft_moments reads and at the same default node counts."""
+    _check_query(g, ell, "soft_second_moments")
+    return _tensor_quadrature("soft", g, _check_beta(beta), ell, nodes, 2)
 
 
 def ibp_residual(g, beta, ell, nodes=None):

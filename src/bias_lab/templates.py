@@ -329,13 +329,12 @@ def save_csv(ts, path, header=True):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def load_csv(path, header="auto", rescale=True, norm=None):
-    """Read a template set written as d rows by L columns.
+def read_csv(path, header="auto"):
+    """The stored d x L values of a template CSV and its header labels
+    (None without a header), before any rescaling or TemplateSet check.
 
     header may be True, False, or "auto" (treat the first line as labels
-    when it fails to parse as numbers). With rescale on, every column is
-    scaled to a common norm (norm argument, else 1.0); switching rescale
-    off keeps the stored vectors, which must then already share a norm.
+    when it fails to parse as numbers).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -370,6 +369,17 @@ def load_csv(path, header="auto", rescale=True, norm=None):
     if labels is not None and len(labels) != m.shape[1]:
         raise ParseError(f"{path}: {len(labels)} header labels for "
                          f"{m.shape[1]} columns")
+    return m, labels
+
+
+def load_csv(path, header="auto", rescale=True, norm=None):
+    """Read a template set written as d rows by L columns.
+
+    header is as in read_csv. With rescale on, every column is scaled to
+    a common norm (norm argument, else 1.0); switching rescale off keeps
+    the stored vectors, which must then already share a norm.
+    """
+    m, labels = read_csv(path, header)
     if rescale:
         norms = np.linalg.norm(m, axis=0)
         if np.any(norms == 0.0):

@@ -29,7 +29,6 @@ def test_parse_config_round_trip(tmp_path):
         "M = 5e4\n"
         "seed = 9\n"
         "levels = 16, 64\n"
-        "rho_seq = 1, 0.4, 0, 0.4\n"
         "  # indented comment\n"
         "template_dir = /data/run#3\n"
         "out_dir = /tmp/out#a\t# after a tab\n"
@@ -41,7 +40,6 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg["M"] == 50_000 and isinstance(cfg["M"], int)
     assert cfg["seed"] == 9
     assert cfg["levels"] == (16, 64)
-    assert cfg["rho_seq"] == (1.0, 0.4, 0.0, 0.4)
     # '#' opens a comment only at the start of a line or after whitespace
     assert cfg["template_dir"] == "/data/run#3"
     assert cfg["out_dir"] == "/tmp/out#a"
@@ -113,6 +111,21 @@ def test_run_bad_config_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_BAD_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_run_refuses_keys_no_experiment_reads(tmp_path, capsys):
+    """d, mode and rho_seq are not config keys: bias_demo always runs
+    full mode, so "mode = gram" would be silently ignored."""
+    for key, value in (("mode", "gram"), ("d", "64"),
+                       ("rho_seq", "1, 0.4, 0.4")):
+        cfg = _write_cfg(tmp_path / f"{key}.cfg", experiment="bias_demo",
+                         M=1000, **{key: value})
+        code = cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"unknown config key {key!r}" in err
 
 
 def test_run_mid_run_error_names_its_type(tmp_path, capsys):
@@ -383,13 +396,31 @@ def test_templates_make_and_inspect(tmp_path, capsys):
     assert "correlation rank: 1 of 2" in capsys.readouterr().out
 
 
-def test_templates_make_parses_rho_seq_like_the_config_key(tmp_path, capsys):
+def test_templates_inspect_prints_the_stored_norm(tmp_path, capsys):
+    out = tmp_path / "sets"
+    assert cli.main(["templates", "make", "--family", "pair", "--rho", "0.3",
+                     "--scale", "2.5", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["templates", "inspect",
+                     str(out / "pair_templates.csv")]) == cli.EXIT_OK
+    assert "common norm: 2.5\n" in capsys.readouterr().out
+    # columns of different norms still inspect, with their norm range
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("a,b\n1,0\n0,3\n", encoding="utf-8")
+    assert cli.main(["templates", "inspect", str(mixed)]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert "column norms: 1 to 3 (not common" in text
+    assert "common norm" not in text
+    assert "correlation rank: 2 of 2" in text
+
+
+def test_templates_make_parses_rho_seq_as_a_float_list(tmp_path, capsys):
     out = tmp_path / "sets"
     code = cli.main(["templates", "make", "--family", "circulant",
                      "--rho-seq", "1,x,0.2", "--out", str(out)])
     assert code == cli.EXIT_BAD_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
-    # empty fields are skipped, as in a config file's rho_seq
+    # empty fields are skipped, as in a float list of a config file
     code = cli.main(["templates", "make", "--family", "circulant",
                      "--rho-seq", "1,,0.2,0.2", "--out", str(out)])
     assert code == cli.EXIT_OK

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.integrate import quad
+from scipy.special import expit, ndtr
+from scipy.stats import norm
 
 from bias_lab import (
     DimensionError,
@@ -77,6 +79,23 @@ def test_bvn_cdf_identities():
     for r in (0.3, 0.9, 0.99, 0.9999):
         s = oracle.bvn_cdf(0.0, 0.0, r) + oracle.bvn_cdf(0.0, 0.0, -r)
         assert s == pytest.approx(0.5, abs=1e-12)
+
+
+def test_bvn_lower_moment_on_node_arrays():
+    """The conditional route calls _bvn_lower_moment on whole node arrays:
+    each entry has the bits of the call at that node alone, and the
+    moment matches adaptive quadrature of E[U ; U < a, V < b] =
+    integral of u phi(u) Phi((b - r u) / sqrt(1 - r^2)) over u < a."""
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(-3.0, 3.0, size=(2, 40))
+    for r in (-0.9, 0.0, 0.4, 0.999):
+        got = oracle._bvn_lower_moment(a, b, r)
+        want = [oracle._bvn_lower_moment(ai, bi, r) for ai, bi in zip(a, b)]
+        np.testing.assert_array_equal(got, want)
+        s = math.sqrt(1.0 - r * r)
+        ref = quad(lambda u: u * norm.pdf(u) * ndtr((b[0] - r * u) / s),
+                   -40.0, a[0], epsabs=1e-13, limit=200)[0]
+        assert got[0] == pytest.approx(ref, abs=1e-10)
 
 
 def test_bvn_cdf_extreme_correlation():
@@ -227,10 +246,10 @@ def test_hard_tensor_quadrature_l4():
 def test_node_halving_bound_compares_two_rules():
     """A bound from the run at the halving floor compared with itself
     reads its floor: on these models 1e-15 against true gaps of 7.9e-7
-    (soft L = 3, 8 nodes), 0.027 (hard L = 4, 8 nodes) and 6.6e-8 (soft
-    L = 2, 16 nodes), 1e-12 against 1.6e-6 (hard L = 3, 8 nodes). Such
+    (soft L = 3, 8 nodes), 0.027 (hard L = 4, 8 nodes) and 3.5e-7 (soft
+    L = 2, 8 nodes), 1e-12 against 1.6e-6 (hard L = 3, 8 nodes). Such
     node counts are refused; one node above the floor compares two
-    different rules."""
+    different rules. Every route has the same floor, 8 nodes."""
     rng = np.random.default_rng(2024)
     g2 = GramModel.from_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
     g3 = GramModel.from_correlation(tpl.random_correlation(rng, 3))
@@ -239,7 +258,7 @@ def test_node_halving_bound_compares_two_rules():
     at_floor = [
         lambda: oracle.soft_moments(g3, 1.0, 0, nodes=8),
         lambda: oracle.hard_moments(g4, 0, method="quadrature", nodes=8),
-        lambda: oracle.soft_moments(g2, 1.0, 0, nodes=16),
+        lambda: oracle.soft_moments(g2, 1.0, 0, nodes=8),
         lambda: oracle.hard_moments(g3, 0, method="quadrature", nodes=8),
         lambda: oracle.soft_second_moments(g4, 1.0, 0, nodes=4),
     ]
@@ -250,7 +269,7 @@ def test_node_halving_bound_compares_two_rules():
              oracle.soft_moments(g4, 1.0, 0, nodes=10),
              oracle.hard_moments(g4, 0, method="quadrature", nodes=9),
              oracle.hard_moments(g3, 0, method="quadrature", nodes=9),
-             oracle.soft_moments(g2, 1.0, 0, nodes=17)]
+             oracle.soft_moments(g2, 1.0, 0, nodes=9)]
     for res in above:
         assert res.error_bound > 1e-12
 
@@ -276,14 +295,26 @@ def test_hard_exact_l5_matches_engine():
 # ------------------------------------------------------------- soft oracle
 
 def test_soft_pair_one_dimensional_reduction():
-    g = GramModel.from_correlation(np.array([[1.0, 0.2], [0.2, 1.0]]))
-    res = oracle.soft_moments(g, 1.0, 0)
-    # E[p] = 1/2 holds exactly by symmetry of the logistic link
-    assert res.mass == 0.5
-    assert res.mass_method == "exact"
-    assert res.value[1] == pytest.approx(-res.value[0], abs=1e-14)
-    tensor = oracle._tensor_quadrature("soft", g, 1.0, 0, 120, 1)
-    np.testing.assert_allclose(res.value, tensor.value, atol=1e-9)
+    """At L = 2, p_0 = sigmoid(beta D) with D = S_0 - S_1, and the sum
+    coordinate is independent of D, so E[S_0 p_0] = E[D sigmoid(beta D)]
+    / 2 = -E[S_1 p_0] and E[p_0] = 1/2. The tensor sweep meets the
+    adaptive one-dimensional integral within its bound, and the two
+    identities within theirs."""
+    rho, scale = 0.2, 1.5
+    g = GramModel.from_correlation(np.array([[1.0, rho], [rho, 1.0]]),
+                                   scale=scale)
+    sd = scale * math.sqrt(2.0 * (1.0 - rho))
+    for sharp in (1.0, 5.0, 20.0):
+        beta = sharp / scale
+
+        def integrand(d, beta=beta):
+            return 0.5 * d * expit(beta * d) * norm.pdf(d, scale=sd)
+        ref = quad(integrand, -12.0 * sd, 12.0 * sd, epsabs=1e-14,
+                   epsrel=1e-14, limit=400)[0]
+        res = oracle.soft_moments(g, beta, 0)
+        assert abs(res.value[0] - ref) <= res.error_bound, sharp
+        assert abs(res.value[0] + res.value[1]) <= 2.0 * res.error_bound
+        assert abs(res.mass - 0.5) <= res.mass_bound, sharp
 
 
 def test_soft_pair_ell_one_mirrors_ell_zero():
@@ -589,6 +620,45 @@ def test_one_sweep_serves_every_cluster(monkeypatch):
             oracle.soft_moments(g, beta, ell, nodes=n).value,
             first[ell].value)
     assert sorted(calls["soft"]) == [8, 10]
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_one_sweep_serves_every_cluster_at_small_l(monkeypatch, L):
+    """At L <= 3 the hard quadrature queries of every cluster read one
+    conditional sweep at n and one at the halving count, which run the
+    per-cluster route once for each cluster, and the soft queries read
+    one tensor sweep at each count. Repeated queries run nothing."""
+    rng = np.random.default_rng(505 + L)
+    g = GramModel.from_correlation(tpl.random_correlation(rng, L, rmax=0.6))
+    calls = _count_sweeps(monkeypatch)
+    runs = []
+    once = oracle._hard_conditional_once
+
+    def counted(g, ell, n):
+        runs.append((n, ell))
+        return once(g, ell, n)
+    monkeypatch.setattr(oracle, "_hard_conditional_once", counted)
+    n, beta = 20, 1.2
+    for _ in range(2):
+        hard = [oracle.hard_moments(g, ell, method="quadrature", nodes=n)
+                for ell in range(L)]
+        soft = [oracle.soft_moments(g, beta, ell, nodes=n)
+                for ell in range(L)]
+    assert sorted(runs) == [(m, ell) for m in (10, 20) for ell in range(L)]
+    assert calls["hard"] == []
+    assert sorted(calls["soft"]) == [10, 20]
+    for ell, res in enumerate(hard):
+        value, prob = once(g, ell, n)
+        np.testing.assert_array_equal(res.value, value)
+        assert res.mass == prob
+    assert sum(r.mass for r in hard) == pytest.approx(1.0, abs=1e-9)
+    assert sum(r.mass for r in soft) == pytest.approx(1.0, abs=1e-12)
+    for res in hard + soft:
+        with pytest.raises(ValueError):
+            res.value[0] = 0.0
+    assert len(oracle._SWEEPS) == 4
+    for memo in oracle._SWEEPS.values():
+        assert not any(arr.flags.writeable for arr in memo)
 
 
 @settings(max_examples=15, deadline=None)
