@@ -1,11 +1,12 @@
-"""The check table: every comparison that verify and the acceptance tests make.
+"""The check table: every comparison that verify, run and the acceptance
+tests make.
 
 Each check runs the engine or the oracle on the inputs its caller gives,
 compares the result with a closed form (`theory`) or the quadrature
 `oracle` under one tolerance rule, and returns a CheckResult: ReportRows
 plus at most one CSV table. ``CHECKS`` names them all. Three consumers
 share the table, each with its own inputs: ``bias-lab verify``, the
-``gumbel_sweep`` experiment and the acceptance scorecard in
+experiments of ``bias-lab run`` and the acceptance scorecard in
 tests/test_acceptance.py.
 
 Engine, oracle, theory and template calls go through their module
@@ -52,10 +53,12 @@ class ReportRow:
 
 @dataclass
 class CheckResult:
-    """Rows of one check and its CSV table as (header, rows), or None."""
+    """Rows of one check, its CSV table as (header, rows) or None, and
+    the estimate of its last engine run when a caller saves it."""
 
     rows: list
     table: tuple = None
+    estimate: object = None
 
 
 def _near(name, measured, predicted, tol, provenance, note=""):
@@ -88,29 +91,61 @@ def oracle_tol(stderr, ref):
     return 3.0 * (stderr + float(ref.ratio_bound()))
 
 
-def antisymmetry(name, est):
-    """The estimate rows of an exchangeable pair cancel, in both columns."""
-    return _entrywise(name, est.corr[1] + est.corr[0],
-                      3.0 * (est.stderr[1] + est.stderr[0]),
-                      "exchange symmetry of the pair")
+def pair_hard(rhos, m, seed, scale=1.0, chunks=None, tolerance=None,
+              threads=None):
+    """Hard pair self correlation against sqrt((1 - rho) / pi) * scale.
 
-
-def pair_hard(rhos, m, seed, threads=None):
-    """Hard pair self correlation against sqrt((1 - rho) / pi)."""
+    Each row passes within max(0.002, 3 sigma), or within tolerance
+    when one is given.
+    """
     rows, table = [], []
     for rho in rhos:
-        est = estimate(tpl.make_pair(rho), m, seed, threads=threads)
-        pred = theory.hard_pair_prediction(rho, 1.0).predicted_corr[0][0]
-        measured = float(est.corr[0, 0])
+        est = estimate(tpl.make_pair(rho, norm=scale), m, seed,
+                       threads=threads, chunks=chunks)
+        pred = theory.hard_pair_prediction(rho, scale).predicted_corr[0][0]
+        measured, se = float(est.corr[0, 0]), float(est.stderr[0, 0])
+        tol = max(0.002, 3.0 * se) if tolerance is None else tolerance
         row = _near(f"hard pair rho={rho:+.2f} self correlation", measured,
-                    pred, 0.005,
+                    pred, tol,
                     "closed form, maximum of two correlated normals")
-        rows += [row, antisymmetry(f"hard pair rho={rho:+.2f} antisymmetry",
-                                   est)]
-        table.append((rho, measured, float(est.stderr[0, 0]), pred,
-                      row.passed))
-    return CheckResult(rows, ("rho,measured_corr,stderr,predicted,passed",
-                              table))
+        rows += [row, _entrywise(  # the rows of the pair cancel
+            f"hard pair rho={rho:+.2f} antisymmetry",
+            est.corr[1] + est.corr[0], 3.0 * (est.stderr[1] + est.stderr[0]),
+            "exchange symmetry of the pair")]
+        table.append((rho, measured, se, pred, tol, row.passed))
+    return CheckResult(
+        rows, ("rho,measured_corr,stderr,predicted,tolerance,passed", table),
+        est)
+
+
+def pair_soft(rho, beta, m, seed, scale=1.0, chunks=None, tolerance=None,
+              threads=None):
+    """Soft pair self correlation against the oracle, within oracle_tol
+    or the given tolerance; the small-correlation closed form is shown
+    without a verdict."""
+    est = estimate(tpl.make_pair(rho, norm=scale), m, seed, beta, threads,
+                   chunks=chunks)
+    ref = oracle.soft_moments(GramModel.from_correlation(
+        np.array([[1.0, rho], [rho, 1.0]]), scale=scale), beta, 0)
+    truth = float(ref.ratio()[0])
+    measured, se = float(est.corr[0, 0]), float(est.stderr[0, 0])
+    row = _near(f"soft pair rho={rho:+.2f} self correlation", measured, truth,
+                oracle_tol(se, ref) if tolerance is None else tolerance,
+                f"oracle {ref.method} ({ref.nodes} nodes)")
+    approx = theory.soft_pair_prediction(rho, scale)
+    pred = float(approx.predicted_corr[0][0])
+    note = approx.validity_note + (
+        "" if beta == 1.0 else
+        f"; stated at unit sharpness, run used beta={beta:g}")
+    return CheckResult(
+        [row, ReportRow("small-correlation closed-form approximation", truth,
+                        pred, math.nan,
+                        "linearized sigmoid moment, approximate", None,
+                        note)],
+        ("rho,beta,measured_corr,stderr,oracle_value,oracle_bound,"
+         "approx_prediction,passed",
+         [(rho, beta, measured, se, truth, float(ref.ratio_bound()), pred,
+           row.passed)]))
 
 
 def bridge(rho, m, seed, betas, threads=None):
@@ -442,7 +477,27 @@ def mass_sanity(m, threads=None):
         "binomial standard error")])
 
 
+def bias_demo(ts, m, seed, beta=math.inf, chunks=None, threads=None):
+    """Every full-mode estimate has its largest Pearson correlation (over
+    the d coordinates) with its own template; the row shows the worst
+    margin."""
+    est = estimate(ts, m, seed, beta, threads, mode="full", chunks=chunks)
+    pearson = np.array([[np.corrcoef(e, x)[0, 1] for x in ts.matrix.T]
+                        for e in est.estimates])
+    off = np.where(np.eye(ts.L, dtype=bool), -np.inf, pearson)
+    worst = float(np.min(np.diag(pearson) - np.max(off, axis=1)))
+    return CheckResult(
+        [ReportRow("estimate matches its own template best (worst margin)",
+                   worst, 0.0, 0.0,
+                   "sample Pearson correlation on rendered vectors",
+                   worst > 0.0)],
+        ("estimate_index," + ",".join(f"corr_with_template_{j}"
+                                      for j in range(ts.L)),
+         [(i, *map(float, row)) for i, row in enumerate(pearson)]),
+        est)
+
+
 CHECKS = {f.__name__: f for f in (
-    pair_hard, bridge, beta_zero, positivity, average_dependency,
+    pair_hard, pair_soft, bridge, beta_zero, positivity, average_dependency,
     individual_dependency, span, finite_l, gumbel, soft_consistency,
-    oracle_self, agreement, mass_sanity)}
+    oracle_self, agreement, mass_sanity, bias_demo)}

@@ -1,15 +1,26 @@
-"""Command line driver: canned experiments, verification suites, template
-tools.
+"""Command line driver: experiments, verification suites, template tools.
 
 Config files are flat ``key = value`` text. '#' starts a comment at the
 start of a line or after whitespace; elsewhere it is part of the value,
-so ``template_dir = /data/run#3`` keeps the '#'.
-Recognized keys: experiment, L, M, beta, seed, chunks, rho, alpha,
-scale, levels, width, height, template_dir, out_dir, tolerance; any
-other key is a config error. Every experiment documents its own
-defaults; M accepts
-scientific notation (M = 5e6). The environment variable BIAS_LAB_SEED,
-when set, overrides the config seed.
+so ``template_dir = /data/run#3`` keeps the '#'. M accepts scientific
+notation (M = 5e6). Every experiment reads experiment, out_dir and seed
+(default 0; BIAS_LAB_SEED, when set, overrides it), and its own keys,
+shown with their defaults (chunks: automatic; tolerance: the check's
+rule):
+
+    pair_hard     rho 0.99, scale 1, M 5e6, chunks, tolerance
+    pair_soft     rho 0, scale 1, beta 1, M 1e6, chunks, tolerance
+    gumbel_sweep  levels 16,64,256,1024,4096, M 1e6, chunks
+    bias_demo     M 2e5, beta inf, chunks, and either template_dir or
+                  width 32, height 32, L 12, alpha 8/(width*height)
+
+Any other key is a config error. `templates make --family F --out DIR`
+reads these flags, and refuses any other with exit 3:
+
+    pair          --rho 0, --d 2, --scale 1
+    circulant     --rho-seq (required), --d L, --scale 1
+    exponential   --d (required), --alpha 0.1, --scale 1
+    haar          --d, --L (required), --alpha 0.1, --scale 1, --seed 0
 
 Exit codes: 0 all tolerance rows pass, 1 at least one row failed,
 2 unknown experiment name, 3 invalid config or an error raised
@@ -17,29 +28,25 @@ during the run, 4 unwritable output directory. A config that fails to
 parse prints "config error: <message>"; a package error raised by the
 experiment itself prints "error: <TypeName>: <message>".
 
-Checks: each comparison of a measurement with its reference that
-`verify` makes is defined once, in the check table of `bias_lab.checks`.
-The table has three consumers, each with its own inputs: `verify` (fast
-and full suites), the gumbel_sweep experiment and the acceptance
-scorecard (tests/test_acceptance.py).
+Checks: every experiment and every comparison that `verify` makes is an
+entry of the check table in `bias_lab.checks`, which the acceptance
+scorecard (tests/test_acceptance.py) shares, with inputs of its own.
 
-Artifacts: every experiment writes CSV tables (UTF-8, comma separated,
-'.' decimal, one header line naming columns and units) plus report.txt.
-CSV bytes are deterministic for a fixed config and seed. What describes
-the run rather than its results appears only in report.txt and on
-stdout: the "## run" section (bias_lab, Python, numpy and scipy
-versions, --threads as given, "auto" when not, os.cpu_count(),
-engine_blas, the BLAS threads inside engine runs: "1 thread
-(<library>)" or "not controlled", and peak_rss_mb, the process's peak
-resident set size in MB so far, from getrusage) and wall-clock time,
-including the seconds each check took (the "## timings" section).
+Artifacts: CSV tables (UTF-8, comma separated, '.' decimal, one header
+line naming columns and units), report.txt and, for bias_demo, PGM
+images. CSV bytes depend only on the config and seed. What describes
+the run goes only to report.txt and stdout: the "## run" section
+(versions, --threads as given or "auto", os.cpu_count(), engine_blas:
+"1 thread (<library>)" or "not controlled", and peak_rss_mb, the peak
+resident set size so far from getrusage) and "## timings", the seconds
+each check took.
 
 --threads must be an integer >= 1 when given; anything else is a config
 error. A check that raises a package error during `verify` becomes one
 FAIL row, "<check> raised <TypeName>: <message>", and the suite goes on.
 """
-
 import argparse
+import inspect
 import math
 import os
 import platform
@@ -52,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-from . import __version__, checks, oracle, theory
+from . import __version__, checks
 from . import templates as tpl
 from .checks import CheckResult, ReportRow
 from .engine import blas_control, thread_count
@@ -92,7 +99,7 @@ def _parse_scalar(key, raw, kind):
     try:
         if kind == "int":
             v = float(raw)
-            if v != int(v):
+            if not v.is_integer():
                 raise ValueError(raw)
             return int(v)
         if kind == "floats":
@@ -150,21 +157,18 @@ def _effective_seed(cfg):
 class RunReport:
     """Self-contained record of one run: config echo, rows, what ran
     (versions, --threads as given, cores, engine BLAS threads, peak
-    RSS), seconds per check, artifacts."""
+    RSS), seconds per check and since the report began, artifacts."""
 
     title: str
     config: dict
     rows: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
-    wall_time: float = 0.0
+    started: float = field(default_factory=time.time)
     timings: dict = field(default_factory=dict)
     threads: int = None
 
     def all_pass(self):
         return all(r.passed for r in self.rows if r.passed is not None)
-
-    def add(self, row):
-        self.rows.append(row)
 
     def text(self):
         lines = [f"# {self.title}", "## config"]
@@ -177,7 +181,7 @@ class RunReport:
         nfail = sum(1 for r in self.rows if r.passed is False)
         lines.append(f"## summary: {npass} passed, {nfail} failed, "
                      f"{len(self.rows) - npass - nfail} informational")
-        lines.append(f"wall_time_seconds = {self.wall_time:.3f}")
+        lines.append(f"wall_time_seconds = {time.time() - self.started:.3f}")
         threads = "auto" if self.threads is None else self.threads
         lines += ["## run",
                   f"bias_lab = {__version__}",
@@ -227,7 +231,6 @@ def _write_csv(outdir, name, header, rows, report):
         for row in rows:
             fh.write(",".join(_csv_cell(c) for c in row) + "\n")
     report.artifacts.append(path)
-    return path
 
 
 def _csv_cell(value):
@@ -272,131 +275,82 @@ def render_pgm(vector, width, height, path):
 # experiments
 
 
-def _exp_pair_hard(cfg, outdir, threads):
-    rho = float(cfg.get("rho", 0.99))
-    scale = float(cfg.get("scale", 1.0))
-    m = int(cfg.get("M", 5_000_000))
-    seed = _effective_seed(cfg)
-    report = RunReport("pair_hard", dict(cfg, seed=seed))
-    est = checks.estimate(tpl.make_pair(rho, norm=scale), m, seed,
-                          threads=threads, chunks=cfg.get("chunks"))
-    pred = theory.hard_pair_prediction(rho, scale).predicted_corr[0][0]
-    tol = float(cfg.get("tolerance", max(0.002, 3.0 * est.stderr[0, 0])))
-    measured = float(est.corr[0, 0])
-    row = ReportRow("self correlation of estimate 0", measured, pred, tol,
-                    "closed form, maximum of two correlated normals",
-                    abs(measured - pred) <= tol)
-    report.add(row)
-    report.add(checks.antisymmetry("antisymmetry corr[1] + corr[0]", est))
-    _write_csv(outdir, "pair_hard.csv",
-               "rho,measured_corr,stderr,predicted,tolerance,passed",
-               [(rho, measured, float(est.stderr[0, 0]), pred, tol,
-                 row.passed)], report)
-    est.save_csv(outdir, "pair_hard_estimate")
-    return report
+def _declared(fn, given, what, spell=repr):
+    """fn(**given), where fn's parameters are the inputs `what` reads and
+    its defaults theirs; an input it does not read, or a required one
+    missing, is a ConfigError that names it."""
+    params = inspect.signature(fn).parameters
+    unread = [spell(k) for k in given if k not in params]
+    if unread:
+        raise ConfigError(f"{what} does not read {', '.join(unread)}")
+    missing = [spell(k) for k, p in params.items()
+               if p.default is p.empty and k not in given]
+    if missing:
+        raise ConfigError(f"{what} needs {' and '.join(missing)}")
+    return fn(**given)
 
 
-def _exp_pair_soft(cfg, outdir, threads):
-    rho = float(cfg.get("rho", 0.0))
-    scale = float(cfg.get("scale", 1.0))
-    beta = float(cfg.get("beta", 1.0))
-    m = int(cfg.get("M", 1_000_000))
-    seed = _effective_seed(cfg)
-    report = RunReport("pair_soft", dict(cfg, seed=seed))
-    est = checks.estimate(tpl.make_pair(rho, norm=scale), m, seed, beta,
-                          threads, chunks=cfg.get("chunks"))
-    g = GramModel.from_correlation(np.array([[1.0, rho], [rho, 1.0]]),
-                                   scale=scale)
-    ref = oracle.soft_moments(g, beta, 0)
-    truth = float(ref.ratio()[0])
-    bound = float(ref.ratio_bound())
-    measured = float(est.corr[0, 0])
-    tol = float(cfg.get("tolerance",
-                        checks.oracle_tol(float(est.stderr[0, 0]), ref)))
-    row = ReportRow("self correlation of estimate 0", measured, truth, tol,
-                    f"oracle {ref.method} ({ref.nodes} nodes)",
-                    abs(measured - truth) <= tol)
-    report.add(row)
-    approx = theory.soft_pair_prediction(rho, scale)
-    approx_note = approx.validity_note
-    if beta != 1.0:
-        approx_note += "; stated at unit sharpness, run used "
-        approx_note += f"beta={beta:g}"
-    report.add(ReportRow(
-        "small-correlation closed-form approximation",
-        truth, approx.predicted_corr[0][0], math.nan,
-        "linearized sigmoid moment, approximate", None, note=approx_note))
-    _write_csv(outdir, "pair_soft.csv",
-               "rho,beta,measured_corr,stderr,oracle_value,oracle_bound,"
-               "approx_prediction,passed",
-               [(rho, beta, measured, float(est.stderr[0, 0]), truth, bound,
-                 float(approx.predicted_corr[0][0]), row.passed)], report)
-    return report
+# An experiment's parameters are the config keys it reads besides
+# experiment and out_dir, with their defaults. It returns the inputs of
+# its check and a function that saves what the check returns beyond its
+# CSV table, or None.
 
 
-def _gumbel_sweep(cfg, outdir, threads):
-    levels = tuple(cfg.get("levels", (16, 64, 256, 1024, 4096)))
-    seed = _effective_seed(cfg)
-    report = RunReport("gumbel_sweep", dict(cfg, seed=seed, levels=levels))
-    err = _run_check(report, outdir, "gumbel_sweep.csv", "gumbel",
-                     levels=levels, m=int(cfg.get("M", 1_000_000)),
-                     seed=seed, chunks=cfg.get("chunks"), threads=threads)
-    if err is not None:
-        raise err  # an experiment that raises exits 3 (see _cmd_run)
-    return report
+def _pair_hard(seed, rho=0.99, scale=1.0, M=5_000_000, chunks=None,
+               tolerance=None):
+    return (dict(rhos=(rho,), m=M, seed=seed, scale=scale, chunks=chunks,
+                 tolerance=tolerance),
+            lambda res, outdir: res.estimate.save_csv(
+                outdir, "pair_hard_estimate"))
 
 
-def _exp_bias_demo(cfg, outdir, threads):
-    seed = _effective_seed(cfg)
-    m = int(cfg.get("M", 200_000))
-    beta = float(cfg.get("beta", math.inf))
-    if "template_dir" in cfg:
-        ts, (width, height) = tpl.load_pgm_dir(cfg["template_dir"])
+def _pair_soft(seed, rho=0.0, scale=1.0, beta=1.0, M=1_000_000, chunks=None,
+               tolerance=None):
+    return dict(rho=rho, beta=beta, m=M, seed=seed, scale=scale,
+                chunks=chunks, tolerance=tolerance), None
+
+
+def _gumbel_sweep(seed, levels=(16, 64, 256, 1024, 4096), M=1_000_000,
+                  chunks=None):
+    return dict(levels=levels, m=M, seed=seed, chunks=chunks), None
+
+
+def _bias_demo(seed, M=200_000, beta=math.inf, chunks=None,
+               template_dir=None, width=None, height=None, L=None,
+               alpha=None):
+    """The PGM images of template_dir, or, without it, L = 12 Haar
+    rotations (seed + 1) of make_exponential(d, alpha) with d = width x
+    height pixels, 32 x 32 and alpha = 8 / d unless given."""
+    synthetic = dict(width=width, height=height, L=L, alpha=alpha)
+    if template_dir is not None:
+        given = [repr(k) for k, v in synthetic.items() if v is not None]
+        if given:
+            raise ConfigError(f"experiment 'bias_demo' does not read "
+                              f"{', '.join(given)} with 'template_dir'")
+        ts, (width, height) = tpl.load_pgm_dir(template_dir)
     else:
-        width = int(cfg.get("width", 32))
-        height = int(cfg.get("height", 32))
-        L = int(cfg.get("L", 12))
+        width = 32 if width is None else width
+        height = 32 if height is None else height
         d = width * height
-        x0 = tpl.make_exponential(d, float(cfg.get("alpha", 8.0 / d)))
-        ts = tpl.make_haar_family(np.asarray(x0).ravel(), L, seed=seed + 1)
-    report = RunReport("bias_demo", dict(cfg, seed=seed))
-    est = checks.estimate(ts, m, seed, beta, threads, mode="full",
-                          chunks=cfg.get("chunks"))
-    L = ts.L
-    pearson = np.empty((L, L))
-    for i in range(L):
-        for j in range(L):
-            pearson[i, j] = np.corrcoef(est.estimates[i],
-                                        ts.matrix[:, j])[0, 1]
-    margins = [float(pearson[i, i] - max(pearson[i, k]
-                                         for k in range(L) if k != i))
-               for i in range(L)]
-    worst = min(margins)
-    report.add(ReportRow(
-        "estimate matches its own template best (worst margin)",
-        worst, 0.0, 0.0, "sample Pearson correlation on rendered vectors",
-        worst > 0.0))
-    for i in range(L):
-        label = ts.labels[i] if ts.labels else f"{i:02d}"
-        report.artifacts.append(render_pgm(
-            est.estimates[i], width, height,
-            os.path.join(outdir, f"estimate_{label}.pgm")))
-        report.artifacts.append(render_pgm(
-            ts.matrix[:, i], width, height,
-            os.path.join(outdir, f"template_{label}.pgm")))
-    _write_csv(outdir, "bias_demo_pearson.csv",
-               "estimate_index," + ",".join(
-                   f"corr_with_template_{j}" for j in range(L)),
-               [(i, *[float(pearson[i, j]) for j in range(L)])
-                for i in range(L)], report)
-    return report
+        x0 = tpl.make_exponential(d, 8.0 / d if alpha is None else alpha)
+        ts = tpl.make_haar_family(x0, 12 if L is None else L, seed=seed + 1)
+
+    def render(res, outdir):
+        return [render_pgm(vec, width, height,
+                           os.path.join(outdir, f"{kind}_{label}.pgm"))
+                for i, label in enumerate(ts.labels)
+                for kind, vec in (("estimate", res.estimate.estimates[i]),
+                                  ("template", ts.matrix[:, i]))]
+
+    return dict(ts=ts, m=M, seed=seed, beta=beta, chunks=chunks), render
 
 
-_EXPERIMENT_FUNCS = {
-    "pair_hard": _exp_pair_hard,
-    "pair_soft": _exp_pair_soft,
-    "gumbel_sweep": _gumbel_sweep,
-    "bias_demo": _exp_bias_demo,
+# experiment: (check, CSV file of its table, inputs from config keys)
+_EXPERIMENTS = {
+    "pair_hard": ("pair_hard", "pair_hard.csv", _pair_hard),
+    "pair_soft": ("pair_soft", "pair_soft.csv", _pair_soft),
+    "gumbel_sweep": ("gumbel", "gumbel_sweep.csv", _gumbel_sweep),
+    "bias_demo": ("bias_demo", "bias_demo_pearson.csv", _bias_demo),
 }
 
 
@@ -407,9 +361,9 @@ _EXPERIMENT_FUNCS = {
 def _run_check(report, outdir, csv_name, name, **inputs):
     """Run one entry of the check table into report, timing it.
 
-    A check that raises a BiasLabError adds one FAIL row naming the
-    error in place of its rows and table, and the error is returned, so
-    a suite can go on; otherwise the result is None.
+    Returns (result, error). A check that raises a BiasLabError adds
+    one FAIL row naming the error in place of its rows and table, and
+    the error is returned, so a suite can go on; otherwise it is None.
     """
     t0 = time.perf_counter()
     err = None
@@ -425,7 +379,7 @@ def _run_check(report, outdir, csv_name, name, **inputs):
     report.rows.extend(res.rows)
     if res.table is not None:
         _write_csv(outdir, csv_name, *res.table, report)
-    return err
+    return res, err
 
 
 def _oracle_inputs(n_ibp):
@@ -483,13 +437,11 @@ def verify(suite, outdir, threads=None):
         raise ConfigError(f"unknown suite {suite!r}")
     thread_count(threads)
     os.makedirs(outdir, exist_ok=True)
-    t0 = time.time()
     report = RunReport(f"verify --suite {suite}", {"suite": suite},
                        threads=threads)
     for name, inputs in _suite(suite == "full"):
         _run_check(report, outdir, f"verify_{name}.csv", name,
                    threads=threads, **inputs)
-    report.wall_time = time.time() - t0
     return report
 
 
@@ -497,41 +449,51 @@ def verify(suite, outdir, threads=None):
 # templates subcommand
 
 
+def _make_pair(rho=0.0, d=2, scale=1.0):
+    return tpl.make_pair(rho, d=d, norm=scale)
+
+
+def _make_circulant(rho_seq, d=None, scale=1.0):
+    seq = np.array(_parse_scalar("rho_seq", rho_seq, "floats"))
+    return tpl.make_circulant(seq, d=d, norm=scale)
+
+
+def _make_exponential(d, alpha=0.1, scale=1.0):
+    # a single decaying profile, not a template set; written as a
+    # one-column CSV usable as the seed vector of a haar family
+    return tpl.make_exponential(d, alpha, norm=scale)
+
+
+def _make_haar(d, L, alpha=0.1, scale=1.0, seed=0):
+    # Haar rotations of an exponential profile, as bias_demo builds its set
+    return tpl.make_haar_family(tpl.make_exponential(d, alpha, norm=scale),
+                                L, seed=seed)
+
+
+_FAMILIES = {"pair": _make_pair, "circulant": _make_circulant,
+             "exponential": _make_exponential, "haar": _make_haar}
+_MAKE_FLAGS = dict(rho=float, rho_seq=str, alpha=float, d=int, L=int,
+                   scale=float, seed=int)
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
 def _templates_make(args):
     fam = args.family
-    if fam == "pair":
-        ts = tpl.make_pair(args.rho, norm=args.scale)
-    elif fam == "circulant":
-        if not args.rho_seq:
-            raise ConfigError("circulant family needs --rho-seq")
-        seq = np.array(_parse_scalar("rho_seq", args.rho_seq, "floats"))
-        ts = tpl.make_circulant(seq, d=args.d, norm=args.scale)
-    elif fam == "exponential":
-        # a single decaying profile, not a template set; written as a
-        # one-column CSV usable as the seed vector of a haar family
-        if args.d is None:
-            raise ConfigError("exponential family needs --d")
-        v = tpl.make_exponential(args.d, args.alpha, norm=args.scale)
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "exponential_profile.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x0\n")
-            for val in v:
-                fh.write(f"{val:.17g}\n")
-        print(f"wrote {path} ({v.size} rows x 1 column, seed profile)")
-        return EXIT_OK
-    elif fam == "haar":
-        if args.d is None or args.L is None:
-            raise ConfigError("haar family needs --d and --L")
-        rng = np.random.default_rng(args.seed)
-        ts = tpl.make_haar_family(rng.standard_normal(args.d), args.L,
-                                  seed=args.seed)
-    else:
-        raise ConfigError(f"unknown family {fam!r}")
+    given = {k: getattr(args, k) for k in _MAKE_FLAGS
+             if getattr(args, k) is not None}
+    made = _declared(_FAMILIES[fam], given, f"--family {fam}", _flag)
     os.makedirs(args.out, exist_ok=True)
+    if fam == "exponential":
+        path = os.path.join(args.out, "exponential_profile.csv")
+        np.savetxt(path, made, header="x0", comments="", fmt="%.17g")
+        print(f"wrote {path} ({made.size} rows x 1 column, seed profile)")
+        return EXIT_OK
     path = os.path.join(args.out, f"{fam}_templates.csv")
-    tpl.save_csv(ts, path)
-    print(f"wrote {path} ({ts.d} rows x {ts.L} columns)")
+    tpl.save_csv(made, path)
+    print(f"wrote {path} ({made.d} rows x {made.L} columns)")
     return EXIT_OK
 
 
@@ -577,6 +539,7 @@ def _prepare_outdir(path):
             fh.write("")
         os.remove(probe)
     except OSError:
+        print(f"cannot write to output directory {path!r}", file=sys.stderr)
         return False
     return True
 
@@ -584,36 +547,38 @@ def _prepare_outdir(path):
 def _cmd_run(args):
     try:
         cfg = parse_config(args.config)
-        _effective_seed(cfg)  # a bad BIAS_LAB_SEED is a config error
+        seed = _effective_seed(cfg)  # a bad BIAS_LAB_SEED is a config error
         thread_count(args.threads)
-    except (ConfigError, OSError) as exc:
+        name = cfg.get("experiment")
+        if name is None:
+            raise ConfigError("missing 'experiment' key")
+        if name not in _EXPERIMENTS:
+            print(f"unknown experiment {name!r}; choose from "
+                  f"{', '.join(_EXPERIMENTS)}", file=sys.stderr)
+            return EXIT_UNKNOWN_EXPERIMENT
+        check, csv_name, build = _EXPERIMENTS[name]
+        keys = {k: v for k, v in cfg.items()
+                if k not in ("experiment", "out_dir")}
+        inputs, save = _declared(build, dict(keys, seed=seed),
+                                 f"experiment {name!r}")
+    except (BiasLabError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    name = cfg.get("experiment")
-    if name is None:
-        print("config error: missing 'experiment' key", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    if name not in _EXPERIMENT_FUNCS:
-        print(f"unknown experiment {name!r}; choose from "
-              f"{', '.join(_EXPERIMENT_FUNCS)}", file=sys.stderr)
-        return EXIT_UNKNOWN_EXPERIMENT
     outdir = args.out or cfg.get("out_dir") or f"bias_lab_{name}"
     if not _prepare_outdir(outdir):
-        print(f"cannot write to output directory {outdir!r}",
-              file=sys.stderr)
         return EXIT_UNWRITABLE
-    t0 = time.time()
+    report = RunReport(name, dict(cfg, seed=seed), threads=args.threads)
     try:
-        report = _EXPERIMENT_FUNCS[name](cfg, outdir, args.threads)
+        res, err = _run_check(report, outdir, csv_name, check,
+                              threads=args.threads, **inputs)
+        if err is not None:
+            raise err
+        if save is not None:
+            report.artifacts += save(res, outdir)
     except (BiasLabError, OSError) as exc:
         # raised mid-run, after the config parsed: name the error's type
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    report.wall_time = time.time() - t0
-    report.threads = args.threads
-    if not report.timings:
-        # an experiment outside the check table counts as one check
-        report.timings[name] = report.wall_time
     print(report.write(outdir), end="")
     return EXIT_OK if report.all_pass() else EXIT_ROW_FAILED
 
@@ -626,8 +591,6 @@ def _cmd_verify(args):
         return EXIT_BAD_CONFIG
     outdir = args.out or f"bias_lab_verify_{args.suite}"
     if not _prepare_outdir(outdir):
-        print(f"cannot write to output directory {outdir!r}",
-              file=sys.stderr)
         return EXIT_UNWRITABLE
     report = verify(args.suite, outdir, args.threads)
     print(report.write(outdir), end="")
@@ -667,16 +630,11 @@ def build_parser():
     p_tpl = sub.add_parser("templates", help="make or inspect template sets")
     tsub = p_tpl.add_subparsers(dest="tool", required=True)
     p_make = tsub.add_parser("make", help="generate a built-in family")
-    p_make.add_argument("--family", required=True,
-                        choices=("pair", "circulant", "exponential", "haar"))
+    p_make.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p_make.add_argument("--out", required=True)
-    p_make.add_argument("--rho", type=float, default=0.0)
-    p_make.add_argument("--rho-seq", default=None)
-    p_make.add_argument("--alpha", type=float, default=0.1)
-    p_make.add_argument("--d", type=int, default=None)
-    p_make.add_argument("--L", type=int, default=None)
-    p_make.add_argument("--scale", type=float, default=1.0)
-    p_make.add_argument("--seed", type=int, default=0)
+    for key, kind in _MAKE_FLAGS.items():
+        # None when not given: each family has its own defaults
+        p_make.add_argument(_flag(key), type=kind)
     p_make.set_defaults(func=_cmd_templates)
     p_ins = tsub.add_parser("inspect", help="summarize a CSV or PGM set")
     p_ins.add_argument("path")
@@ -689,6 +647,3 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     return args.func(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,9 +29,10 @@ The engine schedules the cores of a run itself. cfg.threads caps the
 threads working on it; chunks run in parallel up to that cap, and when
 it is at least twice the number of chunks each chunk gets a helper
 thread that draws its next block of normals while the chunk's kernels
-work on the current one. OpenBLAS is held at one thread during a run
-(see _OneBlasThread), so its own threads do not compete for the same
-cores; its products give the same bits on any number of threads.
+work on the current one. OpenBLAS is held at one thread during a run,
+including full mode's vector build, and during span_residual (see
+_OneBlasThread), so its own threads do not compete for the same cores;
+its products give the same bits on any number of threads.
 
 The orthonormal high-L sweeps get dedicated diagonal-only entry points
 that track just the per-sample argmax / softmax self terms, avoiding the
@@ -166,18 +167,17 @@ class AssignmentEstimate:
         return self.mass.shape[0]
 
     def save_csv(self, directory, stem="estimate"):
-        """Write corr / stderr / mass tables as headed CSV files."""
-        L = self.L
-        cols = ",".join(f"corr_with_t{k}" for k in range(L))
-        np.savetxt(os.path.join(directory, f"{stem}_corr.csv"), self.corr,
-                   delimiter=",", header=cols, comments="", fmt="%.17g")
-        np.savetxt(os.path.join(directory, f"{stem}_stderr.csv"), self.stderr,
-                   delimiter=",", header=cols.replace("corr_with", "stderr"),
-                   comments="", fmt="%.17g")
-        np.savetxt(os.path.join(directory, f"{stem}_mass.csv"),
-                   self.mass[None, :], delimiter=",",
-                   header=",".join(f"mass_t{k}" for k in range(L)),
-                   comments="", fmt="%.17g")
+        """Write corr / stderr / mass tables as headed CSV files; returns
+        their paths."""
+        paths = []
+        for name, values, head in (("corr", self.corr, "corr_with_t"),
+                                   ("stderr", self.stderr, "stderr_t"),
+                                   ("mass", self.mass[None, :], "mass_t")):
+            paths.append(os.path.join(directory, f"{stem}_{name}.csv"))
+            np.savetxt(paths[-1], values, delimiter=",", comments="",
+                       header=",".join(f"{head}{k}" for k in range(self.L)),
+                       fmt="%.17g")
+        return paths
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,10 @@ class _OneBlasThread:
     """Holds OpenBLAS at one thread while any engine run is active.
 
     The engine schedules the cores itself; BLAS threads of its own would
-    compete with the chunk workers and draw-ahead helpers for them. The
+    compete with the chunk workers and draw-ahead helpers for them, and
+    on small factorizations they can cost more than they save (the SVD
+    of a 1024 x 12 template matrix took up to 48 ms on two threads
+    against under 0.5 ms on one, on a 2-core host). The
     setter is process-wide, so the first run to enter saves the count
     and sets 1, and the last to leave restores it, also when a run
     raises. The lock and depth counter make concurrent and nested runs
@@ -398,15 +401,17 @@ def _full_vectors(templates, factor, cfg, span_sums, noise_factor, weights):
     stream of chunk index cfg.chunks, which no chunk uses, so O depends on
     (seed, chunks) only. Empty hard clusters give NaN rows.
     """
-    u, sv, vt = np.linalg.svd(templates.matrix, full_matrices=False)
-    r = factor.shape[1]
-    q = u[:, :r]
-    basis = q @ ((vt[:r] / sv[:r, None]) @ factor)
-    noise = _kernels.chunk_generator(cfg.seed, cfg.chunks).standard_normal(
-        (noise_factor.shape[1], templates.d))
-    noise -= (noise @ q) @ q.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (span_sums @ basis.T + noise_factor @ noise) / weights[:, None]
+    with _ONE_BLAS_THREAD:
+        u, sv, vt = np.linalg.svd(templates.matrix, full_matrices=False)
+        r = factor.shape[1]
+        q = u[:, :r]
+        basis = q @ ((vt[:r] / sv[:r, None]) @ factor)
+        noise = _kernels.chunk_generator(cfg.seed, cfg.chunks).standard_normal(
+            (noise_factor.shape[1], templates.d))
+        noise -= (noise @ q) @ q.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return ((span_sums @ basis.T + noise_factor @ noise)
+                    / weights[:, None])
 
 
 def _pooled(pooled, m):
@@ -617,9 +622,9 @@ def span_residual(est, templates):
     if templates.d <= templates.L:
         raise DimensionError("span residual needs d > L")
     _full_rank(templates.correlation())
-    q = np.linalg.svd(templates.matrix, full_matrices=False)[0]
     v = est.estimates
-    with np.errstate(invalid="ignore"):
+    with _ONE_BLAS_THREAD, np.errstate(invalid="ignore"):
+        q = np.linalg.svd(templates.matrix, full_matrices=False)[0]
         return (np.linalg.norm(v - (v @ q) @ q.T, axis=1)
                 / np.linalg.norm(v, axis=1))
 

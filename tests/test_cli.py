@@ -50,9 +50,11 @@ def test_parse_config_errors(tmp_path):
     p.write_text("experiment = pair_hard\nwarp = 9\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         cli.parse_config(str(p))
-    p.write_text("M = not_a_number\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        cli.parse_config(str(p))
+    for raw in ("not_a_number", "2.5", "inf", "nan"):
+        # inf and nan are floats but not integers
+        p.write_text(f"M = {raw}\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            cli.parse_config(str(p))
     p.write_text("seed = 1\nseed = 2\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         cli.parse_config(str(p))
@@ -275,15 +277,21 @@ def test_report_times_every_check(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "## run\n" in stdout and "## timings\n" in stdout
     assert len(list(out.glob("*.csv"))) == 11
-    assert set(_timings(out / "report.txt")) == set(checks.CHECKS)
-    for experiment, names in (("gumbel_sweep", {"gumbel"}),
-                              ("pair_hard", {"pair_hard"})):
+    timed = set(_timings(out / "report.txt"))
+    # every experiment is timed as its one check; together with verify's
+    # checks they cover the check table
+    for experiment, check, keys in (
+            ("gumbel_sweep", "gumbel", dict(levels="16")),
+            ("pair_hard", "pair_hard", {}), ("pair_soft", "pair_soft", {}),
+            ("bias_demo", "bias_demo", dict(width=6, height=6, L=3))):
         cfg = _write_cfg(tmp_path / f"{experiment}.cfg",
-                         experiment=experiment, levels="16", M=20_000)
+                         experiment=experiment, M=20_000, **keys)
         run = tmp_path / experiment
-        cli.main(["run", "--config", cfg, "--out", str(run),
-                  "--threads", "1"])
-        assert set(_timings(run / "report.txt")) == names
+        assert cli.main(["run", "--config", cfg, "--out", str(run),
+                         "--threads", "1"]) == cli.EXIT_OK
+        assert set(_timings(run / "report.txt")) == {check}
+        timed.add(check)
+    assert timed == set(checks.CHECKS)
     capsys.readouterr()
     # the run record sits just before the timings and has no verdicts
     for path, threads in ((out / "report.txt", "auto"),
@@ -429,14 +437,24 @@ def test_templates_make_parses_rho_seq_as_a_float_list(tmp_path, capsys):
 
 
 def test_templates_make_haar(tmp_path, capsys):
-    out = tmp_path / "sets"
-    code = cli.main(["templates", "make", "--family", "haar",
-                     "--d", "20", "--L", "4", "--alpha", "0.2",
-                     "--seed", "5", "--out", str(out)])
-    assert code == cli.EXIT_OK
+    written = []
+    for alpha in ("0.2", "5"):
+        out = tmp_path / alpha
+        code = cli.main(["templates", "make", "--family", "haar",
+                         "--d", "20", "--L", "4", "--alpha", alpha,
+                         "--scale", "3", "--seed", "5", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        written.append((out / "haar_templates.csv").read_bytes())
+        ts = tpl.load_csv(out / "haar_templates.csv", rescale=False)
+        assert ts.L == 4 and ts.d == 20
+        np.testing.assert_allclose(np.linalg.norm(ts.matrix, axis=0), 3.0,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            ts.matrix[:, 0], tpl.make_exponential(20, float(alpha), norm=3.0),
+            rtol=0, atol=1e-15)
     capsys.readouterr()
-    ts = tpl.load_csv(out / "haar_templates.csv", rescale=False)
-    assert ts.L == 4 and ts.d == 20
+    # the seed profile is make_exponential(d, alpha), so alpha shapes it
+    assert written[0] != written[1]
 
 
 def test_templates_make_exponential_profile(tmp_path, capsys):
@@ -463,6 +481,120 @@ def test_templates_inspect_bad_path(tmp_path, capsys):
     assert cli.main(["templates", "inspect",
                      str(garbled)]) == cli.EXIT_BAD_CONFIG
     capsys.readouterr()
+
+
+# ------------------------------------------- every input acts or is refused
+
+# the config keys each experiment reads besides experiment, seed, M and
+# out_dir, which every experiment reads
+RUN_READS = {
+    "pair_hard": {"rho", "scale", "chunks", "tolerance"},
+    "pair_soft": {"rho", "scale", "beta", "chunks", "tolerance"},
+    "gumbel_sweep": {"levels", "chunks"},
+    "bias_demo": {"beta", "chunks", "template_dir", "width", "height", "L",
+                  "alpha"},
+}
+# a value off every experiment's default for each key; tolerance is tight
+# enough to flip a verdict where the CSV has no tolerance column
+RUN_VALUES = dict(seed=5, M=3000, chunks=3, rho=0.3, scale=2.0, beta=2.0,
+                  tolerance=1e-12, levels="16, 32", width=8, height=4, L=3,
+                  alpha=0.05, template_dir=None)
+
+
+def _artifacts(out):
+    """Bytes of every file a run wrote except report.txt, which holds
+    wall-clock times."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name != "report.txt"}
+
+
+def _faces(tmp_path):
+    src = tmp_path / "faces"
+    src.mkdir()
+    rng = np.random.default_rng(3)
+    for k in range(3):
+        cli.render_pgm(rng.standard_normal(25), 5, 5, str(src / f"f{k}.pgm"))
+    return str(src)
+
+
+@pytest.mark.parametrize("experiment", sorted(RUN_READS))
+def test_every_config_key_acts_or_is_refused(experiment, tmp_path, capsys,
+                                             monkeypatch):
+    """Each key either changes an artifact byte or exits 3 naming it."""
+    monkeypatch.delenv("BIAS_LAB_SEED", raising=False)
+    values = dict(RUN_VALUES, template_dir=_faces(tmp_path))
+    # small runs; bias_demo on 6 x 6 images (its own keys replace these)
+    small = dict(M=2000, **({"width": 6, "height": 6}
+                            if experiment == "bias_demo" else {}))
+
+    def run(tag, keys, argv_out=True):
+        cfg = _write_cfg(tmp_path / f"{tag}.cfg", experiment=experiment,
+                         **keys)
+        out = tmp_path / tag
+        argv = ["run", "--config", cfg]
+        code = cli.main(argv + (["--out", str(out)] if argv_out else []))
+        return code, out, capsys.readouterr().err
+
+    code, base, _ = run("base", small)
+    assert code in (cli.EXIT_OK, cli.EXIT_ROW_FAILED)
+    base = _artifacts(base)
+    reads = RUN_READS[experiment] | {"seed", "M"}
+    for key in sorted(set(cli._KEY_PARSERS) - {"experiment", "out_dir"}):
+        keys = dict(small, **{key: values[key]})
+        if key == "template_dir":
+            keys = dict(M=2000, template_dir=values[key])
+        code, out, err = run(key, keys)
+        if key in reads:
+            assert code != cli.EXIT_BAD_CONFIG, (key, err)
+            assert _artifacts(out) != base, key
+        else:
+            assert code == cli.EXIT_BAD_CONFIG, key
+            assert err.startswith("config error: ") and repr(key) in err
+    # out_dir acts where --out does not override it
+    run("out_dir", dict(small, out_dir=str(tmp_path / "by_key")),
+        argv_out=False)
+    assert _artifacts(tmp_path / "by_key") == base
+    if experiment == "bias_demo":
+        # a PGM directory fixes the set, so the synthetic set's keys would
+        # be ignored next to it
+        for key in ("width", "height", "L", "alpha"):
+            code, _, err = run(f"dir_{key}", {
+                "M": 2000, "template_dir": values["template_dir"],
+                key: values[key]})
+            assert code == cli.EXIT_BAD_CONFIG, key
+            assert err.startswith("config error: ") and repr(key) in err
+
+
+MAKE_BASE = {"pair": [], "circulant": ["--rho-seq", "1,0.3,0.3"],
+             "exponential": ["--d", "8"], "haar": ["--d", "6", "--L", "3"]}
+MAKE_READS = {"pair": {"--rho", "--d", "--scale"},
+              "circulant": {"--rho-seq", "--d", "--scale"},
+              "exponential": {"--d", "--alpha", "--scale"},
+              "haar": {"--d", "--L", "--alpha", "--scale", "--seed"}}
+MAKE_VALUES = {"--rho": "0.3", "--rho-seq": "1,0.2,0.2", "--alpha": "5",
+               "--d": "9", "--L": "4", "--scale": "7", "--seed": "3"}
+
+
+@pytest.mark.parametrize("family", sorted(MAKE_READS))
+def test_every_make_flag_acts_or_is_refused(family, tmp_path, capsys):
+    """Each flag either changes the written bytes or exits 3 naming it."""
+    def make(tag, *flags):
+        out = tmp_path / tag
+        argv = ["templates", "make", "--family", family, "--out", str(out)]
+        code = cli.main(argv + MAKE_BASE[family] + list(flags))
+        err = capsys.readouterr().err
+        return code, (_artifacts(out) if out.is_dir() else None), err
+
+    code, base, _ = make("base")
+    assert code == cli.EXIT_OK
+    for flag, value in MAKE_VALUES.items():
+        code, written, err = make(flag, flag, value)
+        if flag in MAKE_READS[family]:
+            assert code == cli.EXIT_OK, (flag, err)
+            assert written != base, flag
+        else:
+            assert code == cli.EXIT_BAD_CONFIG, flag
+            assert flag in err.replace(",", " ").split(), (flag, err)
 
 
 # ---------------------------------------------------------- mutation harness

@@ -228,6 +228,24 @@ def test_blas_held_at_one_thread_and_restored(monkeypatch):
         w.join(timeout=60)
     assert not any(w.is_alive() for w in workers) and not errors
     assert blas.n == 5 and set(seen) == {1}
+    # full mode's vector build and span_residual factor the template
+    # matrix after the chunk loop, also on one thread
+    svd, svd_seen = np.linalg.svd, []
+
+    def svd_spy(*args, **kw):
+        svd_seen.append(blas.n)
+        return svd(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    ts = tpl.make_haar_family(tpl.make_exponential(40, 0.1), 4, seed=3)
+    for run, beta in ((engine.hard_assign, math.inf),
+                      (engine.soft_assign, 1.0)):
+        est = run(ts, _cfg(5000, mode="full", beta=beta, threads=2))
+        assert blas.n == 5
+        engine.span_residual(est, ts)
+        assert blas.n == 5
+    assert svd_seen == [1, 1, 1, 1]
+    monkeypatch.setattr(np.linalg, "svd", svd)
 
     def boom(*args):
         raise RuntimeError("kernel failed")
