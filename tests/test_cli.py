@@ -332,15 +332,20 @@ def test_bias_demo_synthetic(tmp_path, capsys):
     assert pearson.count("\n") == 5          # header plus four rows
 
 
-def test_bias_demo_from_pgm_dir(tmp_path, capsys):
+def _faces(tmp_path):
+    """A directory of three random 5 x 5 PGM images."""
     src = tmp_path / "faces"
     src.mkdir()
     rng = np.random.default_rng(3)
     for k in range(3):
         vec = rng.standard_normal(25)
         cli.render_pgm(vec, 5, 5, str(src / f"face{k}.pgm"))
+    return str(src)
+
+
+def test_bias_demo_from_pgm_dir(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "c.cfg", experiment="bias_demo",
-                     template_dir=str(src), M=40_000)
+                     template_dir=_faces(tmp_path), M=40_000)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", cfg,
                      "--out", str(out)]) == cli.EXIT_OK
@@ -498,7 +503,7 @@ RUN_READS = {
 # enough to flip a verdict where the CSV has no tolerance column
 RUN_VALUES = dict(seed=5, M=3000, chunks=3, rho=0.3, scale=2.0, beta=2.0,
                   tolerance=1e-12, levels="16, 32", width=8, height=4, L=3,
-                  alpha=0.05, template_dir=None)
+                  alpha=0.05)
 
 
 def _artifacts(out):
@@ -506,15 +511,6 @@ def _artifacts(out):
     wall-clock times."""
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
             if p.name != "report.txt"}
-
-
-def _faces(tmp_path):
-    src = tmp_path / "faces"
-    src.mkdir()
-    rng = np.random.default_rng(3)
-    for k in range(3):
-        cli.render_pgm(rng.standard_normal(25), 5, 5, str(src / f"f{k}.pgm"))
-    return str(src)
 
 
 @pytest.mark.parametrize("experiment", sorted(RUN_READS))
