@@ -86,6 +86,19 @@ def estimate(model, m, seed, beta=math.inf, threads=None, **cfg):
                                        threads=threads, **cfg))
 
 
+def estimates(runs, threads=None, **cfg):
+    """Estimates of (model, m, seed, beta) runs, in order, each bitwise
+    what estimate returns for it; runs that draw the same normals share
+    one engine pass (engine.assign_many)."""
+    return engine.assign_many(
+        [(model, ExperimentConfig(m=m, seed=seed, beta=beta, threads=threads,
+                                  **cfg)) for model, m, seed, beta in runs])
+
+
+# the estimators that checks run side by side on one model
+_KINDS = (("hard", math.inf), ("soft", 1.0))
+
+
 def oracle_tol(stderr, ref):
     """Engine-vs-oracle tolerance: 3 (Monte Carlo stderr + oracle bound)."""
     return 3.0 * (stderr + float(ref.ratio_bound()))
@@ -99,9 +112,9 @@ def pair_hard(rhos, m, seed, scale=1.0, chunks=None, tolerance=None,
     when one is given.
     """
     rows, table = [], []
-    for rho in rhos:
-        est = estimate(tpl.make_pair(rho, norm=scale), m, seed,
-                       threads=threads, chunks=chunks)
+    runs = estimates([(tpl.make_pair(rho, norm=scale), m, seed, math.inf)
+                      for rho in rhos], threads, chunks=chunks)
+    for rho, est in zip(rhos, runs):
         pred = theory.hard_pair_prediction(rho, scale).predicted_corr[0][0]
         measured, se = float(est.corr[0, 0]), float(est.stderr[0, 0])
         tol = max(0.002, 3.0 * se) if tolerance is None else tolerance
@@ -143,9 +156,9 @@ def pair_soft(rho, beta, m, seed, scale=1.0, chunks=None, tolerance=None,
                         "linearized sigmoid moment, approximate", None,
                         note)],
         ("rho,beta,measured_corr,stderr,oracle_value,oracle_bound,"
-         "approx_prediction,passed",
+         "approx_prediction,tolerance,passed",
          [(rho, beta, measured, se, truth, float(ref.ratio_bound()), pred,
-           row.passed)]))
+           row.tolerance, row.passed)]))
 
 
 def bridge(rho, m, seed, betas, threads=None):
@@ -156,13 +169,12 @@ def bridge(rho, m, seed, betas, threads=None):
     Monte Carlo noise.
     """
     g = GramModel.from_correlation(rho)
-    hard = estimate(g, m, seed, threads=threads)
-    soft = estimate(g, m, seed, 100.0, threads)
+    hard, soft, *sweep = estimates(
+        [(g, m, seed, math.inf), (g, m, seed, 100.0)]
+        + [(g, max(m // 5, 10**5), seed, b) for b in betas], threads)
     gap = float(np.max(np.abs(hard.corr - soft.corr)))
     tol = max(0.01, 5.0 * float(np.max(hard.stderr + soft.stderr)))
-    dists = [float(np.max(np.abs(
-        hard.corr - estimate(g, max(m // 5, 10**5), seed, b, threads).corr)))
-        for b in betas]
+    dists = [float(np.max(np.abs(hard.corr - est.corr))) for est in sweep]
     mono = all(a > b for a, b in zip(dists, dists[1:]))
     return CheckResult(
         [_near("beta=100 soft vs hard max correlation gap", gap, 0.0, tol,
@@ -197,23 +209,26 @@ def positivity(nsets, m, seed, threads=None):
     run at seed + i.
     """
     rng = np.random.default_rng(777)
-    table = []
-    worst_z = math.inf
+    keys, runs = [], []
     for i in range(nsets):
         L = int(rng.integers(2, 7))
         g = GramModel.from_correlation(tpl.random_correlation(rng, L))
-        for kind, beta in (("hard", math.inf), ("soft", 1.0)):
-            est = estimate(g, m, seed + i, beta, threads)
-            diag, dse = np.diag(est.corr), np.diag(est.stderr)
-            z = float(np.min(diag / dse))
-            worst_z = min(worst_z, z)
-            ok = bool(np.all(diag > 3.0 * dse))
-            if kind == "hard":
-                gap = diag[:, None] - est.corr
-                se = np.hypot(dse[:, None], est.stderr)
-                off = ~np.eye(L, dtype=bool)
-                ok = ok and bool(np.all(gap[off] > 3.0 * se[off]))
-            table.append((i, L, kind, z, ok))
+        for kind, beta in _KINDS:
+            keys.append((i, kind, L))
+            runs.append((g, m, seed + i, beta))
+    table = []
+    worst_z = math.inf
+    for (i, kind, L), est in zip(keys, estimates(runs, threads)):
+        diag, dse = np.diag(est.corr), np.diag(est.stderr)
+        z = float(np.min(diag / dse))
+        worst_z = min(worst_z, z)
+        ok = bool(np.all(diag > 3.0 * dse))
+        if kind == "hard":
+            gap = diag[:, None] - est.corr
+            se = np.hypot(dse[:, None], est.stderr)
+            off = ~np.eye(L, dtype=bool)
+            ok = ok and bool(np.all(gap[off] > 3.0 * se[off]))
+        table.append((i, L, kind, z, ok))
     ok = all(row[-1] for row in table)
     return CheckResult(
         [_flag(f"positivity and dominance over {nsets} random sets", ok,
@@ -229,15 +244,16 @@ def average_dependency(Ls, m, seed, threads=None):
     """
     rows, table = [], []
     for L in Ls:
-        vals = {}
+        keys, runs = [], []
         for rho_off in (0.0, 0.5):
             rho = np.full((L, L), rho_off)
             np.fill_diagonal(rho, 1.0)
             g = GramModel.from_correlation(rho)
-            for kind, beta in (("hard", math.inf), ("soft", 1.0)):
-                est = estimate(g, m, seed + L, beta, threads)
-                vals[(kind, rho_off)] = (float(est.avg_self_corr),
-                                         float(est.avg_self_stderr))
+            for kind, beta in _KINDS:
+                keys.append((kind, rho_off))
+                runs.append((g, m, seed + L, beta))
+        vals = {key: (float(est.avg_self_corr), float(est.avg_self_stderr))
+                for key, est in zip(keys, estimates(runs, threads))}
         for kind in ("hard", "soft"):
             lo, lo_se = vals[(kind, 0.5)]
             hi, hi_se = vals[(kind, 0.0)]
@@ -263,8 +279,8 @@ def average_dependency(Ls, m, seed, threads=None):
 def individual_dependency(orthogonal, overlapping, m, seed, beta=math.inf,
                           threads=None):
     """Every per-cluster self correlation drops as the overlap grows."""
-    a = estimate(orthogonal, m, seed, beta, threads)
-    b = estimate(overlapping, m, seed, beta, threads)
+    a, b = estimates([(orthogonal, m, seed, beta),
+                      (overlapping, m, seed, beta)], threads)
     gaps = np.diag(a.corr) - np.diag(b.corr)
     ses = np.sqrt(np.diag(a.stderr) ** 2 + np.diag(b.stderr) ** 2)
     kind = "hard" if math.isinf(beta) else "soft"
@@ -445,18 +461,22 @@ def oracle_self(ibp_models, pair_grams, circulants, nodes, sum_grams,
 def agreement(n_models, m, threads=None):
     """Engine vs oracle, every cluster row, on random models at L = 2, 3."""
     rng = np.random.default_rng(4242)
-    table = []
+    keys, runs = [], []
     for i in range(n_models):
         L = int(rng.integers(2, 4))
         g = GramModel.from_correlation(tpl.random_correlation(rng, L))
-        for kind, beta in (("hard", math.inf), ("soft", 1.0)):
-            est = estimate(g, m, 2000 + i, beta, threads)
-            for ell in range(L):
-                ref = (oracle.hard_moments(g, ell) if kind == "hard"
-                       else oracle.soft_moments(g, beta, ell))
-                gap = float(np.max(np.abs(est.corr[ell] - ref.ratio())))
-                tol = oracle_tol(float(np.max(est.stderr[ell])), ref)
-                table.append((i, L, kind, ell, gap, tol, gap <= tol))
+        for kind, beta in _KINDS:
+            keys.append((i, kind))
+            runs.append((g, m, 2000 + i, beta))
+    table = []
+    for (i, kind), (g, _, _, beta), est in zip(keys, runs,
+                                               estimates(runs, threads)):
+        for ell in range(g.L):
+            ref = (oracle.hard_moments(g, ell) if kind == "hard"
+                   else oracle.soft_moments(g, beta, ell))
+            gap = float(np.max(np.abs(est.corr[ell] - ref.ratio())))
+            tol = oracle_tol(float(np.max(est.stderr[ell])), ref)
+            table.append((i, g.L, kind, ell, gap, tol, gap <= tol))
     return CheckResult(
         [_flag(f"engine vs oracle over {n_models} random models",
                all(row[-1] for row in table),
@@ -480,17 +500,22 @@ def mass_sanity(m, threads=None):
 def bias_demo(ts, m, seed, beta=math.inf, chunks=None, threads=None):
     """Every full-mode estimate has its largest Pearson correlation (over
     the d coordinates) with its own template; the row shows the worst
-    margin."""
+    margin. A hard run that leaves a cluster empty has no estimate for
+    it: its Pearson row is NaN, the row fails and its note names the
+    cluster."""
     est = estimate(ts, m, seed, beta, threads, mode="full", chunks=chunks)
     pearson = np.array([[np.corrcoef(e, x)[0, 1] for x in ts.matrix.T]
-                        for e in est.estimates])
+                        if k not in est.undefined else [math.nan] * ts.L
+                        for k, e in enumerate(est.estimates)])
     off = np.where(np.eye(ts.L, dtype=bool), -np.inf, pearson)
     worst = float(np.min(np.diag(pearson) - np.max(off, axis=1)))
+    note = "" if not est.undefined else "no estimate for empty " + ", ".join(
+        f"cluster {k} ({ts.labels[k]})" for k in est.undefined)
     return CheckResult(
         [ReportRow("estimate matches its own template best (worst margin)",
                    worst, 0.0, 0.0,
                    "sample Pearson correlation on rendered vectors",
-                   worst > 0.0)],
+                   worst > 0.0, note)],
         ("estimate_index," + ",".join(f"corr_with_template_{j}"
                                       for j in range(ts.L)),
          [(i, *map(float, row)) for i, row in enumerate(pearson)]),

@@ -336,11 +336,14 @@ def _bias_demo(seed, M=200_000, beta=math.inf, chunks=None,
         ts = tpl.make_haar_family(x0, 12 if L is None else L, seed=seed + 1)
 
     def render(res, outdir):
+        # an empty cluster has no estimate to render; the check's row
+        # names it
         return [render_pgm(vec, width, height,
                            os.path.join(outdir, f"{kind}_{label}.pgm"))
                 for i, label in enumerate(ts.labels)
                 for kind, vec in (("estimate", res.estimate.estimates[i]),
-                                  ("template", ts.matrix[:, i]))]
+                                  ("template", ts.matrix[:, i]))
+                if kind == "template" or i not in res.estimate.undefined]
 
     return dict(ts=ts, m=M, seed=seed, beta=beta, chunks=chunks), render
 

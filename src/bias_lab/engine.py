@@ -25,6 +25,13 @@ which are folded, in index order and as they arrive, into compensated
 totals. Results are therefore bitwise reproducible for fixed (seed,
 chunks) no matter how many worker threads run.
 
+Runs that draw the same normals can share them (assign_many). Their
+draw key is (seed, m, chunks, threads, L, r), r the rank of the
+template correlation; one pass per key draws each block once, projects
+it once per distinct set, and feeds every run's accumulators in the
+order a lone run would, so each estimate is bitwise the lone run's.
+hard_assign and soft_assign are that pass over a single run.
+
 The engine schedules the cores of a run itself. cfg.threads caps the
 threads working on it; chunks run in parallel up to that cap, and when
 it is at least twice the number of chunks each chunk gets a helper
@@ -343,51 +350,121 @@ def _accumulate(cfg, shapes, fill):
     return _run_chunks(cfg, worker)
 
 
-def _sampler(templates, cfg):
-    """(L, factor, blocks): blocks(chunk, rows, ahead) yields one chunk's
-    (z, s) blocks, drawn one block ahead on the executor ahead unless it
-    is None.
+def _factor(templates, cfg):
+    """The L x r factor of a run's projections S = factor @ z.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
-    factor is L x r: a GramModel's own (r = L) or, for a TemplateSet,
+    factor is a GramModel's own (r = L) or, for a TemplateSet,
     common_norm * templates.rank_factor(correlation()), r the rank of
-    the set's correlation. z is one (rows, r) block of standard normals
-    from the chunk's stream, drawn by _kernels.normal_blocks in blocks
-    of _kernels.block_rows(L) rows, so the working set does not grow
-    with m. The projections S = factor @ z have the law of (<n, x_k>)_k
-    for n ~ N(0, I_d) and lie exactly in the range of the set's Gram.
-    They are formed cluster-major, as the C-contiguous (L, rows) product
-    factor @ z.T; s is its (rows, L) transpose view, so the kernels
-    reduce over contiguous rows of s.T. Both modes draw the same blocks.
-    Full mode yields z as well, a view of a reused buffer that is valid
-    until the next block, for the in-span sums of its estimator vectors
-    (see _full_vectors); gram mode yields z = None.
+    the set's correlation. With z ~ N(0, I_r) the projections have the
+    law of (<n, x_k>)_k for n ~ N(0, I_d) and lie exactly in the range
+    of the set's Gram.
     """
     if isinstance(templates, GramModel):
         if cfg.mode != "gram":
             raise ConfigError("a GramModel supports gram mode only")
-        factor = templates.scale * templates.factor
-    elif isinstance(templates, TemplateSet):
-        factor = templates.common_norm * rank_factor(templates.correlation())
-    else:
-        raise ConfigError(
-            f"expected TemplateSet or GramModel, got {type(templates)!r}")
-    L = templates.L
+        return templates.scale * templates.factor
+    if isinstance(templates, TemplateSet):
+        return templates.common_norm * rank_factor(templates.correlation())
+    raise ConfigError(
+        f"expected TemplateSet or GramModel, got {type(templates)!r}")
+
+
+def _shapes(factor, cfg):
+    """Accumulator shapes of one run: hard (cfg.beta = inf) or soft
+    sums, then full mode's in-span sums (and, soft, sum_i p_i p_i^T)."""
+    L, r = factor.shape
     full = cfg.mode == "full"
+    if math.isinf(cfg.beta):
+        return [L, (L, L), (L, L), 2] + ([(L, r)] if full else [])
+    return [L, L, (L, L), (L, L), (L, L), 2] + ([(L, r), (L, L)]
+                                                 if full else [])
 
-    def blocks(chunk, rows, ahead):
-        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L, ahead,
-                                        factor.shape[1]):
-            yield (z if full else None), (factor @ z.T).T
 
-    return L, factor, blocks
+def _feed(cfg, z, s, acc):
+    """Add one block's projections s, and full mode's in-span sums of
+    its normals z, into one run's accumulators."""
+    full = cfg.mode == "full"
+    if math.isinf(cfg.beta):
+        labels = _kernels.hard_block(None, s, *acc[:4])
+        if full:
+            _kernels.label_vectors(None, z, labels, acc[4])
+    else:
+        p = _kernels.soft_block(None, s, float(cfg.beta), *acc[:6])
+        if full:
+            _kernels.weighted_vectors(None, z, p, acc[6])
+            acc[7] += p @ p.T
+
+
+def _split(flat, shapes):
+    """flat, a run-major list of arrays, as one list per run."""
+    arrays = iter(flat)
+    return [[next(arrays) for _ in run] for run in shapes]
+
+
+def _shared_pass(plans):
+    """Accumulators of runs that share one draw key, one list per run.
+
+    plans are (factor, cfg) pairs. Each chunk draws its (rows, r)
+    standard normals z once, through _kernels.normal_blocks in blocks of
+    _kernels.block_rows(L) rows, so the working set does not grow with
+    m. Each block is projected once per distinct factor, cluster-major
+    as the C-contiguous (L, rows) product factor @ z.T, and s, its
+    (rows, L) transpose view, feeds the runs of that factor in turn, so
+    every run sees the blocks and makes the additions of a lone run and
+    its sums are bitwise that run's. z is a view of a reused buffer,
+    valid until the next block; full-mode runs sum it per cluster for
+    their estimator vectors (see _full_vectors).
+    """
+    cfg = plans[0][1]
+    L, r = plans[0][0].shape
+    models = {}
+    for i, (factor, _) in enumerate(plans):
+        models.setdefault(factor.tobytes(), (factor, []))[1].append(i)
+    shapes = [_shapes(factor, c) for factor, c in plans]
+
+    def fill(chunk, rows, ahead, *flat):
+        acc = _split(flat, shapes)
+        for z in _kernels.normal_blocks(cfg.seed, chunk, rows, L, ahead, r):
+            for factor, members in models.values():
+                s = (factor @ z.T).T
+                for i in members:
+                    _feed(plans[i][1], z, s, acc[i])
+
+    return _split(_accumulate(cfg, [sh for run in shapes for sh in run],
+                              fill), shapes)
+
+
+def assign_many(runs):
+    """Estimates of (templates, cfg) runs, each bitwise what it returns
+    alone; cfg.beta = inf makes a run hard.
+
+    Runs that share a draw key (seed, m, chunks, threads, L and the rank
+    of their factor) share one pass that draws each block of normals
+    once (see _shared_pass). Each estimate is then finished by a call of
+    the module attribute hard_assign or soft_assign with the run's own
+    cfg and its sums, so wrappers of those names see one call per run.
+    """
+    runs = list(runs)
+    factors = [_factor(templates, cfg) for templates, cfg in runs]
+    groups = {}
+    for i, (factor, (_, cfg)) in enumerate(zip(factors, runs)):
+        key = (cfg.seed, cfg.m, cfg.chunks, cfg.threads) + factor.shape
+        groups.setdefault(key, []).append(i)
+    sums = [None] * len(runs)
+    for members in groups.values():
+        shared = _shared_pass([(factors[i], runs[i][1]) for i in members])
+        for i, acc in zip(members, shared):
+            sums[i] = acc
+    return [(hard_assign if math.isinf(cfg.beta) else soft_assign)(
+        templates, cfg, sums=acc) for (templates, cfg), acc in zip(runs, sums)]
 
 
 def _full_vectors(templates, factor, cfg, span_sums, noise_factor, weights):
     """Estimator vectors v_l = (B S_l + O_l) / w_l of a full-mode run.
 
     S_l = sum_i p_il z_i are the in-span sums of cluster l, of length r
-    (p the hard labels as 0/1 or the soft weights; factor is the sampler's
+    (p the hard labels as 0/1 or the soft weights; factor is the run's
     L x r factor) and w_l = sum_i p_il. With U_r diag(sv) V_r^T the top r
     singular triplets of the template matrix X, B = U_r diag(1/sv) V_r^T
     factor: X^T B z = factor @ z = s, as factor's columns lie in the range
@@ -470,24 +547,19 @@ def _soft_warnings(m):
     return ("single sample: stderr infinite",) if m < 2 else ()
 
 
-def hard_assign(templates, cfg):
+def hard_assign(templates, cfg, *, sums=None):
     """One hard assignment-and-average step on pure noise.
 
     templates is a TemplateSet (either mode) or GramModel (gram mode).
+    sums are the run's accumulators from a pass shared with other runs
+    (see assign_many); without them the run draws its own.
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign expects cfg.beta = inf; use soft_assign")
-    L, factor, blocks = _sampler(templates, cfg)
-
-    def fill(chunk, rows, ahead, counts, sum1, sum2, pooled, span=None):
-        for z, s in blocks(chunk, rows, ahead):
-            labels = _kernels.hard_block(None, s, counts, sum1, sum2, pooled)
-            if span is not None:
-                _kernels.label_vectors(None, z, labels, span)
-
-    shapes = [L, (L, L), (L, L), 2]
-    shapes += [(L, factor.shape[1])] if cfg.mode == "full" else []
-    counts, sum1, sum2, pooled, *span = _accumulate(cfg, shapes, fill)
+    factor = _factor(templates, cfg)
+    if sums is None:
+        sums, = _shared_pass([(factor, cfg)])
+    counts, sum1, sum2, pooled, *span = sums
     vec = None
     if span:
         vec = _full_vectors(templates, factor, cfg, span[0],
@@ -504,24 +576,15 @@ def hard_assign(templates, cfg):
         warnings=warnings_, undefined=undefined)
 
 
-def soft_assign(templates, cfg):
-    """One softmax-weighted averaging step (single EM iteration) on noise."""
+def soft_assign(templates, cfg, *, sums=None):
+    """One softmax-weighted averaging step (single EM iteration) on
+    noise; templates and sums as in hard_assign."""
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign expects finite cfg.beta")
-    beta = float(cfg.beta)
-    L, factor, blocks = _sampler(templates, cfg)
-
-    def fill(chunk, rows, ahead, w1, w2, a1, a2, a3, pooled, span=None,
-             cross=None):
-        for z, s in blocks(chunk, rows, ahead):
-            p = _kernels.soft_block(None, s, beta, w1, w2, a1, a2, a3, pooled)
-            if span is not None:
-                _kernels.weighted_vectors(None, z, p, span)
-                cross += p @ p.T
-
-    shapes = [L, L, (L, L), (L, L), (L, L), 2]
-    shapes += [(L, factor.shape[1]), (L, L)] if cfg.mode == "full" else []
-    w1, w2, a1, a2, a3, pooled, *span = _accumulate(cfg, shapes, fill)
+    factor = _factor(templates, cfg)
+    if sums is None:
+        sums, = _shared_pass([(factor, cfg)])
+    w1, w2, a1, a2, a3, pooled, *span = sums
     vec = None
     if span:
         vec = _full_vectors(templates, factor, cfg, span[0],
@@ -531,7 +594,7 @@ def soft_assign(templates, cfg):
     avg, avg_se = _pooled(pooled, m)
     return AssignmentEstimate(
         mode=cfg.mode, corr=corr, stderr=stderr, mass=w1 / m, m=m,
-        beta=beta, seed=cfg.seed, chunks=cfg.chunks,
+        beta=float(cfg.beta), seed=cfg.seed, chunks=cfg.chunks,
         avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
         warnings=_soft_warnings(m))
 

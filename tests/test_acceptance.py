@@ -10,7 +10,9 @@ so the captured output of this module is a 13-line scorecard. Criteria
 (sample sizes, seeds, template sets) and, where it has one, a time gate.
 """
 
+import hashlib
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -19,6 +21,9 @@ import pytest
 from bias_lab import GramModel, checks, cli, templates as tpl
 
 PAIR_RHOS = (-1.0, -0.5, 0.0, 0.5, 0.9, 0.99)
+# sha256 of every `verify --suite fast` CSV, in `sha256sum` format; a
+# change that moves bits updates it and says why
+FAST_MANIFEST = pathlib.Path(__file__).with_name("verify_fast_csv.sha256")
 
 
 def _line(num, ok, title, detail=""):
@@ -160,8 +165,16 @@ def test_criterion_13_verification_determinism(tmp_path):
     identical = names_a == names_b and all(
         (tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
         for n in names_a)
+    want = dict(line.split()[::-1] for line in
+                FAST_MANIFEST.read_text(encoding="ascii").splitlines())
+    got = {n: hashlib.sha256((tmp_path / "a" / n).read_bytes()).hexdigest()
+           for n in names_a}
+    moved = sorted(n for n in want.keys() | got.keys()
+                   if want.get(n) != got.get(n))
     ok = (rep_a.all_pass() and rep_b.all_pass() and identical
-          and len(names_a) > 0 and elapsed < 120.0)
+          and len(names_a) > 0 and not moved and elapsed < 120.0)
     _line(13, ok, "fast verification suite passes twice with byte-identical "
-          "CSV artifacts",
-          f"{len(names_a)} CSV files, two runs in {elapsed:.1f} s < 120 s")
+          "CSV artifacts, as recorded in the manifest",
+          f"{len(names_a)} CSV files, two runs in {elapsed:.1f} s < 120 s"
+          + (f"; differ from {FAST_MANIFEST.name}: {', '.join(moved)}"
+             if moved else ""))

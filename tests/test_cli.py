@@ -1,6 +1,8 @@
 """Tests for the command line driver: config parsing, exit codes,
 artifact determinism, and the kernel mutation harness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,45 @@ def test_bias_demo_synthetic(tmp_path, capsys):
     assert pearson.count("\n") == 5          # header plus four rows
 
 
+def test_bias_demo_with_an_empty_cluster(tmp_path, capsys, monkeypatch):
+    """A hard run that leaves a cluster empty writes no estimate image
+    for it, names it in the report and fails its row (exit 1)."""
+    monkeypatch.delenv("BIAS_LAB_SEED", raising=False)
+    cfg = _write_cfg(tmp_path / "c.cfg", experiment="bias_demo", M=20,
+                     width=6, height=6, seed=1)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg,
+                     "--out", str(out)]) == cli.EXIT_ROW_FAILED
+    assert "[FAIL]" in capsys.readouterr().out
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    empty = re.findall(r"cluster (\d+) \((h\d+)\)", report)
+    assert empty and "no estimate for empty" in report
+    assert len(list(out.glob("template_*.pgm"))) == 12
+    estimates = {p.name for p in out.glob("estimate_*.pgm")}
+    assert len(estimates) == 12 - len(empty)
+    for k, label in empty:
+        assert label == f"h{k}" and f"estimate_{label}.pgm" not in estimates
+
+
+def test_pair_soft_csv_records_its_tolerance(tmp_path, capsys):
+    """pair_soft.csv has the tolerance its row was judged by: the
+    config's, or the oracle rule's 3 (stderr + oracle bound)."""
+    for tag, keys in (("given", dict(tolerance=0.25)), ("rule", {})):
+        cfg = _write_cfg(tmp_path / f"{tag}.cfg", experiment="pair_soft",
+                         M=2000, **keys)
+        out = tmp_path / tag
+        assert cli.main(["run", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_OK
+        head, row = (out / "pair_soft.csv").read_text(
+            encoding="utf-8").splitlines()
+        cells = dict(zip(head.split(","), row.split(",")))
+        assert list(cells)[-2:] == ["tolerance", "passed"]
+        want = keys.get("tolerance", 3.0 * (float(cells["stderr"])
+                                            + float(cells["oracle_bound"])))
+        assert float(cells["tolerance"]) == pytest.approx(want, rel=1e-9)
+    capsys.readouterr()
+
+
 def _faces(tmp_path):
     """A directory of three random 5 x 5 PGM images."""
     src = tmp_path / "faces"
@@ -499,8 +540,8 @@ RUN_READS = {
     "bias_demo": {"beta", "chunks", "template_dir", "width", "height", "L",
                   "alpha"},
 }
-# a value off every experiment's default for each key; tolerance is tight
-# enough to flip a verdict where the CSV has no tolerance column
+# a value off every experiment's default for each key; tolerance is also
+# tight enough to flip a verdict
 RUN_VALUES = dict(seed=5, M=3000, chunks=3, rho=0.3, scale=2.0, beta=2.0,
                   tolerance=1e-12, levels="16, 32", width=8, height=4, L=3,
                   alpha=0.05)

@@ -371,6 +371,7 @@ def test_working_set_is_bounded_in_m(L):
     at L = 64 held at once took 9.2 MiB). tracemalloc sees numpy's data
     buffers."""
     g = GramModel.from_correlation(np.eye(L))
+    g2 = GramModel.from_correlation(np.full((L, L), 0.3) + 0.7 * np.eye(L))
     runs = {
         "hard_assign": lambda m, c: engine.hard_assign(
             g, ExperimentConfig(m=m, chunks=c, threads=1)),
@@ -378,6 +379,10 @@ def test_working_set_is_bounded_in_m(L):
             g, ExperimentConfig(m=m, chunks=c, beta=1.0, threads=1)),
         "soft_assign_diag": lambda m, c: engine.soft_assign_diag(
             L, ExperimentConfig(m=m, chunks=c, beta=1.0, threads=1)),
+        # one shared pass: hard on one model, soft on another
+        "assign_many": lambda m, c: engine.assign_many(
+            [(model, ExperimentConfig(m=m, chunks=c, beta=beta, threads=1))
+             for model, beta in ((g, math.inf), (g2, 1.0))]),
     }
     for name, run in runs.items():
         for m, chunks in ((200_000, None), (400_000, 4), (131_072, 64)):
@@ -388,6 +393,87 @@ def test_working_set_is_bounded_in_m(L):
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * 2 ** 20, (name, m, chunks, peak / 2 ** 20)
+
+
+def _mixed_batch():
+    """Hard and soft runs at several beta on two GramModels that share
+    draws, a rank-1 pair (its own group) and a full-rank pair, a second
+    seed, chunks 1 and 3 and threads 1 and 2."""
+    rng = np.random.default_rng(11)
+    models = [GramModel.from_correlation(tpl.random_correlation(rng, 3))
+              for _ in range(2)]
+    pairs = [tpl.make_pair(-1.0), tpl.make_pair(0.4)]
+    runs = []
+    for seed in (3, 4):
+        for chunks, threads in ((1, 1), (3, 2), (3, 1)):
+            kw = dict(seed=seed, chunks=chunks, threads=threads)
+            runs += [(g, _cfg(9_000, beta=beta, **kw)) for g in models
+                     for beta in (math.inf, 0.5, 3.0)]
+            runs += [(ts, _cfg(7_000, beta=beta, **kw)) for ts in pairs
+                     for beta in (math.inf, 1.0)]
+    return runs
+
+
+def test_assign_many_returns_each_lone_estimate():
+    runs = _mixed_batch()
+    many = engine.assign_many(runs)
+    assert len(many) == len(runs)
+    for (templates, cfg), got in zip(runs, many):
+        run = engine.hard_assign if math.isinf(cfg.beta) else engine.soft_assign
+        want = run(templates, cfg)
+        assert (got.beta, got.seed, got.chunks, got.m) == (
+            want.beta, want.seed, want.chunks, want.m)
+        assert got.undefined == want.undefined
+        for field in _RESULT_FIELDS:
+            if hasattr(want, field):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(want, field),
+                    err_msg=f"{field}: beta={cfg.beta}, seed={cfg.seed}, "
+                            f"chunks={cfg.chunks}, threads={cfg.threads}")
+
+
+def test_assign_many_draws_each_group_once(monkeypatch):
+    """The mixed batch draws once per draw key: the rank-1 pair apart
+    from the rank-2 pair, which shares nothing with the L = 3 models."""
+    draws = []
+    normal_blocks = _kernels.normal_blocks
+
+    def counted(seed, chunk, rows, L, ahead=None, width=None):
+        draws.append((seed, rows, L, width))
+        return normal_blocks(seed, chunk, rows, L, ahead, width)
+
+    monkeypatch.setattr(_kernels, "normal_blocks", counted)
+    engine.assign_many(_mixed_batch())
+    # 2 seeds x (1 + 3 + 3 chunks) x (L = 3, rank-2 pair, rank-1 pair)
+    assert len(draws) == 2 * 7 * 3
+    assert {(L, width) for _, _, L, width in draws} == {(3, 3), (2, 2),
+                                                        (2, 1)}
+
+
+def test_shared_estimates_come_back_through_the_entry_points(monkeypatch):
+    """Wrappers of engine.hard_assign and engine.soft_assign, as the
+    benchmark sets them, see one call per estimate of a check, each with
+    its own cfg.m, while the check's four L = 2 runs draw m samples of
+    two normals once."""
+    from bias_lab import checks
+    calls, drawn = [], [0]
+    for name in ("hard_assign", "soft_assign"):
+        def counted(templates, cfg, *, _fn=getattr(engine, name), _name=name,
+                    **kw):
+            calls.append((_name, cfg.m))
+            return _fn(templates, cfg, **kw)
+        monkeypatch.setattr(engine, name, counted)
+    normal_blocks = _kernels.normal_blocks
+
+    def draws(seed, chunk, rows, L, ahead=None, width=None):
+        drawn[0] += rows * width
+        return normal_blocks(seed, chunk, rows, L, ahead, width)
+
+    monkeypatch.setattr(_kernels, "normal_blocks", draws)
+    res = checks.average_dependency((2,), m=30_000, seed=5)
+    assert calls == [("hard_assign", 30_000), ("soft_assign", 30_000)] * 2
+    assert drawn[0] == 2 * 30_000
+    assert len(res.rows) == 4
 
 
 def _rank2_set():
@@ -848,20 +934,26 @@ def test_antipodal_pair_runs_in_gram_mode():
 
 
 @pytest.mark.parametrize("beta", [math.inf, 1.0])
-def test_singular_sets_project_exactly_in_range(beta):
+def test_singular_sets_project_exactly_in_range(beta, monkeypatch):
     """A singular set draws r normals per sample, r its rank, in blocks
     of block_rows(L) rows, so its projections lie in the range of its
     Gram and full mode's vectors reproduce corr to rounding, as on
     full-rank sets."""
     fn = engine.hard_assign if math.isinf(beta) else engine.soft_assign
+    feed, blocks = engine._feed, []
+
+    def spy(cfg, z, s, acc):
+        blocks.append((z.shape, s.shape))
+        return feed(cfg, z, s, acc)
+
+    monkeypatch.setattr(engine, "_feed", spy)
     for ts, rank in ((_rank2_set(), 2), (_unit_columns(3, 5, 4), 3)):
         cfg = _cfg(50_000, mode="full", beta=beta)
-        _, factor, blocks = engine._sampler(ts, cfg)
-        z, s = next(blocks(0, 50_000, None))
-        rows = _kernels.block_rows(ts.L)
-        assert factor.shape == (ts.L, rank)
-        assert z.shape == (rows, rank) and s.shape == (rows, ts.L)
+        assert engine._factor(ts, cfg).shape == (ts.L, rank)
+        blocks.clear()
         est = fn(ts, cfg)
+        rows = min(_kernels.block_rows(ts.L), 50_000 // cfg.chunks)
+        assert blocks[0] == ((rows, rank), (rows, ts.L))
         gap = np.max(np.abs(engine.correlation_matrix(est, ts) - est.corr))
         assert gap <= 1e-14, (ts.d, ts.L, gap)
 
