@@ -79,20 +79,18 @@ def _entrywise(name, gap, tol, provenance):
     return _near(name, float(gap[k]), 0.0, float(tol[k]), provenance)
 
 
-def estimate(model, m, seed, beta=math.inf, threads=None, **cfg):
-    """Hard (beta = inf) or soft estimate of model."""
-    run = engine.hard_assign if math.isinf(beta) else engine.soft_assign
-    return run(model, ExperimentConfig(m=m, seed=seed, beta=beta,
-                                       threads=threads, **cfg))
-
-
 def estimates(runs, threads=None, **cfg):
-    """Estimates of (model, m, seed, beta) runs, in order, each bitwise
-    what estimate returns for it; runs that draw the same normals share
-    one engine pass (engine.assign_many)."""
+    """Hard (beta = inf) or soft estimates of (model, m, seed, beta) runs,
+    in order, each bitwise its lone run's; runs that draw the same
+    normals share one engine pass (engine.assign_many)."""
     return engine.assign_many(
         [(model, ExperimentConfig(m=m, seed=seed, beta=beta, threads=threads,
                                   **cfg)) for model, m, seed, beta in runs])
+
+
+def estimate(model, m, seed, beta=math.inf, threads=None, **cfg):
+    """The estimate of one run, as in estimates."""
+    return estimates([(model, m, seed, beta)], threads, **cfg)[0]
 
 
 # the estimators that checks run side by side on one model
@@ -501,21 +499,23 @@ def bias_demo(ts, m, seed, beta=math.inf, chunks=None, threads=None):
     """Every full-mode estimate has its largest Pearson correlation (over
     the d coordinates) with its own template; the row shows the worst
     margin. A hard run that leaves a cluster empty has no estimate for
-    it: its Pearson row is NaN, the row fails and its note names the
-    cluster."""
+    it: its Pearson row is NaN, the margin is the worst over the other
+    clusters, and the row fails with a note that names the cluster."""
     est = estimate(ts, m, seed, beta, threads, mode="full", chunks=chunks)
     pearson = np.array([[np.corrcoef(e, x)[0, 1] for x in ts.matrix.T]
                         if k not in est.undefined else [math.nan] * ts.L
                         for k, e in enumerate(est.estimates)])
     off = np.where(np.eye(ts.L, dtype=bool), -np.inf, pearson)
-    worst = float(np.min(np.diag(pearson) - np.max(off, axis=1)))
+    margins = np.diag(pearson) - np.max(off, axis=1)
+    # a hard run fills at least one cluster, so some margin is defined
+    worst = float(np.min(np.delete(margins, list(est.undefined))))
     note = "" if not est.undefined else "no estimate for empty " + ", ".join(
         f"cluster {k} ({ts.labels[k]})" for k in est.undefined)
     return CheckResult(
         [ReportRow("estimate matches its own template best (worst margin)",
                    worst, 0.0, 0.0,
                    "sample Pearson correlation on rendered vectors",
-                   worst > 0.0, note)],
+                   not est.undefined and worst > 0.0, note)],
         ("estimate_index," + ",".join(f"corr_with_template_{j}"
                                       for j in range(ts.L)),
          [(i, *map(float, row)) for i, row in enumerate(pearson)]),

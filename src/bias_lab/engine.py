@@ -443,7 +443,8 @@ def assign_many(runs):
     of their factor) share one pass that draws each block of normals
     once (see _shared_pass). Each estimate is then finished by a call of
     the module attribute hard_assign or soft_assign with the run's own
-    cfg and its sums, so wrappers of those names see one call per run.
+    cfg and its sums, so wrappers of those names see one call per run;
+    a run alone in its group makes its pass inside that call.
     """
     runs = list(runs)
     factors = [_factor(templates, cfg) for templates, cfg in runs]
@@ -453,6 +454,8 @@ def assign_many(runs):
         groups.setdefault(key, []).append(i)
     sums = [None] * len(runs)
     for members in groups.values():
+        if len(members) == 1:
+            continue  # a lone run draws inside its own entry point
         shared = _shared_pass([(factors[i], runs[i][1]) for i in members])
         for i, acc in zip(members, shared):
             sums[i] = acc

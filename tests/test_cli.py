@@ -1,6 +1,7 @@
 """Tests for the command line driver: config parsing, exit codes,
 artifact determinism, and the kernel mutation harness."""
 
+import math
 import re
 
 import numpy as np
@@ -345,6 +346,9 @@ def test_bias_demo_with_an_empty_cluster(tmp_path, capsys, monkeypatch):
                      "--out", str(out)]) == cli.EXIT_ROW_FAILED
     assert "[FAIL]" in capsys.readouterr().out
     report = (out / "report.txt").read_text(encoding="utf-8")
+    # the row shows the worst margin over the clusters with estimates
+    worst = float(re.search(r"worst margin\): measured=(\S+)", report)[1])
+    assert math.isfinite(worst)
     empty = re.findall(r"cluster (\d+) \((h\d+)\)", report)
     assert empty and "no estimate for empty" in report
     assert len(list(out.glob("template_*.pgm"))) == 12

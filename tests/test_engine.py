@@ -948,11 +948,15 @@ def test_singular_sets_project_exactly_in_range(beta, monkeypatch):
 
     monkeypatch.setattr(engine, "_feed", spy)
     for ts, rank in ((_rank2_set(), 2), (_unit_columns(3, 5, 4), 3)):
-        cfg = _cfg(50_000, mode="full", beta=beta)
+        # one chunk of 50,000 rows is longer than block_rows(L) for
+        # L = 3 and 5, so the first block has exactly block_rows(L) rows
+        # (block_rows(rank) would differ for both sets)
+        cfg = _cfg(50_000, mode="full", beta=beta, chunks=1)
         assert engine._factor(ts, cfg).shape == (ts.L, rank)
         blocks.clear()
         est = fn(ts, cfg)
-        rows = min(_kernels.block_rows(ts.L), 50_000 // cfg.chunks)
+        rows = _kernels.block_rows(ts.L)
+        assert rows < 50_000 and rows != _kernels.block_rows(rank)
         assert blocks[0] == ((rows, rank), (rows, ts.L))
         gap = np.max(np.abs(engine.correlation_matrix(est, ts) - est.corr))
         assert gap <= 1e-14, (ts.d, ts.L, gap)
