@@ -8,9 +8,10 @@ Contract: a worker consumes a sample block (or draws its own from the
 per-chunk stream) and adds into plain float64 accumulator arrays.
 Partial sums are combined by the caller in chunk order, so results are
 bitwise reproducible for a fixed (seed, chunks) regardless of thread
-count. The soft diagonal worker draws the L normals of each sample; the
-hard one draws two numbers per sample, a uniform that it maps to the
-maximum of L normals and the winning label (see hard_diag_chunk).
+count. The diagonal workers run at unit template norm. The soft one
+draws the L normals of each sample; the hard one draws two numbers per
+sample, a uniform that it maps to the maximum of L normals and the
+winning label (see hard_diag_chunk).
 Nothing here starts a thread: the engine passes normal_blocks, directly
 or through soft_diag_chunk, an executor with a spare thread when it has
 one, and normal_blocks then draws each chunk's next block there while
@@ -227,8 +228,7 @@ def weighted_vectors(backend, z, p, vec):
 # diagonal paths: orthonormal templates, one chunk drawn here
 # ---------------------------------------------------------------------------
 
-def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
-                    counts, d1, d2, pooled):
+def hard_diag_chunk(backend, seed, chunk, rows, L, counts, d1, d2, pooled):
     """Diagonal-only hard statistics for orthonormal templates, one chunk.
 
     Within cluster l the own-template projection is the row maximum, so
@@ -248,7 +248,7 @@ def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
         u = g.random(n)
         labels = g.integers(0, L, size=n)
         u = (np.floor(u * 2.0 ** 52) + 0.5) * 2.0 ** -52
-        mx = -ndtri(-np.expm1(np.log(u) / L)) * scale
+        mx = -ndtri(-np.expm1(np.log(u) / L))
         counts += np.bincount(labels, minlength=L).astype(np.float64)
         d1 += np.bincount(labels, weights=mx, minlength=L)
         d2 += np.bincount(labels, weights=mx * mx, minlength=L)
@@ -256,26 +256,25 @@ def hard_diag_chunk(backend, seed, chunk, rows, L, scale,
         pooled[1] += (mx * mx).sum()
 
 
-def soft_diag_chunk(backend, seed, chunk, rows, L, scale, beta,
+def soft_diag_chunk(backend, seed, chunk, rows, L, beta,
                     w1, w2, b1, b2, b3, pooled, *, ahead=None):
     """Diagonal-only soft statistics for orthonormal templates, one chunk.
 
-    With s = scale * z, accumulates w1[l] += p_l, w2[l] += p_l**2,
-    b1[l] += p_l s_l, b2[l] += p_l**2 s_l, b3[l] += p_l**2 s_l**2 and
-    the pooled sum_l p_l s_l statistic. ahead is normal_blocks'
+    With z a sample's L projections, accumulates w1[l] += p_l, w2[l] +=
+    p_l**2, b1[l] += p_l z_l, b2[l] += p_l**2 z_l, b3[l] += p_l**2 z_l**2
+    and the pooled sum_l p_l z_l statistic. ahead is normal_blocks'
     draw-ahead executor, or None.
     """
     for z in normal_blocks(seed, chunk, rows, L, ahead=ahead):
         # the same bits as a row softmax of the (rows, L) block
-        p = _softmax(((beta * scale) * z).T).T
-        s = scale * z
+        p = _softmax((beta * z).T).T
         p2 = p * p
         w1 += p.sum(axis=0)
         w2 += p2.sum(axis=0)
-        b1 += np.einsum("ij,ij->j", p, s)
-        b2 += np.einsum("ij,ij->j", p2, s)
-        b3 += np.einsum("ij,ij->j", p2, s * s)
-        g = np.einsum("ij,ij->i", p, s)
+        b1 += np.einsum("ij,ij->j", p, z)
+        b2 += np.einsum("ij,ij->j", p2, z)
+        b3 += np.einsum("ij,ij->j", p2, z * z)
+        g = np.einsum("ij,ij->i", p, z)
         pooled[0] += g.sum()
         pooled[1] += (g * g).sum()
 

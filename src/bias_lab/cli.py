@@ -14,19 +14,21 @@ rule):
     bias_demo     M 2e5, beta inf, chunks, and either template_dir or
                   width 32, height 32, L 12, alpha 8/(width*height)
 
-Any other key is a config error. `templates make --family F --out DIR`
-reads these flags, and refuses any other with exit 3:
+Any other key is a config error, and so is a list key (levels) that
+holds no value. `templates make --family F --out DIR` reads these
+flags, and refuses any other with exit 3:
 
     pair          --rho 0, --d 2, --scale 1
     circulant     --rho-seq (required), --d L, --scale 1
     exponential   --d (required), --alpha 0.1, --scale 1
     haar          --d, --L (required), --alpha 0.1, --scale 1, --seed 0
 
-Exit codes: 0 all tolerance rows pass, 1 at least one row failed,
-2 unknown experiment name, 3 invalid config or an error raised
-during the run, 4 unwritable output directory. A config that fails to
-parse prints "config error: <message>"; a package error raised by the
-experiment itself prints "error: <TypeName>: <message>".
+Exit codes: 0 all tolerance rows pass, 1 at least one row failed (a
+row whose tolerance is not finite fails), 2 unknown experiment name,
+3 invalid config or an error raised during the run, 4 unwritable
+output directory. A config that fails to parse prints "config error:
+<message>"; a package error raised by the experiment itself prints
+"error: <TypeName>: <message>".
 
 Checks: every experiment and every comparison that `verify` makes is an
 entry of the check table in `bias_lab.checks`, which the acceptance
@@ -102,10 +104,12 @@ def _parse_scalar(key, raw, kind):
             if not v.is_integer():
                 raise ValueError(raw)
             return int(v)
-        if kind == "floats":
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        if kind == "ints":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
+        if kind in ("floats", "ints"):
+            item = float if kind == "floats" else int
+            values = tuple(item(p) for p in raw.split(",") if p.strip())
+            if not values:
+                raise ValueError(raw)  # an empty list would check nothing
+            return values
         return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}")

@@ -43,9 +43,10 @@ its products give the same bits on any number of threads.
 
 The orthonormal high-L sweeps get dedicated diagonal-only entry points
 that track just the per-sample argmax / softmax self terms, avoiding the
-L x L accumulators. The soft one draws the L normals of every sample;
-the hard one draws only the sample's maximum, from its law Phi**L, and
-its uniform label, so it matches hard_assign on an identity Gram in law
+L x L accumulators. They run at unit template norm, so the softmax
+takes b = beta. The soft one draws the L normals of every sample; the
+hard one draws only the sample's maximum, from its law Phi**L, and its
+uniform label, so it matches hard_assign on an identity Gram in law
 rather than draw for draw.
 """
 
@@ -206,7 +207,6 @@ class GramDiagEstimate:
     beta: float
     seed: int
     chunks: int
-    scale: float
     avg_self_corr: float
     avg_self_stderr: float
     warnings: tuple = ()
@@ -287,19 +287,24 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _run_chunks(cfg, worker):
-    """Sum worker(chunk, rows, ahead) over all chunks, compensated, in
-    chunk order.
+def _run_chunks(cfg, shapes, fill):
+    """Zeroed accumulators of the given shapes, filled per chunk by
+    fill(chunk, rows, ahead, *acc) and summed, compensated, in chunk
+    order.
 
-    worker returns a list of accumulator arrays. A run uses at most
-    cfg.threads threads (None: one per core), and OpenBLAS one thread
-    inside it. When threads >= 2 * chunks, each chunk also gets a helper
-    thread, ahead, that draws its next block of normals (see
-    _kernels.normal_blocks); otherwise ahead is None. Each chunk's
-    result is folded into the totals as soon as it and every earlier
-    chunk are done, and at most two results per worker are in flight,
-    so a run holds a bounded number of chunks' partial sums.
+    A run uses at most cfg.threads threads (None: one per core), and
+    OpenBLAS one thread inside it. When threads >= 2 * chunks, each
+    chunk also gets a helper thread, ahead, that draws its next block of
+    normals (see _kernels.normal_blocks); otherwise ahead is None. Each
+    chunk is folded into the totals as soon as it and every earlier
+    chunk are done, and at most two chunks per worker are in flight, so
+    a run holds a bounded number of partial sums.
     """
+    def worker(chunk, rows, ahead):
+        acc = [np.zeros(shape) for shape in shapes]
+        fill(chunk, rows, ahead, *acc)
+        return acc
+
     rows = _kernels.chunk_rows(cfg.m, cfg.chunks)
     threads = cfg.threads or os.cpu_count() or 1
     workers = min(threads, len(rows))
@@ -337,17 +342,6 @@ def _kahan_combine(parts):
             t[...] = s
         del part  # not alive while parts makes the next one
     return totals
-
-
-def _accumulate(cfg, shapes, fill):
-    """Zeroed accumulators of the given shapes, filled per chunk by
-    fill(chunk, rows, ahead, *acc) and combined in chunk order."""
-    def worker(chunk, rows, ahead):
-        acc = [np.zeros(shape) for shape in shapes]
-        fill(chunk, rows, ahead, *acc)
-        return acc
-
-    return _run_chunks(cfg, worker)
 
 
 def _factor(templates, cfg):
@@ -431,7 +425,7 @@ def _shared_pass(plans):
                 for i in members:
                     _feed(plans[i][1], z, s, acc[i])
 
-    return _split(_accumulate(cfg, [sh for run in shapes for sh in run],
+    return _split(_run_chunks(cfg, [sh for run in shapes for sh in run],
                               fill), shapes)
 
 
@@ -610,7 +604,7 @@ def _check_diag(L):
     return int(L)
 
 
-def hard_assign_diag(L, cfg, scale=1.0):
+def hard_assign_diag(L, cfg):
     """Hard run for L orthonormal templates, diagonal statistics only.
 
     Equal in law to hard_assign on an identity-correlation Gram but
@@ -623,41 +617,39 @@ def hard_assign_diag(L, cfg, scale=1.0):
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign_diag expects cfg.beta = inf")
     L = _check_diag(L)
-    scale = float(scale)
 
     def fill(chunk, rows, ahead, *acc):
-        _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, scale, *acc)
+        _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, *acc)
 
-    counts, d1, d2, pooled = _accumulate(cfg, (L, L, L, 2), fill)
+    counts, d1, d2, pooled = _run_chunks(cfg, (L, L, L, 2), fill)
     diag, se = _mean(d1, d2, counts)
     undefined, warnings_ = _empty_clusters(counts)
     avg, avg_se = _pooled(pooled, cfg.m)
     return GramDiagEstimate(
         corr_diag=diag, stderr_diag=se, mass=counts / cfg.m, m=cfg.m,
         beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
-        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se,
+        avg_self_corr=avg, avg_self_stderr=avg_se,
         warnings=warnings_, undefined=undefined)
 
 
-def soft_assign_diag(L, cfg, scale=1.0):
+def soft_assign_diag(L, cfg):
     """Soft run for L orthonormal templates, diagonal statistics only."""
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign_diag expects finite cfg.beta")
     beta = float(cfg.beta)
     L = _check_diag(L)
-    scale = float(scale)
 
     def fill(chunk, rows, ahead, *acc):
-        _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, scale, beta,
+        _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, beta,
                                  *acc, ahead=ahead)
 
-    w1, w2, b1, b2, b3, pooled = _accumulate(cfg, (L, L, L, L, L, 2), fill)
+    w1, w2, b1, b2, b3, pooled = _run_chunks(cfg, (L, L, L, L, L, 2), fill)
     diag, se = _ratio(b1, b2, b3, w1, w2, cfg.m)
     avg, avg_se = _pooled(pooled, cfg.m)
     return GramDiagEstimate(
         corr_diag=diag, stderr_diag=se, mass=w1 / cfg.m, m=cfg.m,
         beta=beta, seed=cfg.seed, chunks=cfg.chunks,
-        scale=scale, avg_self_corr=avg, avg_self_stderr=avg_se,
+        avg_self_corr=avg, avg_self_stderr=avg_se,
         warnings=_soft_warnings(cfg.m))
 
 
@@ -699,10 +691,10 @@ def extract_coefficients(est, templates):
     """Least-squares coefficients of each estimator in the template basis.
 
     Solves corr = alpha @ G for alpha, with G the unnormalized Gram
-    matrix of the templates; a singular G raises RankError.
+    matrix of the templates; a singular template set raises RankError (a
+    GramModel is never singular).
     """
     if isinstance(templates, GramModel):
-        _full_rank(templates.rho)
         gram = templates.covariance()
     else:
         _full_rank(templates.correlation())

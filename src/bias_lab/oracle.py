@@ -251,15 +251,15 @@ def _check_query(g, ell, what):
     return L
 
 
-def hard_moments(g, ell, method=None, nodes=None):
+def hard_moments(g, ell, method="exact", nodes=None):
     """P[argmax S = ell] and (E[S_k ; argmax S = ell])_k for L <= 6.
 
-    method None or "exact" uses the orthant reduction; "quadrature" the
+    method "exact" uses the orthant reduction; "quadrature" the
     memoized sweep: the conditional route (L <= 3, 96 nodes by default)
     or the tensor node sweep (L in 4..6, 40 nodes).
     """
     _check_query(g, ell, "hard_moments")
-    if method in (None, "exact"):
+    if method == "exact":
         return _hard_exact(g, ell)
     if method != "quadrature":
         raise DomainError(f"unknown method {method!r}")

@@ -9,9 +9,10 @@ normalized correlation model (GramModel) alongside the raw vectors.
 Rank rule: rank_factor alone decides the rank r of a singular Gram (the
 antipodal pair, three templates in a plane, d < L), under the one
 tolerance RANK_RTOL. Gram and full mode draw r normals per sample, so
-they stay exactly in its range. GramModel.from_correlation (behind
-TemplateSet.gram() and the oracle's models) and make_circulant refuse
-a singular set; span_residual and extract_coefficients raise RankError.
+they stay exactly in its range. GramModel (behind TemplateSet.gram()
+and the oracle's models) and make_circulant refuse a singular set;
+span_residual and extract_coefficients raise RankError. Templates read
+from files (load_csv, load_pgm_dir) are scaled to norm 1.
 """
 
 import math
@@ -33,7 +34,6 @@ from .errors import (
 NORM_RTOL = 1e-9          # relative spread allowed among column norms
 CORR_CAP = 1.0 - 1e-12    # pairwise correlation above this means duplicates
 RANK_RTOL = 1e-12         # eigenvalues up to this times the largest are zero
-FACTOR_ATOL = 1e-10       # per-entry tolerance for factor @ factor.T == rho
 
 
 def rank_factor(c):
@@ -73,14 +73,15 @@ def _readonly(a):
 class GramModel:
     """Normalized correlation matrix of a template set plus a sampling factor.
 
-    rho is L x L with unit diagonal, scale is the common column norm, and
-    factor satisfies factor @ factor.T == rho so that factor @ z maps iid
-    standard normals to the correlation structure of template projections.
+    rho is L x L with unit diagonal, symmetric within 1e-12 (stored
+    exactly symmetric) and of full rank, scale the common column norm.
+    factor = rank_factor(rho) maps iid standard normals z to projections
+    factor @ z with the correlation structure of the templates.
     """
 
     rho: np.ndarray
-    scale: float
-    factor: np.ndarray = field(repr=False)
+    scale: float = 1.0
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.float64)
@@ -97,11 +98,12 @@ class GramModel:
             raise DomainError("rho must have a unit diagonal")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise DomainError("scale must be a positive finite real")
-        factor = np.asarray(self.factor, dtype=np.float64)
-        if factor.shape != rho.shape:
-            raise DimensionError("factor must have the same shape as rho")
-        if np.max(np.abs(factor @ factor.T - rho)) > FACTOR_ATOL:
-            raise FactorizationError("factor does not reproduce rho")
+        rho = 0.5 * (rho + rho.T)
+        factor = rank_factor(rho)
+        if factor.shape[1] < L:
+            raise FactorizationError(
+                f"correlation matrix is singular: rank {factor.shape[1]} "
+                f"of {L}")
         object.__setattr__(self, "rho", _readonly(rho))
         object.__setattr__(self, "factor", _readonly(factor))
         object.__setattr__(self, "scale", float(self.scale))
@@ -112,21 +114,8 @@ class GramModel:
 
     @classmethod
     def from_correlation(cls, rho, scale=1.0):
-        """Build a model from a correlation matrix, factoring by Cholesky.
-
-        Raises FactorizationError when the matrix is not positive definite
-        under the rank rule of rank_factor.
-        """
-        rho = np.asarray(rho, dtype=np.float64)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DimensionError("rho must be a square matrix")
-        rho = 0.5 * (rho + rho.T)
-        factor = rank_factor(rho)
-        if factor.shape[1] < rho.shape[0]:
-            raise FactorizationError(
-                f"correlation matrix is singular: rank {factor.shape[1]} "
-                f"of {rho.shape[0]}")
-        return cls(rho=rho, scale=scale, factor=factor)
+        """The model of correlation matrix rho at column norm scale."""
+        return cls(rho=rho, scale=scale)
 
     def covariance(self):
         """Covariance of the raw template projections, scale**2 * rho."""
@@ -320,21 +309,20 @@ def make_haar_family(x0, L, seed):
     return TemplateSet(matrix=m, labels=tuple(f"h{k}" for k in range(L)))
 
 
-def save_csv(ts, path, header=True):
-    """Write a set as CSV with d rows and L columns (UTF-8)."""
+def save_csv(ts, path):
+    """Write a set as CSV (UTF-8): a header row of its labels, then d
+    rows of L values."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(",".join(ts.labels) + "\n")
+        fh.write(",".join(ts.labels) + "\n")
         for row in ts.matrix:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def read_csv(path, header="auto"):
+def read_csv(path):
     """The stored d x L values of a template CSV and its header labels
     (None without a header), before any rescaling or TemplateSet check.
 
-    header may be True, False, or "auto" (treat the first line as labels
-    when it fails to parse as numbers).
+    The first line is taken as labels when it fails to parse as numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -343,13 +331,10 @@ def read_csv(path, header="auto"):
     labels = None
     start = 0
     first = lines[0].split(",")
-    if header is True:
+    try:
+        [float(c) for c in first]
+    except ValueError:
         labels, start = [c.strip() for c in first], 1
-    elif header == "auto":
-        try:
-            [float(c) for c in first]
-        except ValueError:
-            labels, start = [c.strip() for c in first], 1
     rows = []
     width = None
     for ln in lines[start:]:
@@ -372,20 +357,15 @@ def read_csv(path, header="auto"):
     return m, labels
 
 
-def load_csv(path, header="auto", rescale=True, norm=None):
-    """Read a template set written as d rows by L columns.
-
-    header is as in read_csv. With rescale on, every column is scaled to
-    a common norm (norm argument, else 1.0); switching rescale off keeps
-    the stored vectors, which must then already share a norm.
-    """
-    m, labels = read_csv(path, header)
-    if rescale:
-        norms = np.linalg.norm(m, axis=0)
-        if np.any(norms == 0.0):
-            raise DegenerateTemplateSetError(f"{path}: zero template column")
-        m = m / norms * (1.0 if norm is None else float(norm))
-    return TemplateSet(matrix=m, labels=tuple(labels) if labels else ())
+def load_csv(path):
+    """Read a template set written as d rows by L columns (see read_csv),
+    every column scaled to norm 1."""
+    m, labels = read_csv(path)
+    norms = np.linalg.norm(m, axis=0)
+    if np.any(norms == 0.0):
+        raise DegenerateTemplateSetError(f"{path}: zero template column")
+    return TemplateSet(matrix=m / norms,
+                       labels=tuple(labels) if labels else ())
 
 
 _PGM_TOKEN = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
@@ -425,12 +405,12 @@ def load_pgm(path):
     return v, width, height
 
 
-def load_pgm_dir(dirpath, mean_subtract=True, norm=1.0):
+def load_pgm_dir(dirpath):
     """Build a template set from every .pgm image in a directory.
 
-    Images are flattened in row-major order, optionally centered by
-    subtracting each image's mean gray level, then scaled to a common
-    norm. Files are taken in sorted name order; labels are file stems.
+    Images are flattened in row-major order, centered by subtracting
+    each image's mean gray level, then scaled to norm 1. Files are taken
+    in sorted name order; labels are file stems.
     """
     names = sorted(n for n in os.listdir(dirpath) if n.lower().endswith(".pgm"))
     if len(names) < 2:
@@ -444,12 +424,11 @@ def load_pgm_dir(dirpath, mean_subtract=True, norm=1.0):
             raise DimensionError(
                 f"{name}: size {w}x{h} differs from first image "
                 f"{shape[0]}x{shape[1]}")
-        if mean_subtract:
-            v = v - v.mean()
+        v = v - v.mean()
         nv = np.linalg.norm(v)
         if nv == 0.0:
             raise DegenerateTemplateSetError(f"{name}: constant image")
-        cols.append(v / nv * norm)
+        cols.append(v / nv)
     m = np.column_stack(cols)
     ts = TemplateSet(matrix=m,
                      labels=tuple(os.path.splitext(n)[0] for n in names))

@@ -4,7 +4,7 @@ Each prediction expresses the large-M limit of the centroid estimates as
 linear combinations of the templates: alpha[l][k] is the coefficient of
 template k in the estimate of template l. The induced correlation matrix
 alpha @ (scale**2 * rho) is directly comparable to what the Monte Carlo
-engine measures.
+engine measures. Predictions for a general Gram take a GramModel.
 """
 
 import math
@@ -26,15 +26,14 @@ FORMULA_IDS = frozenset({
     "GumbelScale",
 })
 
-_CONSISTENCY_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TheoryPrediction:
     """Predicted estimates in template-span coordinates.
 
     predicted_corr[l][k] = (alpha @ (scale**2 * rho))[l][k] is the
-    predicted inner product of estimate l with template k.
+    predicted inner product of estimate l with template k, derived from
+    the other fields.
     """
 
     formula_id: str
@@ -42,7 +41,7 @@ class TheoryPrediction:
     rho: np.ndarray = field(repr=False)
     scale: float = 1.0
     validity_note: str = ""
-    predicted_corr: np.ndarray = field(default=None, repr=False)
+    predicted_corr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.formula_id not in FORMULA_IDS:
@@ -56,11 +55,6 @@ class TheoryPrediction:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise DomainError("scale must be a positive finite real")
         corr = alpha @ ((self.scale ** 2) * rho)
-        if self.predicted_corr is not None:
-            given = np.asarray(self.predicted_corr, dtype=np.float64)
-            if np.max(np.abs(given - corr)) > _CONSISTENCY_ATOL:
-                raise DomainError(
-                    "predicted_corr is inconsistent with alpha and the Gram")
         for name, arr in (("alpha", alpha), ("rho", rho),
                           ("predicted_corr", corr)):
             arr = np.ascontiguousarray(arr)
@@ -70,21 +64,6 @@ class TheoryPrediction:
     @property
     def L(self):
         return self.alpha.shape[0]
-
-
-def _correlation_of(obj):
-    """Accept a TemplateSet, GramModel, or plain matrix; return (rho, scale)."""
-    corr = getattr(obj, "correlation", None)
-    if callable(corr):
-        return corr(), obj.common_norm
-    rho = getattr(obj, "rho", None)
-    if rho is not None:
-        return np.asarray(rho, dtype=np.float64), float(obj.scale)
-    rho = np.asarray(obj, dtype=np.float64)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionError("expected a template set, Gram model, "
-                             "or square correlation matrix")
-    return rho, 1.0
 
 
 def _pair_rho(rho):
@@ -139,7 +118,8 @@ def soft_pair_prediction(rho, norm=1.0):
 
 
 def soft_finite_prediction(g):
-    """First-order finite-L expansion of the beta = 1 soft estimates.
+    """First-order finite-L expansion of the beta = 1 soft estimates of
+    the templates of GramModel g.
 
     Estimate l is predicted as
     x_l - (1/C_l) sum_r exp(<x_l, x_r>) x_r, with
@@ -148,7 +128,7 @@ def soft_finite_prediction(g):
     while every C_l stays positive; accuracy degrades as the exponents
     grow, so the validity note must travel with the numbers.
     """
-    rho, scale = _correlation_of(g)
+    rho, scale = g.rho, g.scale
     L = rho.shape[0]
     ex = np.exp((scale * scale) * rho)
     total = float(ex.sum())
@@ -171,20 +151,20 @@ def soft_finite_prediction(g):
     )
 
 
-def beta_zero_limit(set_or_gram):
-    """Slope of the soft estimates at vanishing inverse temperature.
+def beta_zero_limit(g):
+    """Slope of the soft estimates at vanishing inverse temperature, for
+    the templates of GramModel g.
 
     As beta -> 0, estimate l divided by beta converges to
     x_l - (1/L) sum_r x_r, so alpha = I - (1/L) ones.
     """
-    rho, scale = _correlation_of(set_or_gram)
-    L = rho.shape[0]
+    L = g.L
     alpha = np.eye(L) - np.full((L, L), 1.0 / L)
     return TheoryPrediction(
         formula_id="BetaZeroLimit",
         alpha=alpha,
-        rho=rho,
-        scale=scale,
+        rho=g.rho,
+        scale=g.scale,
         validity_note="leading order in beta; compare corr / beta against it",
     )
 
@@ -213,15 +193,14 @@ def gumbel_prediction(L, norm=1.0):
 def gumbel_constants(n):
     """Centering and scaling constants for the max of n iid standard normals.
 
-    Returns (a_n, b_n, asymptotic_scale) with a_n = sqrt(2 log n),
-    b_n = a_n - (log log n + log 4 pi) / (2 a_n), and asymptotic_scale
-    equal to a_n, the leading growth rate of the maximum.
+    Returns (a_n, b_n) with a_n = sqrt(2 log n), the leading growth
+    rate of the maximum, and b_n = a_n - (log log n + log 4 pi) / (2 a_n).
     """
     if n < 2:
         raise DomainError("need n >= 2 for the extreme value constants")
     a_n = math.sqrt(2.0 * math.log(n))
     b_n = a_n - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * a_n)
-    return a_n, b_n, a_n
+    return a_n, b_n
 
 
 def max_two_gaussians_mean(rho):

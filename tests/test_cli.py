@@ -64,6 +64,10 @@ def test_parse_config_errors(tmp_path):
     p.write_text("just a line without equals\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         cli.parse_config(str(p))
+    # an empty list would make a run that checks nothing
+    p.write_text("levels = ,\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="'levels'"):
+        cli.parse_config(str(p))
 
 
 # --------------------------------------------------------------- exit codes
@@ -82,20 +86,28 @@ def test_run_pair_hard_ok(tmp_path, capsys):
 
 
 def test_run_pair_soft_single_sample(tmp_path, capsys):
-    # one sample gives an infinite stderr, not a config error
+    # one sample gives an infinite stderr, not a config error: its row
+    # fails for want of a finite tolerance
     cfg = _write_cfg(tmp_path / "one.cfg", experiment="pair_soft", M=1)
     code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_OK
-    capsys.readouterr()
+    assert code == cli.EXIT_ROW_FAILED
+    assert "no finite tolerance" in capsys.readouterr().out
 
 
 def test_run_row_failure_exit_code(tmp_path, capsys):
-    # an absurdly tight tolerance turns the passing row into a failure
-    cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard",
-                     rho=0.5, M=60_000, tolerance=1e-9)
-    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_ROW_FAILED
-    assert "[FAIL]" in capsys.readouterr().out
+    for keys in (
+            # an absurdly tight tolerance turns the passing row into a
+            # failure
+            dict(M=60_000, tolerance=1e-9),
+            # three samples give an infinite 3-sigma tolerance, which
+            # bounds nothing
+            dict(M=3)):
+        cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard",
+                         rho=0.5, **keys)
+        code = cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_ROW_FAILED, keys
+        assert "[FAIL]" in capsys.readouterr().out
 
 
 def test_run_unknown_experiment(tmp_path, capsys):
@@ -495,12 +507,12 @@ def test_templates_make_haar(tmp_path, capsys):
                          "--scale", "3", "--seed", "5", "--out", str(out)])
         assert code == cli.EXIT_OK
         written.append((out / "haar_templates.csv").read_bytes())
-        ts = tpl.load_csv(out / "haar_templates.csv", rescale=False)
-        assert ts.L == 4 and ts.d == 20
-        np.testing.assert_allclose(np.linalg.norm(ts.matrix, axis=0), 3.0,
+        stored, _ = tpl.read_csv(out / "haar_templates.csv")
+        assert stored.shape == (20, 4)
+        np.testing.assert_allclose(np.linalg.norm(stored, axis=0), 3.0,
                                    rtol=1e-12)
         np.testing.assert_allclose(
-            ts.matrix[:, 0], tpl.make_exponential(20, float(alpha), norm=3.0),
+            stored[:, 0], tpl.make_exponential(20, float(alpha), norm=3.0),
             rtol=0, atol=1e-15)
     capsys.readouterr()
     # the seed profile is make_exponential(d, alpha), so alpha shapes it
@@ -648,9 +660,8 @@ def _flip_soft_kernels(monkeypatch):
     def bad_block(backend, s, beta, *acc):
         return orig_block(backend, s, -beta, *acc)
 
-    def bad_diag(backend, seed, chunk, rows, L, scale, beta, *acc, **kw):
-        return orig_diag(backend, seed, chunk, rows, L, scale, -beta, *acc,
-                         **kw)
+    def bad_diag(backend, seed, chunk, rows, L, beta, *acc, **kw):
+        return orig_diag(backend, seed, chunk, rows, L, -beta, *acc, **kw)
 
     monkeypatch.setattr(_kernels, "soft_block", bad_block)
     monkeypatch.setattr(_kernels, "soft_diag_chunk", bad_diag)

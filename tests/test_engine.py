@@ -635,14 +635,6 @@ def test_diag_paths_match_general_paths():
     assert np.all(np.abs(sd.corr_diag - np.diag(sa.corr)) < tol)
 
 
-def test_diag_scale_argument():
-    cfg = _cfg(100_000)
-    one = engine.hard_assign_diag(8, cfg, scale=1.0)
-    two = engine.hard_assign_diag(8, cfg, scale=2.0)
-    np.testing.assert_allclose(two.corr_diag, 2.0 * one.corr_diag,
-                               rtol=1e-12)
-
-
 def test_diag_paths_reject_bad_L():
     hard, soft = _cfg(1000), _cfg(1000, beta=1.0)
     for L in (3.9, 2.5, 1, 0, -4, math.nan, math.inf):
@@ -970,9 +962,8 @@ def test_singular_sets_are_refused_with_typed_errors():
     wide = _unit_columns(3, 5, 4)
     full_wide = engine.soft_assign(wide, _cfg(5_000, mode="full", beta=1.0))
     antipodal = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    singular_model = GramModel(rho=antipodal, scale=1.0,
-                               factor=np.array([[1.0, 0.0], [-1.0, 0.0]]))
     cases = [
+        (FactorizationError, lambda: GramModel(rho=antipodal)),
         (FactorizationError, lambda: GramModel.from_correlation(antipodal)),
         (FactorizationError, rank2.gram),
         (FactorizationError, tpl.make_pair(-1.0).gram),
@@ -980,9 +971,6 @@ def test_singular_sets_are_refused_with_typed_errors():
         (RankError, lambda: engine.span_residual(full, rank2)),
         (RankError, lambda: engine.extract_coefficients(full, rank2)),
         (RankError, lambda: engine.extract_coefficients(full_wide, wide)),
-        (RankError, lambda: engine.extract_coefficients(
-            engine.hard_assign(singular_model, _cfg(5_000)),
-            singular_model)),
     ]
     for error, call in cases:
         with pytest.raises(error):

@@ -103,18 +103,21 @@ def test_gram_model_validation():
     with pytest.raises(DomainError):
         GramModel.from_correlation(np.array([[1.0, 2.0], [2.0, 1.0]]) * np.nan)
     with pytest.raises(DomainError):
-        GramModel(rho=np.array([[1.0, 0.0], [0.3, 1.0]]), scale=1.0,
-                  factor=np.eye(2))
+        GramModel(rho=np.array([[1.0, 0.0], [0.3, 1.0]]), scale=1.0)
     with pytest.raises(DomainError):
-        GramModel(rho=np.array([[2.0, 0.0], [0.0, 2.0]]), scale=1.0,
-                  factor=np.eye(2))
+        GramModel(rho=np.array([[2.0, 0.0], [0.0, 2.0]]), scale=1.0)
     with pytest.raises(DomainError):
-        GramModel(rho=np.eye(2), scale=-1.0, factor=np.eye(2))
+        GramModel(rho=np.eye(2), scale=-1.0)
     with pytest.raises(DimensionError):
-        GramModel(rho=np.eye(1), scale=1.0, factor=np.eye(1))
-    with pytest.raises(FactorizationError):
-        GramModel(rho=np.array([[1.0, 0.5], [0.5, 1.0]]), scale=1.0,
-                  factor=np.eye(2))
+        GramModel(rho=np.eye(1), scale=1.0)
+    # the factor is derived from rho, so a valid rho has a valid model
+    g = GramModel(rho=np.array([[1.0, 0.5], [0.5, 1.0]]), scale=1.0)
+    np.testing.assert_allclose(g.factor @ g.factor.T, g.rho, atol=1e-15)
+    # rho within 1e-12 of symmetric is stored exactly symmetrized
+    near = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
+    g = GramModel(rho=near)
+    np.testing.assert_array_equal(g.rho, g.rho.T)
+    np.testing.assert_array_equal(g.rho, 0.5 * (near + near.T))
 
 
 def test_gram_model_rejects_indefinite():
@@ -286,32 +289,35 @@ def test_csv_round_trip_exact(tmp_path):
     ts = tpl.make_haar_family(tpl.make_exponential(10, 0.2), 3, seed=9)
     path = tmp_path / "set.csv"
     tpl.save_csv(ts, path)
-    back = tpl.load_csv(path, rescale=False)
-    np.testing.assert_array_equal(back.matrix, ts.matrix)
-    assert back.labels == ts.labels
+    values, labels = tpl.read_csv(path)
+    np.testing.assert_array_equal(values, ts.matrix)
+    assert tuple(labels) == ts.labels
 
 
 def test_csv_header_modes(tmp_path):
     ts = tpl.make_pair(0.25)
     headed = tmp_path / "headed.csv"
     bare = tmp_path / "bare.csv"
-    tpl.save_csv(ts, headed, header=True)
-    tpl.save_csv(ts, bare, header=False)
-    assert tpl.load_csv(headed, header="auto").labels == ("x0", "x1")
-    assert tpl.load_csv(bare, header="auto").labels == ("t0", "t1")
-    forced = tpl.load_csv(headed, header=True)
-    assert forced.labels == ("x0", "x1")
+    tpl.save_csv(ts, headed)
+    assert headed.read_text(encoding="utf-8").startswith("x0,x1\n")
+    bare.write_text("1,0.25\n0,0.96824583655185426\n", encoding="utf-8")
+    assert tpl.read_csv(headed)[1] == ["x0", "x1"]
+    assert tpl.read_csv(bare)[1] is None
+    assert tpl.load_csv(headed).labels == ("x0", "x1")
+    assert tpl.load_csv(bare).labels == ("t0", "t1")
+    np.testing.assert_array_equal(tpl.read_csv(bare)[0],
+                                  tpl.read_csv(headed)[0])
 
 
 def test_csv_rescale(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("3,0\n0,4\n", encoding="utf-8")
-    ts = tpl.load_csv(path, rescale=True, norm=2.0)
-    np.testing.assert_allclose(np.linalg.norm(ts.matrix, axis=0), 2.0,
+    # the stored columns have unequal norms, which load_csv rescales to 1
+    np.testing.assert_array_equal(
+        np.linalg.norm(tpl.read_csv(path)[0], axis=0), [3.0, 4.0])
+    ts = tpl.load_csv(path)
+    np.testing.assert_allclose(np.linalg.norm(ts.matrix, axis=0), 1.0,
                                rtol=1e-12)
-    # without rescaling the stored norms disagree, which is rejected
-    with pytest.raises(DomainError):
-        tpl.load_csv(path, rescale=False)
 
 
 def test_csv_parse_errors(tmp_path):
@@ -378,15 +384,13 @@ def test_load_pgm_dir(tmp_path):
     for name in ("a.pgm", "b.pgm", "c.pgm"):
         _write_pgm(tmp_path / name, 4, 3,
                    rng.integers(0, 256, size=12).astype(np.uint8).tobytes())
-    ts, shape = tpl.load_pgm_dir(tmp_path, norm=2.0)
+    ts, shape = tpl.load_pgm_dir(tmp_path)
     assert shape == (4, 3)
     assert ts.labels == ("a", "b", "c")
-    np.testing.assert_allclose(np.linalg.norm(ts.matrix, axis=0), 2.0,
+    np.testing.assert_allclose(np.linalg.norm(ts.matrix, axis=0), 1.0,
                                rtol=1e-12)
     # mean subtraction centers every column
     np.testing.assert_allclose(ts.matrix.sum(axis=0), 0.0, atol=1e-9)
-    raw, _ = tpl.load_pgm_dir(tmp_path, mean_subtract=False)
-    assert abs(raw.matrix[:, 0].sum()) > 1e-6
 
 
 def test_load_pgm_dir_errors(tmp_path):
