@@ -55,7 +55,6 @@ from .templates import (
     save_csv,
 )
 from .theory import (
-    FORMULA_IDS,
     TheoryPrediction,
     beta_zero_limit,
     gumbel_constants,
@@ -108,7 +107,6 @@ __all__ = [
     "make_haar_family",
     "make_pair",
     "save_csv",
-    "FORMULA_IDS",
     "TheoryPrediction",
     "beta_zero_limit",
     "gumbel_constants",

@@ -4,9 +4,8 @@ Config files are flat ``key = value`` text. '#' starts a comment at the
 start of a line or after whitespace; elsewhere it is part of the value,
 so ``template_dir = /data/run#3`` keeps the '#'. M accepts scientific
 notation (M = 5e6). Every experiment reads experiment, out_dir and seed
-(default 0; BIAS_LAB_SEED, when set, overrides it), and its own keys,
-shown with their defaults (chunks: automatic; tolerance: the check's
-rule):
+(default 0), and its own keys, shown with their defaults (chunks:
+automatic; tolerance: the check's rule):
 
     pair_hard     rho 0.99, scale 1, M 5e6, chunks, tolerance
     pair_soft     rho 0, scale 1, beta 1, M 1e6, chunks, tolerance
@@ -140,17 +139,6 @@ def parse_config(path):
             raise ConfigError(f"{path}:{no}: duplicate config key {key!r}")
         out[key] = _parse_scalar(key, raw, _KEY_PARSERS[key])
     return out
-
-
-def _effective_seed(cfg):
-    env = os.environ.get("BIAS_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"BIAS_LAB_SEED must be an integer, got "
-                              f"{env!r}")
-    return int(cfg.get("seed", 0))
 
 
 # --------------------------------------------------------------------------
@@ -554,7 +542,7 @@ def _prepare_outdir(path):
 def _cmd_run(args):
     try:
         cfg = parse_config(args.config)
-        seed = _effective_seed(cfg)  # a bad BIAS_LAB_SEED is a config error
+        seed = cfg.get("seed", 0)
         thread_count(args.threads)
         name = cfg.get("experiment")
         if name is None:

@@ -59,7 +59,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,23 +124,19 @@ class ExperimentConfig:
         object.__setattr__(self, "threads", thread_count(self.threads))
 
 
-@dataclass(frozen=True)
-class AssignmentEstimate:
-    """Immutable result of one hard or soft estimator run.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class _Estimate:
+    """Fields, checks and L shared by the two records of a run.
 
-    corr[l][k] = <x_hat_l, x_k> (raw inner products); mass[l] is the
-    cluster fraction (hard) or mean softmax weight (soft); stderr holds
-    delta-method Monte Carlo standard errors for corr entries.
-    avg_self_corr = sum_l mass[l] * corr[l][l] carries its own pooled
-    stderr, which accounts for cross-cluster covariance. estimates holds
-    the L estimator vectors in full mode, None in gram mode. Rows listed
-    in undefined had an empty cluster; their corr entries are NaN and a
-    warning is attached.
+    mass[l] is the cluster fraction (hard) or mean softmax weight (soft)
+    and sums to 1. avg_self_corr = sum_l mass[l] * corr[l][l] pools all
+    samples and carries its own stderr, which accounts for cross-cluster
+    covariance. Clusters listed in undefined were empty: their corr rows
+    are NaN and a warning is attached. Array fields are stored read-only.
+    _rows names a subclass's corr and stderr fields; the stderr must be
+    positive wherever mass is.
     """
 
-    mode: str
-    corr: np.ndarray
-    stderr: np.ndarray
     mass: np.ndarray
     m: int
     beta: float
@@ -148,31 +144,43 @@ class AssignmentEstimate:
     chunks: int
     avg_self_corr: float
     avg_self_stderr: float
-    estimates: np.ndarray = None
     warnings: tuple = ()
     undefined: tuple = ()
 
     def __post_init__(self):
-        for name in ("corr", "stderr", "mass", "estimates"):
-            arr = getattr(self, name)
-            if arr is not None:
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if f.type is np.ndarray and arr is not None:
                 arr = np.asarray(arr, dtype=np.float64)
                 arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, f.name, arr)
         if np.any(self.mass < -1e-12):
             raise DomainError("negative mass entry")
         if abs(float(self.mass.sum()) - 1.0) > 1e-9:
             raise DomainError(
                 f"mass must sum to 1 within 1e-9, got {self.mass.sum()!r}")
-        live = self.mass > 0
-        ok = np.ones_like(self.mass, dtype=bool)
-        ok[list(self.undefined)] = False
-        if np.any(~(self.stderr[live & ok] > 0)):
+        if np.any(~(getattr(self, self._rows[1])[self.mass > 0] > 0)):
             raise DomainError("stderr must be positive wherever mass > 0")
 
     @property
     def L(self):
         return self.mass.shape[0]
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class AssignmentEstimate(_Estimate):
+    """Immutable result of one hard or soft estimator run.
+
+    corr[l][k] = <x_hat_l, x_k> (raw inner products); stderr holds
+    delta-method Monte Carlo standard errors for corr entries. estimates
+    holds the L estimator vectors in full mode, None in gram mode.
+    """
+
+    _rows = ("corr", "stderr")
+    mode: str
+    corr: np.ndarray
+    stderr: np.ndarray
+    estimates: np.ndarray = None
 
     def save_csv(self, directory, stem="estimate"):
         """Write corr / stderr / mass tables as headed CSV files; returns
@@ -188,39 +196,19 @@ class AssignmentEstimate:
         return paths
 
 
-@dataclass(frozen=True)
-class GramDiagEstimate:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class GramDiagEstimate(_Estimate):
     """Diagonal-only statistics from the orthonormal-template fast path.
 
-    self_corr[l] = mean own-template projection within cluster l (hard)
-    or weighted mean (soft); avg_self_corr pools all samples. Only valid
-    for identity correlation, where the own projection of a hard winner
-    is the row maximum. As in AssignmentEstimate, clusters listed in
-    undefined were empty; their corr_diag entries are NaN and a warning
-    is attached.
+    corr_diag[l] = mean own-template projection within cluster l (hard)
+    or weighted mean (soft), with stderr_diag its stderr. Only valid for
+    identity correlation, where the own projection of a hard winner is
+    the row maximum.
     """
 
+    _rows = ("corr_diag", "stderr_diag")
     corr_diag: np.ndarray
     stderr_diag: np.ndarray
-    mass: np.ndarray
-    m: int
-    beta: float
-    seed: int
-    chunks: int
-    avg_self_corr: float
-    avg_self_stderr: float
-    warnings: tuple = ()
-    undefined: tuple = ()
-
-    def __post_init__(self):
-        for name in ("corr_diag", "stderr_diag", "mass"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def L(self):
-        return self.mass.shape[0]
 
 
 @functools.cache
@@ -488,60 +476,66 @@ def _full_vectors(templates, factor, cfg, span_sums, noise_factor, weights):
                     / weights[:, None])
 
 
-def _pooled(pooled, m):
-    """Mean and stderr of the pooled per-sample statistic."""
-    avg = pooled[0] / m
-    if m < 2:
-        return avg, math.inf
-    return avg, math.sqrt(max(pooled[1] / m - avg * avg, 0.0) / m)
+def _finish(cfg, sums, record, **own):
+    """The estimate of one run, of class record, from its sums; own are
+    the fields of that class that the sums do not give.
 
+    sums are a hard run's (counts, sum, sum of squares, pooled) or a soft
+    run's (w1, w2, a1, a2, a3, pooled). The per-cluster statistics, so
+    corr and stderr, are (L, L) on the general paths and (L,) on the
+    diagonal ones; record._rows names them. A hard cluster's corr is its
+    mean and the stderr that of a mean. A soft one's is the ratio R =
+    sum(p S) / sum(p), with the delta-method stderr: Var ~ sum(p^2 (S -
+    R)^2) / (sum p)^2, expanded in a2 = sum(p^2 S), a3 = sum(p^2 S^2) and
+    w2 = sum(p^2). pooled holds the sum and sum of squares of the pooled
+    per-sample statistic avg_self_corr.
 
-def _mean(total, total_sq, counts):
-    """Per-cluster mean and its stderr from count, sum and sum of squares.
-
-    An empty cluster has a NaN mean; fewer than two samples give an
-    infinite stderr.
+    A cluster of mass 0 is empty: its corr row is 0/0 = NaN and it is
+    listed in undefined. A stderr is infinite, with a warning, for a hard
+    cluster with one sample, for every cluster of a one-sample soft run
+    and wherever a cluster of positive mass came out with no spread, as
+    when one sample carries nearly all of a soft cluster's weight.
     """
+    m = cfg.m
+    hard = math.isinf(cfg.beta)
+    *stats, pooled = sums
+    row = (-1,) + (1,) * (stats[-1].ndim - 1)
+    w = stats[0].reshape(row)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = total / counts
-        c = np.maximum(counts, 1.0)
-        var = np.maximum(total_sq - total ** 2 / c, 0.0)
-        return mean, np.where(counts >= 2, np.sqrt(var) / c, np.inf)
-
-
-def _ratio(num, num_w, num_w2, w1, w2, m):
-    """Ratio estimate sum(p S) / sum(p) and its delta-method stderr.
-
-    Var ~ sum(p^2 (S - R)^2) / (sum p)^2, expanded in the streaming
-    moments num_w = sum(p^2 S), num_w2 = sum(p^2 S^2) and w2 = sum(p^2).
-    A single sample carries no spread, so its stderr is infinite.
-    """
-    ratio = num / w1
-    var_num = np.maximum(num_w2 - 2.0 * ratio * num_w + ratio ** 2 * w2, 0.0)
-    stderr = np.sqrt(var_num) / w1
-    if m < 2:
-        stderr = np.full_like(stderr, np.inf)
-    return ratio, stderr
-
-
-def _empty_clusters(counts):
-    """(undefined, warnings) of a hard run: the empty clusters, and one
-    warning for each of them and for each single-sample cluster."""
+        if hard:
+            _, total, total_sq = stats
+            corr = total / w
+            c = np.maximum(w, 1.0)
+            var = np.maximum(total_sq - total ** 2 / c, 0.0)
+            stderr = np.where(w >= 2, np.sqrt(var) / c, np.inf)
+        else:
+            _, w2, a1, a2, a3 = stats
+            corr = a1 / w
+            var = np.maximum(a3 - 2.0 * corr * a2
+                             + corr ** 2 * w2.reshape(row), 0.0)
+            stderr = (np.sqrt(var) / w if m >= 2
+                      else np.full(corr.shape, np.inf))
+    mass = stats[0] / m
+    flat = (mass > 0).reshape(row) & ~(stderr > 0)
+    stderr[flat] = np.inf
+    flat = flat.reshape(len(mass), -1).any(axis=1)
     undefined = []
-    warnings_ = []
-    for l in range(counts.shape[0]):
-        if counts[l] < 1:
+    warnings_ = ["single sample: stderr infinite"] if not hard and m < 2 else []
+    for l in range(len(mass)):
+        if mass[l] == 0:
             undefined.append(l)
             warnings_.append(f"empty cluster {l}: corr row undefined")
-        elif counts[l] < 2:
+        elif hard and stats[0][l] < 2:
             warnings_.append(f"cluster {l} has a single sample: stderr infinite")
-    return tuple(undefined), tuple(warnings_)
-
-
-def _soft_warnings(m):
-    """Warnings of a soft run: every cluster weighs every sample, so only
-    a single-sample run leaves its stderrs infinite."""
-    return ("single sample: stderr infinite",) if m < 2 else ()
+        elif flat[l]:
+            warnings_.append(f"cluster {l} has no spread: stderr infinite")
+    avg = pooled[0] / m
+    avg_se = (math.sqrt(max(pooled[1] / m - avg * avg, 0.0) / m) if m >= 2
+              else math.inf)
+    return record(**dict(zip(record._rows, (corr, stderr))), **own,
+                  mass=mass, m=m, beta=float(cfg.beta), seed=cfg.seed,
+                  chunks=cfg.chunks, avg_self_corr=avg, avg_self_stderr=avg_se,
+                  warnings=tuple(warnings_), undefined=tuple(undefined))
 
 
 def hard_assign(templates, cfg, *, sums=None):
@@ -553,24 +547,7 @@ def hard_assign(templates, cfg, *, sums=None):
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign expects cfg.beta = inf; use soft_assign")
-    factor = _factor(templates, cfg)
-    if sums is None:
-        sums, = _shared_pass([(factor, cfg)])
-    counts, sum1, sum2, pooled, *span = sums
-    vec = None
-    if span:
-        vec = _full_vectors(templates, factor, cfg, span[0],
-                            np.diag(np.sqrt(counts)), counts)
-    m = cfg.m
-    corr, stderr = _mean(sum1, sum2, counts[:, None])
-    undefined, warnings_ = _empty_clusters(counts)
-    corr[list(undefined)] = np.nan
-    avg, avg_se = _pooled(pooled, m)
-    return AssignmentEstimate(
-        mode=cfg.mode, corr=corr, stderr=stderr, mass=counts / m, m=m,
-        beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
-        avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
-        warnings=warnings_, undefined=undefined)
+    return _assign(templates, cfg, sums)
 
 
 def soft_assign(templates, cfg, *, sums=None):
@@ -578,22 +555,24 @@ def soft_assign(templates, cfg, *, sums=None):
     noise; templates and sums as in hard_assign."""
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign expects finite cfg.beta")
+    return _assign(templates, cfg, sums)
+
+
+def _assign(templates, cfg, sums):
+    """The estimate of a general run, hard or soft by cfg.beta. Full
+    mode's out-of-span noise factor (see _full_vectors) is diag(sqrt
+    counts) for hard labels and factors sum_i p_i p_i^T for soft ones."""
     factor = _factor(templates, cfg)
     if sums is None:
         sums, = _shared_pass([(factor, cfg)])
-    w1, w2, a1, a2, a3, pooled, *span = sums
+    hard = math.isinf(cfg.beta)
+    stats, span = (sums[:4], sums[4:]) if hard else (sums[:6], sums[6:])
     vec = None
     if span:
-        vec = _full_vectors(templates, factor, cfg, span[0],
-                            rank_factor(span[1]), w1)
-    m = cfg.m
-    corr, stderr = _ratio(a1, a2, a3, w1[:, None], w2[:, None], m)
-    avg, avg_se = _pooled(pooled, m)
-    return AssignmentEstimate(
-        mode=cfg.mode, corr=corr, stderr=stderr, mass=w1 / m, m=m,
-        beta=float(cfg.beta), seed=cfg.seed, chunks=cfg.chunks,
-        avg_self_corr=avg, avg_self_stderr=avg_se, estimates=vec,
-        warnings=_soft_warnings(m))
+        noise = np.diag(np.sqrt(stats[0])) if hard else rank_factor(span[1])
+        vec = _full_vectors(templates, factor, cfg, span[0], noise, stats[0])
+    return _finish(cfg, stats, AssignmentEstimate, mode=cfg.mode,
+                   estimates=vec)
 
 
 def _check_diag(L):
@@ -621,15 +600,8 @@ def hard_assign_diag(L, cfg):
     def fill(chunk, rows, ahead, *acc):
         _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, *acc)
 
-    counts, d1, d2, pooled = _run_chunks(cfg, (L, L, L, 2), fill)
-    diag, se = _mean(d1, d2, counts)
-    undefined, warnings_ = _empty_clusters(counts)
-    avg, avg_se = _pooled(pooled, cfg.m)
-    return GramDiagEstimate(
-        corr_diag=diag, stderr_diag=se, mass=counts / cfg.m, m=cfg.m,
-        beta=math.inf, seed=cfg.seed, chunks=cfg.chunks,
-        avg_self_corr=avg, avg_self_stderr=avg_se,
-        warnings=warnings_, undefined=undefined)
+    return _finish(cfg, _run_chunks(cfg, (L, L, L, 2), fill),
+                   GramDiagEstimate)
 
 
 def soft_assign_diag(L, cfg):
@@ -643,19 +615,13 @@ def soft_assign_diag(L, cfg):
         _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, beta,
                                  *acc, ahead=ahead)
 
-    w1, w2, b1, b2, b3, pooled = _run_chunks(cfg, (L, L, L, L, L, 2), fill)
-    diag, se = _ratio(b1, b2, b3, w1, w2, cfg.m)
-    avg, avg_se = _pooled(pooled, cfg.m)
-    return GramDiagEstimate(
-        corr_diag=diag, stderr_diag=se, mass=w1 / cfg.m, m=cfg.m,
-        beta=beta, seed=cfg.seed, chunks=cfg.chunks,
-        avg_self_corr=avg, avg_self_stderr=avg_se,
-        warnings=_soft_warnings(cfg.m))
+    return _finish(cfg, _run_chunks(cfg, (L, L, L, L, L, 2), fill),
+                   GramDiagEstimate)
 
 
 def correlation_matrix(est, templates):
     """Recompute <x_hat_l, x_k> from full-mode estimator vectors."""
-    if est.mode != "full" or est.estimates is None:
+    if est.estimates is None:
         raise ConfigError("correlation_matrix needs a full-mode estimate")
     if templates.d != est.estimates.shape[1]:
         raise DimensionError(
@@ -675,7 +641,7 @@ def _full_rank(corr):
 def span_residual(est, templates):
     """Fraction of each estimator vector outside the template span (NaN
     for an empty cluster); a singular set raises RankError."""
-    if est.mode != "full" or est.estimates is None:
+    if est.estimates is None:
         raise ConfigError("span_residual needs a full-mode estimate")
     if templates.d <= templates.L:
         raise DimensionError("span residual needs d > L")

@@ -193,7 +193,7 @@ def _orthant_closed(c):
     return 0.125 + s / (2.0 * _TWO_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Reference value with an honest error bound.
 

@@ -69,7 +69,7 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramModel:
     """Normalized correlation matrix of a template set plus a sampling factor.
 
@@ -122,7 +122,7 @@ class GramModel:
         return (self.scale ** 2) * self.rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateSet:
     """Immutable d x L matrix of templates with a shared column norm."""
 
@@ -309,9 +309,23 @@ def make_haar_family(x0, L, seed):
     return TemplateSet(matrix=m, labels=tuple(f"h{k}" for k in range(L)))
 
 
+def _numbers(cells):
+    """Whether every cell parses as a number, which read_csv takes to
+    mean a data row."""
+    try:
+        [float(c) for c in cells]
+    except ValueError:
+        return False
+    return True
+
+
 def save_csv(ts, path):
     """Write a set as CSV (UTF-8): a header row of its labels, then d
-    rows of L values."""
+    rows of L values. A set whose labels all parse as numbers is refused
+    with ParseError, as read_csv would take its header for data."""
+    if _numbers(ts.labels):
+        raise ParseError(f"labels {', '.join(ts.labels)} all parse as "
+                         f"numbers, so the header would read as data")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(ts.labels) + "\n")
         for row in ts.matrix:
@@ -331,9 +345,7 @@ def read_csv(path):
     labels = None
     start = 0
     first = lines[0].split(",")
-    try:
-        [float(c) for c in first]
-    except ValueError:
+    if not _numbers(first):
         labels, start = [c.strip() for c in first], 1
     rows = []
     width = None

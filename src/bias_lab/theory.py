@@ -18,16 +18,8 @@ from .errors import (
     DomainError,
 )
 
-FORMULA_IDS = frozenset({
-    "HardPair",
-    "SoftPairApprox",
-    "SoftFiniteLApprox",
-    "BetaZeroLimit",
-    "GumbelScale",
-})
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoryPrediction:
     """Predicted estimates in template-span coordinates.
 
@@ -36,7 +28,6 @@ class TheoryPrediction:
     the other fields.
     """
 
-    formula_id: str
     alpha: np.ndarray
     rho: np.ndarray = field(repr=False)
     scale: float = 1.0
@@ -44,8 +35,6 @@ class TheoryPrediction:
     predicted_corr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.formula_id not in FORMULA_IDS:
-            raise DomainError(f"unknown formula id {self.formula_id!r}")
         alpha = np.asarray(self.alpha, dtype=np.float64)
         rho = np.asarray(self.rho, dtype=np.float64)
         if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
@@ -86,7 +75,6 @@ def hard_pair_prediction(rho, norm=1.0):
         raise DomainError("norm must be a positive finite real")
     c = math.sqrt(1.0 / (math.pi * (1.0 - rho) * norm * norm))
     return TheoryPrediction(
-        formula_id="HardPair",
         alpha=c * _PAIR_SHAPE,
         rho=_pair_rho(rho),
         scale=norm,
@@ -108,7 +96,6 @@ def soft_pair_prediction(rho, norm=1.0):
     gap = (1.0 - rho) * norm * norm
     a = 0.5 / math.sqrt(1.0 + 0.25 * math.pi * gap)
     return TheoryPrediction(
-        formula_id="SoftPairApprox",
         alpha=a * _PAIR_SHAPE,
         rho=_pair_rho(rho),
         scale=norm,
@@ -141,7 +128,6 @@ def soft_finite_prediction(g):
     alpha = -ex / c[:, None]
     alpha[np.diag_indices(L)] += 1.0
     return TheoryPrediction(
-        formula_id="SoftFiniteLApprox",
         alpha=alpha,
         rho=rho,
         scale=scale,
@@ -161,7 +147,6 @@ def beta_zero_limit(g):
     L = g.L
     alpha = np.eye(L) - np.full((L, L), 1.0 / L)
     return TheoryPrediction(
-        formula_id="BetaZeroLimit",
         alpha=alpha,
         rho=g.rho,
         scale=g.scale,
@@ -181,7 +166,6 @@ def gumbel_prediction(L, norm=1.0):
         raise DomainError("norm must be a positive finite real")
     a_l = math.sqrt(2.0 * math.log(L))
     return TheoryPrediction(
-        formula_id="GumbelScale",
         alpha=(a_l / norm) * np.eye(L),
         rho=np.eye(L),
         scale=norm,

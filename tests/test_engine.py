@@ -27,6 +27,7 @@ from bias_lab import (
     SpectrumError,
     TemplateSet,
     engine,
+    oracle,
     templates as tpl,
     theory,
 )
@@ -580,6 +581,52 @@ def test_single_sample_soft_stderr_is_infinite():
     assert np.isinf(diag.stderr_diag).all()
     assert math.isinf(diag.avg_self_stderr)
     assert diag.warnings == est.warnings
+
+
+def test_soft_cluster_without_spread_gets_infinite_stderr():
+    """At sharp beta and few samples one sample can carry nearly all of a
+    soft cluster's weight, so its delta-method variance rounds to 0: both
+    soft paths report an infinite stderr there, with a warning, never 0."""
+    g = GramModel.from_correlation(np.eye(3))
+    runs = [engine.soft_assign(g, ExperimentConfig(m=m, seed=seed, beta=beta,
+                                                   chunks=1))
+            for m, beta in ((2, 7.5), (10, 50.0)) for seed in range(50)]
+    runs += [engine.soft_assign_diag(64, ExperimentConfig(m=2, seed=0,
+                                                          beta=beta))
+             for beta in (7.5, 50.0)]
+    flagged = 0
+    for est in runs:
+        se = est.stderr if hasattr(est, "stderr") else est.stderr_diag
+        live = est.mass > 0
+        assert np.all(se[live] > 0)
+        flat = [l for l in range(est.L)
+                if f"cluster {l} has no spread: stderr infinite"
+                in est.warnings]
+        # with two samples or more only the no-spread rule makes a
+        # soft stderr infinite
+        assert flat == [l for l in range(est.L) if np.any(np.isinf(se[l]))]
+        flagged += bool(flat)
+    # 11 of 50 runs at M = 2, 3 of 50 at M = 10 and both diagonal runs
+    assert flagged == 11 + 3 + 2
+
+
+def test_records_compare_by_identity():
+    ts = TemplateSet(matrix=np.eye(3)[:, :2])
+    g = GramModel(np.eye(2))
+    cfg = ExperimentConfig(m=100, seed=1, chunks=1)
+    records = [
+        (g, lambda: GramModel(np.eye(2))),
+        (ts, lambda: TemplateSet(matrix=np.eye(3)[:, :2])),
+        (theory.hard_pair_prediction(0.3),
+         lambda: theory.hard_pair_prediction(0.3)),
+        (oracle.max_gaussian_mean(2), lambda: oracle.max_gaussian_mean(2)),
+        (engine.hard_assign(g, cfg), lambda: engine.hard_assign(g, cfg)),
+        (engine.hard_assign_diag(2, cfg),
+         lambda: engine.hard_assign_diag(2, cfg)),
+    ]
+    for rec, copy in records:
+        assert rec == rec
+        assert rec != copy()
 
 
 def test_save_csv_writes_three_tables(tmp_path):

@@ -286,12 +286,18 @@ def test_haar_family_errors():
 # ------------------------------------------------------------- CSV format
 
 def test_csv_round_trip_exact(tmp_path):
-    ts = tpl.make_haar_family(tpl.make_exponential(10, 0.2), 3, seed=9)
     path = tmp_path / "set.csv"
-    tpl.save_csv(ts, path)
-    values, labels = tpl.read_csv(path)
-    np.testing.assert_array_equal(values, ts.matrix)
-    assert tuple(labels) == ts.labels
+    for ts in (tpl.make_haar_family(tpl.make_exponential(10, 0.2), 3, seed=9),
+               # one label that is not a number keeps the header a header
+               TemplateSet(matrix=np.eye(3)[:, :2], labels=("x1", "2"))):
+        tpl.save_csv(ts, path)
+        values, labels = tpl.read_csv(path)
+        np.testing.assert_array_equal(values, ts.matrix)
+        assert tuple(labels) == ts.labels
+    # labels that all parse as numbers would read back as a data row
+    numeric = TemplateSet(matrix=np.eye(3)[:, :2], labels=("1", "2"))
+    with pytest.raises(ParseError, match="labels 1, 2"):
+        tpl.save_csv(numeric, tmp_path / "numeric.csv")
 
 
 def test_csv_header_modes(tmp_path):

@@ -43,7 +43,6 @@ def test_hard_pair_structure():
     # antisymmetric rows: row of x1 is the negative of row of x0
     np.testing.assert_allclose(corr[1], -corr[0], atol=1e-14)
     np.testing.assert_allclose(corr[0, 1], -corr[0, 0], atol=1e-14)
-    assert pred.formula_id == "HardPair"
     assert pred.L == 2
 
 
@@ -179,15 +178,6 @@ def test_gumbel_prediction():
 
 
 # ------------------------------------------------------- container checks
-
-def test_prediction_consistency_guard():
-    good = theory.hard_pair_prediction(0.0)
-    with pytest.raises(DomainError):
-        theory.TheoryPrediction(
-            formula_id="NotAFormula",
-            alpha=good.alpha,
-            rho=good.rho)
-
 
 def test_prediction_is_immutable():
     pred = theory.beta_zero_limit(GramModel.from_correlation(np.eye(3)))
