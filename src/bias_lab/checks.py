@@ -105,20 +105,18 @@ def oracle_tol(stderr, ref):
     return 3.0 * (stderr + float(ref.ratio_bound()))
 
 
-def pair_hard(rhos, m, seed, scale=1.0, chunks=None, tolerance=None,
-              threads=None):
+def pair_hard(rhos, m, seed, scale=1.0, threads=None):
     """Hard pair self correlation against sqrt((1 - rho) / pi) * scale.
 
-    Each row passes within max(0.002, 3 sigma), or within tolerance
-    when one is given.
+    Each row passes within max(0.002, 3 sigma).
     """
     rows, table = [], []
     runs = estimates([(tpl.make_pair(rho, norm=scale), m, seed, math.inf)
-                      for rho in rhos], threads, chunks=chunks)
+                      for rho in rhos], threads)
     for rho, est in zip(rhos, runs):
         pred = theory.hard_pair_prediction(rho, scale).predicted_corr[0][0]
         measured, se = float(est.corr[0, 0]), float(est.stderr[0, 0])
-        tol = max(0.002, 3.0 * se) if tolerance is None else tolerance
+        tol = max(0.002, 3.0 * se)
         row = _near(f"hard pair rho={rho:+.2f} self correlation", measured,
                     pred, tol,
                     "closed form, maximum of two correlated normals")
@@ -132,19 +130,16 @@ def pair_hard(rhos, m, seed, scale=1.0, chunks=None, tolerance=None,
         est)
 
 
-def pair_soft(rho, beta, m, seed, scale=1.0, chunks=None, tolerance=None,
-              threads=None):
-    """Soft pair self correlation against the oracle, within oracle_tol
-    or the given tolerance; the small-correlation closed form is shown
-    without a verdict."""
-    est = estimate(tpl.make_pair(rho, norm=scale), m, seed, beta, threads,
-                   chunks=chunks)
+def pair_soft(rho, beta, m, seed, scale=1.0, threads=None):
+    """Soft pair self correlation against the oracle, within oracle_tol;
+    the small-correlation closed form is shown without a verdict."""
+    est = estimate(tpl.make_pair(rho, norm=scale), m, seed, beta, threads)
     ref = oracle.soft_moments(GramModel.from_correlation(
         np.array([[1.0, rho], [rho, 1.0]]), scale=scale), beta, 0)
     truth = float(ref.ratio()[0])
     measured, se = float(est.corr[0, 0]), float(est.stderr[0, 0])
     row = _near(f"soft pair rho={rho:+.2f} self correlation", measured, truth,
-                oracle_tol(se, ref) if tolerance is None else tolerance,
+                oracle_tol(se, ref),
                 f"oracle {ref.method} ({ref.nodes} nodes)")
     approx = theory.soft_pair_prediction(rho, scale)
     pred = float(approx.predicted_corr[0][0])
@@ -351,7 +346,7 @@ _LITERAL_MAX_L = 64
 _LITERAL_SEED = 1 << 20
 
 
-def gumbel(levels, m, seed, chunks=None, threads=None):
+def gumbel(levels, m, seed, threads=None):
     """Orthonormal hard sweep against E[max of L normals], run at seed + L.
 
     Levels are taken sorted and without repeats, so |ratio to a_L - 1|
@@ -368,7 +363,7 @@ def gumbel(levels, m, seed, chunks=None, threads=None):
     levels = sorted(set(int(lv) for lv in levels))
     for lv in levels:
         est = engine.hard_assign_diag(lv, ExperimentConfig(
-            m=m, seed=seed + lv, chunks=chunks, threads=threads))
+            m=m, seed=seed + lv, threads=threads))
         ref = oracle.max_gaussian_mean(lv)
         a_l, b_l = theory.gumbel_constants(lv)
         measured = float(est.avg_self_corr)
@@ -426,16 +421,17 @@ def oracle_self(ibp_models, pair_grams, circulants, nodes, sum_grams,
     ibp_models are (GramModel, beta, ell) triples; pair_grams L = 2
     models for exact vs quadrature; circulants first rows of circulant
     correlations, swept at `nodes` per axis (None: the default);
-    sum_grams models whose hard occupancies must sum to one.
+    sum_grams models whose hard occupancies must sum to one. Each row
+    reduces with np.max, so a NaN from the oracle reaches it and fails.
     """
-    ibp = max(oracle.ibp_residual(g, beta, ell)
-              for g, beta, ell in ibp_models)
-    quad = 0.0
+    ibp = float(np.max([oracle.ibp_residual(g, beta, ell)
+                        for g, beta, ell in ibp_models]))
+    quad = []
     for g in pair_grams:
         e = oracle.hard_moments(g, 0, method="exact")
         q = oracle.hard_moments(g, 0, method="quadrature")
-        quad = max(quad, float(np.max(np.abs(e.value - q.value))),
-                   abs(e.mass - q.mass))
+        quad += [*np.abs(e.value - q.value), abs(e.mass - q.mass)]
+    quad = float(np.max(quad))
     gaps, tols = [], []
     for seq in circulants:
         g = tpl.make_circulant(seq).gram()
@@ -443,8 +439,9 @@ def oracle_self(ibp_models, pair_grams, circulants, nodes, sum_grams,
             r = oracle.soft_moments(g, 1.0, ell, nodes=nodes)
             gaps.append(r.mass - 1.0 / g.L)
             tols.append(max(float(r.mass_bound), 1e-9))
-    psum = max(abs(sum(oracle.hard_moments(g, ell).mass
-                       for ell in range(g.L)) - 1.0) for g in sum_grams)
+    psum = float(np.max([abs(sum(oracle.hard_moments(g, ell).mass
+                                 for ell in range(g.L)) - 1.0)
+                         for g in sum_grams]))
     return CheckResult([
         ReportRow(f"integration-by-parts residual over {len(ibp_models)} "
                   f"random models", ibp, 0.0, 1e-6,
@@ -498,13 +495,13 @@ def mass_sanity(m, threads=None):
         "binomial standard error")])
 
 
-def bias_demo(ts, m, seed, beta=math.inf, chunks=None, threads=None):
+def bias_demo(ts, m, seed, beta=math.inf, threads=None):
     """Every full-mode estimate has its largest Pearson correlation (over
     the d coordinates) with its own template; the row shows the worst
     margin. A hard run that leaves a cluster empty has no estimate for
     it: its Pearson row is NaN, the margin is the worst over the other
     clusters, and the row fails with a note that names the cluster."""
-    est = estimate(ts, m, seed, beta, threads, mode="full", chunks=chunks)
+    est = estimate(ts, m, seed, beta, threads, mode="full")
     pearson = np.array([[np.corrcoef(e, x)[0, 1] for x in ts.matrix.T]
                         if k not in est.undefined else [math.nan] * ts.L
                         for k, e in enumerate(est.estimates)])

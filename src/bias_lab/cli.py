@@ -3,15 +3,18 @@
 Config files are flat ``key = value`` text. '#' starts a comment at the
 start of a line or after whitespace; elsewhere it is part of the value,
 so ``template_dir = /data/run#3`` keeps the '#'. M accepts scientific
-notation (M = 5e6). Every experiment reads experiment, out_dir and seed
-(default 0), and its own keys, shown with their defaults (chunks:
-automatic; tolerance: the check's rule):
+notation (M = 5e6). Every experiment reads experiment and seed
+(default 0), and its own keys, shown with their defaults:
 
-    pair_hard     rho 0.99, scale 1, M 5e6, chunks, tolerance
-    pair_soft     rho 0, scale 1, beta 1, M 1e6, chunks, tolerance
-    gumbel_sweep  levels 16,64,256,1024,4096, M 1e6, chunks
-    bias_demo     M 2e5, beta inf, chunks, and either template_dir or
+    pair_hard     rho 0.99, scale 1, M 5e6
+    pair_soft     rho 0, scale 1, beta 1, M 1e6
+    gumbel_sweep  levels 16,64,256,1024,4096, M 1e6
+    bias_demo     M 2e5, beta inf, and either template_dir or
                   width 32, height 32, L 12, alpha 8/(width*height)
+
+Every run splits M into chunks by the automatic plan and judges each
+row by its check's own rule, as verify does. Output goes to --out, else
+bias_lab_<experiment>.
 
 Any other key is a config error, and so is a list key (levels) that
 holds no value. `templates make --family F --out DIR` reads these
@@ -19,7 +22,6 @@ flags, and refuses any other with exit 3:
 
     pair          --rho 0, --d 2, --scale 1
     circulant     --rho-seq (required), --d L, --scale 1
-    exponential   --d (required), --alpha 0.1, --scale 1
     haar          --d, --L (required), --alpha 0.1, --scale 1, --seed 0
 
 Exit codes: 0 all tolerance rows pass, 1 at least one row failed (a
@@ -83,7 +85,6 @@ _KEY_PARSERS = {
     "M": "int",
     "beta": float,
     "seed": "int",
-    "chunks": "int",
     "rho": float,
     "alpha": float,
     "scale": float,
@@ -91,8 +92,6 @@ _KEY_PARSERS = {
     "width": "int",
     "height": "int",
     "template_dir": str,
-    "out_dir": str,
-    "tolerance": float,
 }
 
 
@@ -283,33 +282,27 @@ def _declared(fn, given, what, spell=repr):
 
 
 # An experiment's parameters are the config keys it reads besides
-# experiment and out_dir, with their defaults. It returns the inputs of
-# its check and a function that saves what the check returns beyond its
-# CSV table, or None.
+# experiment, with their defaults. It returns the inputs of its check
+# and a function that saves what the check returns beyond its CSV
+# table, or None.
 
 
-def _pair_hard(seed, rho=0.99, scale=1.0, M=5_000_000, chunks=None,
-               tolerance=None):
-    return (dict(rhos=(rho,), m=M, seed=seed, scale=scale, chunks=chunks,
-                 tolerance=tolerance),
+def _pair_hard(seed, rho=0.99, scale=1.0, M=5_000_000):
+    return (dict(rhos=(rho,), m=M, seed=seed, scale=scale),
             lambda res, outdir: res.estimate.save_csv(
                 outdir, "pair_hard_estimate"))
 
 
-def _pair_soft(seed, rho=0.0, scale=1.0, beta=1.0, M=1_000_000, chunks=None,
-               tolerance=None):
-    return dict(rho=rho, beta=beta, m=M, seed=seed, scale=scale,
-                chunks=chunks, tolerance=tolerance), None
+def _pair_soft(seed, rho=0.0, scale=1.0, beta=1.0, M=1_000_000):
+    return dict(rho=rho, beta=beta, m=M, seed=seed, scale=scale), None
 
 
-def _gumbel_sweep(seed, levels=(16, 64, 256, 1024, 4096), M=1_000_000,
-                  chunks=None):
-    return dict(levels=levels, m=M, seed=seed, chunks=chunks), None
+def _gumbel_sweep(seed, levels=(16, 64, 256, 1024, 4096), M=1_000_000):
+    return dict(levels=levels, m=M, seed=seed), None
 
 
-def _bias_demo(seed, M=200_000, beta=math.inf, chunks=None,
-               template_dir=None, width=None, height=None, L=None,
-               alpha=None):
+def _bias_demo(seed, M=200_000, beta=math.inf, template_dir=None,
+               width=None, height=None, L=None, alpha=None):
     """The PGM images of template_dir, or, without it, L = 12 Haar
     rotations (seed + 1) of make_exponential(d, alpha) with d = width x
     height pixels, 32 x 32 and alpha = 8 / d unless given."""
@@ -337,7 +330,7 @@ def _bias_demo(seed, M=200_000, beta=math.inf, chunks=None,
                                   ("template", ts.matrix[:, i]))
                 if kind == "template" or i not in res.estimate.undefined]
 
-    return dict(ts=ts, m=M, seed=seed, beta=beta, chunks=chunks), render
+    return dict(ts=ts, m=M, seed=seed, beta=beta), render
 
 
 # experiment: (check, CSV file of its table, inputs from config keys)
@@ -453,12 +446,6 @@ def _make_circulant(rho_seq, d=None, scale=1.0):
     return tpl.make_circulant(seq, d=d, norm=scale)
 
 
-def _make_exponential(d, alpha=0.1, scale=1.0):
-    # a single decaying profile, not a template set; written as a
-    # one-column CSV usable as the seed vector of a haar family
-    return tpl.make_exponential(d, alpha, norm=scale)
-
-
 def _make_haar(d, L, alpha=0.1, scale=1.0, seed=0):
     # Haar rotations of an exponential profile, as bias_demo builds its set
     return tpl.make_haar_family(tpl.make_exponential(d, alpha, norm=scale),
@@ -466,7 +453,7 @@ def _make_haar(d, L, alpha=0.1, scale=1.0, seed=0):
 
 
 _FAMILIES = {"pair": _make_pair, "circulant": _make_circulant,
-             "exponential": _make_exponential, "haar": _make_haar}
+             "haar": _make_haar}
 _MAKE_FLAGS = dict(rho=float, rho_seq=str, alpha=float, d=int, L=int,
                    scale=float, seed=int)
 
@@ -481,11 +468,6 @@ def _templates_make(args):
              if getattr(args, k) is not None}
     made = _declared(_FAMILIES[fam], given, f"--family {fam}", _flag)
     os.makedirs(args.out, exist_ok=True)
-    if fam == "exponential":
-        path = os.path.join(args.out, "exponential_profile.csv")
-        np.savetxt(path, made, header="x0", comments="", fmt="%.17g")
-        print(f"wrote {path} ({made.size} rows x 1 column, seed profile)")
-        return EXIT_OK
     path = os.path.join(args.out, f"{fam}_templates.csv")
     tpl.save_csv(made, path)
     print(f"wrote {path} ({made.d} rows x {made.L} columns)")
@@ -552,14 +534,13 @@ def _cmd_run(args):
                   f"{', '.join(_EXPERIMENTS)}", file=sys.stderr)
             return EXIT_UNKNOWN_EXPERIMENT
         check, csv_name, build = _EXPERIMENTS[name]
-        keys = {k: v for k, v in cfg.items()
-                if k not in ("experiment", "out_dir")}
+        keys = {k: v for k, v in cfg.items() if k != "experiment"}
         inputs, save = _declared(build, dict(keys, seed=seed),
                                  f"experiment {name!r}")
     except (BiasLabError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    outdir = args.out or cfg.get("out_dir") or f"bias_lab_{name}"
+    outdir = args.out or f"bias_lab_{name}"
     if not _prepare_outdir(outdir):
         return EXIT_UNWRITABLE
     report = RunReport(name, dict(cfg, seed=seed), threads=args.threads)

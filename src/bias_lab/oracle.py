@@ -17,8 +17,8 @@ engine and of the closed-form theory module:
   to three dimensions have arcsine closed forms; four and five
   dimensions use Plackett's identity, which turns the orthant into a
   one-dimensional integral of those closed forms.
-* a quadrature branch, one memoized sweep per (Gram, beta, n) that
-  yields every cluster and every moment at once: for hard queries at
+* a quadrature branch, one memoized sweep per (Gram model, beta, n)
+  that yields every cluster and every moment at once: for hard queries at
   L <= 3, one-dimensional Gauss-Hermite integration over each S_ell of
   the smooth conditional form (bivariate normal CDF and partial
   moments inside); for soft queries at every L and hard ones at
@@ -35,7 +35,9 @@ engine and of the closed-form theory module:
   inner bivariate CDF has a fixed resolution that halving the outer
   nodes cannot sense. soft_moments, soft_second_moments,
   softmax_weights, ibp_residual and hard_moments read the same memo for
-  every ell.
+  every ell. The memo keys on the GramModel object (models compare by
+  identity), so queries hit it when they pass the same model; an equal
+  model built anew sweeps again, to the same values.
 
 The moment queries answer for L <= 6 and raise DimensionError beyond
 it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle
@@ -43,8 +45,8 @@ draws no random numbers: every value is a deterministic function of its
 arguments.
 """
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,25 +63,16 @@ _TWO_PI = 2.0 * math.pi
 _EXACT_BOUND = 1e-13
 _CONDITIONAL_FLOOR = 1e-12  # least bound of the L <= 3 hard route
 _PLACKETT_NODES = 64      # Gauss-Legendre points of the Plackett path
-_GH_CACHE = {}
-_GL_CACHE = {}
-_SWEEPS = {}
-_SWEEP_SLOTS = 8
-_SWEEP_LOCK = threading.Lock()
 
 
+@functools.cache
 def _gh_rule(n):
     """Gauss-Hermite nodes scaled for a standard normal, weights sum 1."""
-    if n not in _GH_CACHE:
-        x, w = roots_hermite(n)
-        _GH_CACHE[n] = (x * math.sqrt(2.0), w / math.sqrt(math.pi))
-    return _GH_CACHE[n]
+    x, w = roots_hermite(n)
+    return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
-def _gl_rule(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+_gl_rule = functools.cache(leggauss)
 
 
 def _phi(x):
@@ -332,22 +325,18 @@ def _hard_conditional_once(g, ell, n):
     return value, float(w @ p)
 
 
+@functools.lru_cache(maxsize=8)
 def _sweep(kind, g, beta, n):
-    """The node sweep of one (Gram, beta, n), shared by every cluster.
+    """One (Gram model, beta, n) node sweep, shared by every cluster.
 
     kind "hard" returns (prob, mom), prob[l] = P[argmax = l] and
     mom[l][k] = E[S_k ; argmax = l]: from the conditional route at
     L <= 3, from the argmax tensor sweep above. kind "soft" returns
     (mass, mom, pp) of the softmax tensor sweep at a validated beta. The
-    last _SWEEP_SLOTS sweeps are kept, keyed by the model's bytes, and
-    their arrays are read-only.
+    last 8 sweeps are kept, keyed by the model object, and their arrays
+    are read-only.
     """
     a = g.scale * g.factor
-    key = (kind, a.shape, a.tobytes(), g.rho.tobytes(), beta, n)
-    with _SWEEP_LOCK:
-        hit = _SWEEPS.get(key)
-    if hit is not None:
-        return hit
     x, w = _gh_rule(n)
     if kind == "soft":
         hit = _kernels.soft_nodes(None, a, x, w, beta)
@@ -359,10 +348,6 @@ def _sweep(kind, g, beta, n):
         hit = (np.array(probs), np.array(vals))
     for arr in hit:
         arr.setflags(write=False)
-    with _SWEEP_LOCK:
-        _SWEEPS[key] = hit
-        while len(_SWEEPS) > _SWEEP_SLOTS:
-            del _SWEEPS[next(iter(_SWEEPS))]
     return hit
 
 

@@ -1,6 +1,8 @@
 """Tests for the command line driver: config parsing, exit codes,
 artifact determinism, and the kernel mutation harness."""
 
+import dataclasses
+import inspect
 import math
 import re
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from bias_lab import (ConfigError, DomainError, _kernels, checks, cli,
-                      engine, templates as tpl)
+                      engine, oracle, templates as tpl)
 from bias_lab.engine import ExperimentConfig
 from bias_lab.templates import GramModel
 
@@ -33,8 +35,7 @@ def test_parse_config_round_trip(tmp_path):
         "seed = 9\n"
         "levels = 16, 64\n"
         "  # indented comment\n"
-        "template_dir = /data/run#3\n"
-        "out_dir = /tmp/out#a\t# after a tab\n"
+        "template_dir = /data/run#3\t# after a tab\n"
         "\n",
         encoding="utf-8")
     cfg = cli.parse_config(str(p))
@@ -45,7 +46,6 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg["levels"] == (16, 64)
     # '#' opens a comment only at the start of a line or after whitespace
     assert cfg["template_dir"] == "/data/run#3"
-    assert cfg["out_dir"] == "/tmp/out#a"
 
 
 def test_parse_config_errors(tmp_path):
@@ -96,9 +96,6 @@ def test_run_pair_soft_single_sample(tmp_path, capsys):
 
 def test_run_row_failure_exit_code(tmp_path, capsys):
     for keys in (
-            # an absurdly tight tolerance turns the passing row into a
-            # failure
-            dict(experiment="pair_hard", rho=0.5, M=60_000, tolerance=1e-9),
             # three samples give an infinite 3-sigma tolerance, which
             # bounds nothing
             dict(experiment="pair_hard", rho=0.5, M=3),
@@ -223,13 +220,18 @@ def test_run_twice_identical_csv(tmp_path, capsys):
 
 
 def test_threads_do_not_change_artifacts(tmp_path, capsys):
+    # the automatic plan splits M = 300000 into two chunks, so 4 threads
+    # run both chunks at once, each with a helper drawing ahead
     cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard",
-                     rho=0.0, M=50_000, chunks=6)
+                     rho=0.0, M=300_000)
     a, b = tmp_path / "a", tmp_path / "b"
-    cli.main(["run", "--config", cfg, "--out", str(a), "--threads", "1"])
-    cli.main(["run", "--config", cfg, "--out", str(b), "--threads", "4"])
+    for out, threads in ((a, "1"), (b, "4")):
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == cli.EXIT_OK
     capsys.readouterr()
-    for name in sorted(p.name for p in a.glob("*.csv")):
+    csvs = sorted(p.name for p in a.glob("*.csv"))
+    assert csvs
+    for name in csvs:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
@@ -358,21 +360,17 @@ def test_bias_demo_with_an_empty_cluster(tmp_path, capsys):
 
 
 def test_pair_soft_csv_records_its_tolerance(tmp_path, capsys):
-    """pair_soft.csv has the tolerance its row was judged by: the
-    config's, or the oracle rule's 3 (stderr + oracle bound)."""
-    for tag, keys in (("given", dict(tolerance=0.25)), ("rule", {})):
-        cfg = _write_cfg(tmp_path / f"{tag}.cfg", experiment="pair_soft",
-                         M=2000, **keys)
-        out = tmp_path / tag
-        assert cli.main(["run", "--config", cfg,
-                         "--out", str(out)]) == cli.EXIT_OK
-        head, row = (out / "pair_soft.csv").read_text(
-            encoding="utf-8").splitlines()
-        cells = dict(zip(head.split(","), row.split(",")))
-        assert list(cells)[-2:] == ["tolerance", "passed"]
-        want = keys.get("tolerance", 3.0 * (float(cells["stderr"])
-                                            + float(cells["oracle_bound"])))
-        assert float(cells["tolerance"]) == pytest.approx(want, rel=1e-9)
+    """pair_soft.csv has the tolerance its row was judged by, the oracle
+    rule's 3 (stderr + oracle bound)."""
+    cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_soft", M=2000)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    head, row = (out / "pair_soft.csv").read_text(
+        encoding="utf-8").splitlines()
+    cells = dict(zip(head.split(","), row.split(",")))
+    assert list(cells)[-2:] == ["tolerance", "passed"]
+    want = 3.0 * (float(cells["stderr"]) + float(cells["oracle_bound"]))
+    assert float(cells["tolerance"]) == pytest.approx(want, rel=1e-9)
     capsys.readouterr()
 
 
@@ -506,18 +504,17 @@ def test_templates_make_haar(tmp_path, capsys):
     assert written[0] != written[1]
 
 
-def test_templates_make_exponential_profile(tmp_path, capsys):
+def test_templates_make_refuses_missing_flags_and_unknown_families(
+        tmp_path, capsys):
     out = tmp_path / "sets"
-    code = cli.main(["templates", "make", "--family", "exponential",
-                     "--d", "30", "--alpha", "0.1", "--out", str(out)])
-    assert code == cli.EXIT_OK
-    capsys.readouterr()
-    stored = np.loadtxt(out / "exponential_profile.csv", skiprows=1)
-    np.testing.assert_allclose(stored, tpl.make_exponential(30, 0.1),
-                               atol=1e-16)
     # missing required arguments surface as a config error, not a crash
     assert cli.main(["templates", "make", "--family", "circulant",
                      "--out", str(out)]) == cli.EXIT_BAD_CONFIG
+    # a lone exponential profile is no template set: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["templates", "make", "--family", "exponential",
+                  "--d", "30", "--out", str(out)])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -534,20 +531,32 @@ def test_templates_inspect_bad_path(tmp_path, capsys):
 
 # ------------------------------------------- every input acts or is refused
 
-# the config keys each experiment reads besides experiment, seed, M and
-# out_dir, which every experiment reads
+# the config keys each experiment reads besides experiment, seed and M,
+# which every experiment reads
 RUN_READS = {
-    "pair_hard": {"rho", "scale", "chunks", "tolerance"},
-    "pair_soft": {"rho", "scale", "beta", "chunks", "tolerance"},
-    "gumbel_sweep": {"levels", "chunks"},
-    "bias_demo": {"beta", "chunks", "template_dir", "width", "height", "L",
-                  "alpha"},
+    "pair_hard": {"rho", "scale"},
+    "pair_soft": {"rho", "scale", "beta"},
+    "gumbel_sweep": {"levels"},
+    "bias_demo": {"beta", "template_dir", "width", "height", "L", "alpha"},
 }
-# a value off every experiment's default for each key; tolerance is also
-# tight enough to flip a verdict
-RUN_VALUES = dict(seed=5, M=3000, chunks=3, rho=0.3, scale=2.0, beta=2.0,
-                  tolerance=1e-12, levels="16, 32", width=8, height=4, L=3,
-                  alpha=0.05)
+# a value off every experiment's default for each key
+RUN_VALUES = dict(seed=5, M=3000, rho=0.3, scale=2.0, beta=2.0,
+                  levels="16, 32", width=8, height=4, L=3, alpha=0.05)
+# keys no experiment reads any more: the chunk plan follows M, each check
+# keeps its own rule and --out names the output directory
+RETIRED_KEYS = dict(chunks=3, tolerance=1e-12, out_dir="elsewhere")
+
+
+def _parameters(fns):
+    return {p for fn in fns for p in inspect.signature(fn).parameters}
+
+
+def test_only_the_builders_declare_keys():
+    """A config key or make flag that no experiment builder or family
+    reads would be parsed and then ignored."""
+    builders = [build for _, _, build in cli._EXPERIMENTS.values()]
+    assert set(cli._KEY_PARSERS) - {"experiment"} == _parameters(builders)
+    assert set(cli._MAKE_FLAGS) == _parameters(cli._FAMILIES.values())
 
 
 def _artifacts(out):
@@ -565,19 +574,18 @@ def test_every_config_key_acts_or_is_refused(experiment, tmp_path, capsys):
     small = dict(M=2000, **({"width": 6, "height": 6}
                             if experiment == "bias_demo" else {}))
 
-    def run(tag, keys, argv_out=True):
+    def run(tag, keys):
         cfg = _write_cfg(tmp_path / f"{tag}.cfg", experiment=experiment,
                          **keys)
         out = tmp_path / tag
-        argv = ["run", "--config", cfg]
-        code = cli.main(argv + (["--out", str(out)] if argv_out else []))
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
         return code, out, capsys.readouterr().err
 
     code, base, _ = run("base", small)
     assert code in (cli.EXIT_OK, cli.EXIT_ROW_FAILED)
     base = _artifacts(base)
     reads = RUN_READS[experiment] | {"seed", "M"}
-    for key in sorted(set(cli._KEY_PARSERS) - {"experiment", "out_dir"}):
+    for key in sorted(set(cli._KEY_PARSERS) - {"experiment"}):
         keys = dict(small, **{key: values[key]})
         if key == "template_dir":
             keys = dict(M=2000, template_dir=values[key])
@@ -588,10 +596,10 @@ def test_every_config_key_acts_or_is_refused(experiment, tmp_path, capsys):
         else:
             assert code == cli.EXIT_BAD_CONFIG, key
             assert err.startswith("config error: ") and repr(key) in err
-    # out_dir acts where --out does not override it
-    run("out_dir", dict(small, out_dir=str(tmp_path / "by_key")),
-        argv_out=False)
-    assert _artifacts(tmp_path / "by_key") == base
+    for key, value in RETIRED_KEYS.items():
+        code, _, err = run(key, dict(small, **{key: value}))
+        assert code == cli.EXIT_BAD_CONFIG, key
+        assert f"unknown config key {key!r}" in err
     if experiment == "bias_demo":
         # a PGM directory fixes the set, so the synthetic set's keys would
         # be ignored next to it
@@ -604,10 +612,9 @@ def test_every_config_key_acts_or_is_refused(experiment, tmp_path, capsys):
 
 
 MAKE_BASE = {"pair": [], "circulant": ["--rho-seq", "1,0.3,0.3"],
-             "exponential": ["--d", "8"], "haar": ["--d", "6", "--L", "3"]}
+             "haar": ["--d", "6", "--L", "3"]}
 MAKE_READS = {"pair": {"--rho", "--d", "--scale"},
               "circulant": {"--rho-seq", "--d", "--scale"},
-              "exponential": {"--d", "--alpha", "--scale"},
               "haar": {"--d", "--L", "--alpha", "--scale", "--seed"}}
 MAKE_VALUES = {"--rho": "0.3", "--rho-seq": "1,0.2,0.2", "--alpha": "5",
                "--d": "9", "--L": "4", "--scale": "7", "--seed": "3"}
@@ -662,6 +669,38 @@ def test_sign_mutation_flips_engine_bias(monkeypatch):
     assert mutated.corr[0, 0] < -0.1
     mutated_diag = engine.soft_assign_diag(8, cfg)
     assert mutated_diag.avg_self_corr < -0.1
+
+
+def test_oracle_nan_fails_its_self_check_row(monkeypatch):
+    """A NaN from the oracle fails the oracle_self row it reaches, wherever
+    it falls among the values the row reduces."""
+    inputs = cli._oracle_inputs(4)
+    clean = checks.oracle_self(**inputs).rows
+    assert all(row.passed for row in clean)
+    ibp, hard = oracle.ibp_residual, oracle.hard_moments
+    calls = []
+
+    def nan_second_ibp(g, beta, ell):
+        calls.append(g)
+        return math.nan if len(calls) == 2 else ibp(g, beta, ell)
+
+    def nan_quadrature(g, ell, method="exact", nodes=None):
+        res = hard(g, ell, method, nodes)
+        if method != "quadrature":
+            return res
+        return dataclasses.replace(res, value=np.full_like(res.value,
+                                                           math.nan))
+
+    for row, mutant in ((0, ("ibp_residual", nan_second_ibp)),
+                        (1, ("hard_moments", nan_quadrature))):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, *mutant)
+            rows = checks.oracle_self(**inputs).rows
+        assert rows[row].passed is False, rows[row].line()
+        assert math.isnan(rows[row].measured)
+        others = [i for i in range(len(rows)) if i != row]
+        assert [rows[i].line() for i in others] == [clean[i].line()
+                                                   for i in others]
 
 
 def test_sign_mutation_fails_fast_suite(tmp_path, monkeypatch):

@@ -574,7 +574,7 @@ def test_head_rows_are_built_in_slabs():
 
 def _count_sweeps(monkeypatch):
     """Count kernel sweeps by kind and node count, on an empty memo."""
-    monkeypatch.setattr(oracle, "_SWEEPS", {}, raising=False)
+    oracle._sweep.cache_clear()
     calls = {"soft": [], "hard": []}
     for kind in calls:
         kernel = getattr(_kernels, f"{kind}_nodes")
@@ -608,8 +608,10 @@ def test_one_sweep_serves_every_cluster(monkeypatch):
     for res in first + second + hard:
         with pytest.raises(ValueError):
             res.value[0] = 0.0
-    for memo in oracle._SWEEPS.values():
-        assert not any(arr.flags.writeable for arr in memo)
+    for kind, b in (("soft", beta), ("hard", None)):
+        for m in (8, 10):
+            assert not any(arr.flags.writeable
+                           for arr in oracle._sweep(kind, g, b, m))
     kept = [wt.copy() for wt in weights]
     for wt in weights:
         wt[:] = -1.0
@@ -656,9 +658,12 @@ def test_one_sweep_serves_every_cluster_at_small_l(monkeypatch, L):
     for res in hard + soft:
         with pytest.raises(ValueError):
             res.value[0] = 0.0
-    assert len(oracle._SWEEPS) == 4
-    for memo in oracle._SWEEPS.values():
-        assert not any(arr.flags.writeable for arr in memo)
+    assert oracle._sweep.cache_info().currsize == 4
+    for kind, b in (("soft", beta), ("hard", None)):
+        for m in (10, 20):
+            assert not any(arr.flags.writeable
+                           for arr in oracle._sweep(kind, g, b, m))
+    assert oracle._sweep.cache_info().currsize == 4
 
 
 @settings(max_examples=15, deadline=None)
