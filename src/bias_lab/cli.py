@@ -24,12 +24,12 @@ flags, and refuses any other with exit 3:
     circulant     --rho-seq (required), --d L, --scale 1
     haar          --d, --L (required), --alpha 0.1, --scale 1, --seed 0
 
-Exit codes: 0 all tolerance rows pass, 1 at least one row failed (a
-row whose tolerance is not finite fails), 2 unknown experiment name,
-3 invalid config or an error raised during the run, 4 unwritable
-output directory. A config that fails to parse prints "config error:
-<message>"; a package error raised by the experiment itself prints
-"error: <TypeName>: <message>".
+Exit codes, for every command: 0 all tolerance rows pass, 1 at least
+one row failed (a row whose tolerance is not finite fails), 2 unknown
+experiment name, 3 invalid config or an error raised during the run, 4
+unwritable output directory (run, verify, templates make). A run config
+or --threads that fails to parse prints "config error: <message>"; any
+other package or OS error prints "error: <TypeName>: <message>".
 
 Checks: every experiment and every comparison that `verify` makes is an
 entry of the check table in `bias_lab.checks`, which the acceptance
@@ -98,7 +98,10 @@ _KEY_PARSERS = {
 def _parse_scalar(key, raw, kind):
     try:
         if kind == "int":
-            v = float(raw)
+            try:
+                return int(raw)  # exact at any size
+            except ValueError:
+                v = float(raw)  # scientific notation, as in M = 5e6
             if not v.is_integer():
                 raise ValueError(raw)
             return int(v)
@@ -214,54 +217,6 @@ def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _write_csv(outdir, name, header, rows, report):
-    """Write one CSV artifact with a fixed numeric format."""
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(c) for c in row) + "\n")
-    report.artifacts.append(path)
-
-
-def _csv_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "yes" if value else "no"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".10g")
-    return str(value)
-
-
-# --------------------------------------------------------------------------
-# PGM rendering
-
-
-def render_pgm(vector, width, height, path):
-    """Write a vector as a binary (P5) PGM image.
-
-    The value range [min, max] maps affinely onto [0, 255]; constant
-    vectors render as all-128. Scaling is per image.
-    """
-    v = np.asarray(vector, dtype=np.float64).ravel()
-    if v.size != width * height:
-        raise ConfigError(f"vector length {v.size} does not match "
-                          f"{width}x{height}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("cannot render non-finite values")
-    lo, hi = float(v.min()), float(v.max())
-    if hi - lo < 1e-300:
-        pix = np.full(v.size, 128, dtype=np.uint8)
-    else:
-        pix = np.rint((v - lo) * (255.0 / (hi - lo)))
-        pix = np.clip(pix, 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pix.reshape(height, width).tobytes())
-    return path
-
-
 # --------------------------------------------------------------------------
 # experiments
 
@@ -288,9 +243,17 @@ def _declared(fn, given, what, spell=repr):
 
 
 def _pair_hard(seed, rho=0.99, scale=1.0, M=5_000_000):
-    return (dict(rhos=(rho,), m=M, seed=seed, scale=scale),
-            lambda res, outdir: res.estimate.save_csv(
-                outdir, "pair_hard_estimate"))
+    def save(res, outdir):
+        # the corr, stderr and mass tables of the run's estimate
+        est = res.estimate
+        return [tpl.write_csv(
+            os.path.join(outdir, f"pair_hard_estimate_{name}.csv"),
+            ",".join(f"{head}{k}" for k in range(est.L)), values, 17)
+            for name, head, values in (("corr", "corr_with_t", est.corr),
+                                       ("stderr", "stderr_t", est.stderr),
+                                       ("mass", "mass_t", [est.mass]))]
+
+    return dict(rhos=(rho,), m=M, seed=seed, scale=scale), save
 
 
 def _pair_soft(seed, rho=0.0, scale=1.0, beta=1.0, M=1_000_000):
@@ -323,8 +286,8 @@ def _bias_demo(seed, M=200_000, beta=math.inf, template_dir=None,
     def render(res, outdir):
         # an empty cluster has no estimate to render; the check's row
         # names it
-        return [render_pgm(vec, width, height,
-                           os.path.join(outdir, f"{kind}_{label}.pgm"))
+        return [tpl.render_pgm(vec, width, height,
+                               os.path.join(outdir, f"{kind}_{label}.pgm"))
                 for i, label in enumerate(ts.labels)
                 for kind, vec in (("estimate", res.estimate.estimates[i]),
                                   ("template", ts.matrix[:, i]))
@@ -366,7 +329,8 @@ def _run_check(report, outdir, csv_name, name, **inputs):
     report.timings[name] = time.perf_counter() - t0
     report.rows.extend(res.rows)
     if res.table is not None:
-        _write_csv(outdir, csv_name, *res.table, report)
+        report.artifacts.append(tpl.write_csv(
+            os.path.join(outdir, csv_name), *res.table, 10))
     return res, err
 
 
@@ -467,7 +431,8 @@ def _templates_make(args):
     given = {k: getattr(args, k) for k in _MAKE_FLAGS
              if getattr(args, k) is not None}
     made = _declared(_FAMILIES[fam], given, f"--family {fam}", _flag)
-    os.makedirs(args.out, exist_ok=True)
+    if not _prepare_outdir(args.out):
+        return EXIT_UNWRITABLE
     path = os.path.join(args.out, f"{fam}_templates.csv")
     tpl.save_csv(made, path)
     print(f"wrote {path} ({made.d} rows x {made.L} columns)")
@@ -544,17 +509,12 @@ def _cmd_run(args):
     if not _prepare_outdir(outdir):
         return EXIT_UNWRITABLE
     report = RunReport(name, dict(cfg, seed=seed), threads=args.threads)
-    try:
-        res, err = _run_check(report, outdir, csv_name, check,
-                              threads=args.threads, **inputs)
-        if err is not None:
-            raise err
-        if save is not None:
-            report.artifacts += save(res, outdir)
-    except (BiasLabError, OSError) as exc:
-        # raised mid-run, after the config parsed: name the error's type
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    res, err = _run_check(report, outdir, csv_name, check,
+                          threads=args.threads, **inputs)
+    if err is not None:
+        raise err
+    if save is not None:
+        report.artifacts += save(res, outdir)
     print(report.write(outdir), end="")
     return EXIT_OK if report.all_pass() else EXIT_ROW_FAILED
 
@@ -571,16 +531,6 @@ def _cmd_verify(args):
     report = verify(args.suite, outdir, args.threads)
     print(report.write(outdir), end="")
     return EXIT_OK if report.all_pass() else EXIT_ROW_FAILED
-
-
-def _cmd_templates(args):
-    try:
-        if args.tool == "make":
-            return _templates_make(args)
-        return _templates_inspect(args)
-    except (BiasLabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
 
 
 def build_parser():
@@ -611,15 +561,22 @@ def build_parser():
     for key, kind in _MAKE_FLAGS.items():
         # None when not given: each family has its own defaults
         p_make.add_argument(_flag(key), type=kind)
-    p_make.set_defaults(func=_cmd_templates)
+    p_make.set_defaults(func=_templates_make)
     p_ins = tsub.add_parser("inspect", help="summarize a CSV or PGM set")
     p_ins.add_argument("path")
-    p_ins.set_defaults(func=_cmd_templates)
+    p_ins.set_defaults(func=_templates_inspect)
 
     return parser
 
 
 def main(argv=None):
+    """Run one command and return its exit code. A package or OS error
+    raised after the inputs parse prints "error: <TypeName>: <message>"
+    and exits 3."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BiasLabError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DimensionError, DomainError, RankError
-from .templates import GramModel, TemplateSet, rank_factor
+from .templates import GramModel, TemplateSet, _readonly, rank_factor
 
 _AUTO_CHUNK_ROWS = 131072
 _MAX_AUTO_CHUNKS = 64
@@ -151,9 +151,7 @@ class _Estimate:
         for f in fields(self):
             arr = getattr(self, f.name)
             if f.type is np.ndarray and arr is not None:
-                arr = np.asarray(arr, dtype=np.float64)
-                arr.setflags(write=False)
-                object.__setattr__(self, f.name, arr)
+                object.__setattr__(self, f.name, _readonly(arr))
         if np.any(self.mass < -1e-12):
             raise DomainError("negative mass entry")
         if abs(float(self.mass.sum()) - 1.0) > 1e-9:
@@ -181,19 +179,6 @@ class AssignmentEstimate(_Estimate):
     corr: np.ndarray
     stderr: np.ndarray
     estimates: np.ndarray = None
-
-    def save_csv(self, directory, stem="estimate"):
-        """Write corr / stderr / mass tables as headed CSV files; returns
-        their paths."""
-        paths = []
-        for name, values, head in (("corr", self.corr, "corr_with_t"),
-                                   ("stderr", self.stderr, "stderr_t"),
-                                   ("mass", self.mass[None, :], "mass_t")):
-            paths.append(os.path.join(directory, f"{stem}_{name}.csv"))
-            np.savetxt(paths[-1], values, delimiter=",", comments="",
-                       header=",".join(f"{head}{k}" for k in range(self.L)),
-                       fmt="%.17g")
-        return paths
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -56,7 +56,7 @@ from scipy.special import ndtr, roots_hermite
 
 from . import _kernels
 from .errors import DimensionError, DomainError
-from .templates import GramModel
+from .templates import GramModel, _readonly
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -213,9 +213,7 @@ class OracleResult:
     nodes: int
 
     def __post_init__(self):
-        v = np.asarray(self.value, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _readonly(self.value))
         if not self.error_bound > 0 or not self.mass_bound >= 0:
             raise DomainError("error bounds must be positive")
         if self.method == "exact" and self.error_bound > 1e-12:
@@ -232,16 +230,16 @@ class OracleResult:
 
 
 def _check_query(g, ell, what):
-    """L of the Gram model g; DomainError unless ell is one of its
-    clusters, DimensionError beyond the oracle's ceiling L <= 6."""
+    """ell as an int; DomainError unless g is a GramModel and ell one of
+    its clusters, DimensionError beyond the oracle's ceiling L <= 6."""
     if not isinstance(g, GramModel):
         raise DomainError(f"expected a GramModel, got {type(g)!r}")
-    L = g.rho.shape[0]
-    if not 0 <= ell < L:
-        raise DomainError(f"cluster index {ell} out of range for L={L}")
-    if L > 6:
-        raise DimensionError(f"{what} supports L <= 6, got L={L}")
-    return L
+    if not (float(ell).is_integer() and 0 <= ell < g.L):
+        raise DomainError(f"cluster index {ell} is not an integer in "
+                          f"[0, {g.L})")
+    if g.L > 6:
+        raise DimensionError(f"{what} supports L <= 6, got L={g.L}")
+    return int(ell)
 
 
 def hard_moments(g, ell, method="exact", nodes=None):
@@ -251,7 +249,7 @@ def hard_moments(g, ell, method="exact", nodes=None):
     memoized sweep: the conditional route (L <= 3, 96 nodes by default)
     or the tensor node sweep (L in 4..6, 40 nodes).
     """
-    _check_query(g, ell, "hard_moments")
+    ell = _check_query(g, ell, "hard_moments")
     if method == "exact":
         return _hard_exact(g, ell)
     if method != "quadrature":
@@ -346,9 +344,7 @@ def _sweep(kind, g, beta, n):
         vals, probs = zip(*(_hard_conditional_once(g, ell, n)
                             for ell in range(g.L)))
         hit = (np.array(probs), np.array(vals))
-    for arr in hit:
-        arr.setflags(write=False)
-    return hit
+    return tuple(_readonly(arr) for arr in hit)
 
 
 def _tensor_quadrature(kind, g, beta, ell, nodes, moment):
@@ -393,14 +389,14 @@ def soft_moments(g, beta, ell, nodes=None):
     """E[p_ell] and (E[S_k p_ell])_k for p = softmax(beta * S), L <= 6,
     from the softmax tensor sweep (80 nodes by default for L <= 3, 40
     above)."""
-    _check_query(g, ell, "soft_moments")
+    ell = _check_query(g, ell, "soft_moments")
     return _tensor_quadrature("soft", g, _check_beta(beta), ell, nodes, 1)
 
 
 def soft_second_moments(g, beta, ell, nodes=None):
     """(E[p_ell p_j])_j with a node-halving bound, from the sweep that
     soft_moments reads and at the same default node counts."""
-    _check_query(g, ell, "soft_second_moments")
+    ell = _check_query(g, ell, "soft_second_moments")
     return _tensor_quadrature("soft", g, _check_beta(beta), ell, nodes, 2)
 
 
@@ -415,11 +411,11 @@ def ibp_residual(g, beta, ell, nodes=None):
     identity; it shrinks with the node count. The default count grows
     with the effective sharpness beta * scale.
     """
-    L = _check_query(g, ell, "ibp_residual")
+    ell = _check_query(g, ell, "ibp_residual")
     beta = _check_beta(beta)
     if nodes is None:
         sharp = beta * g.scale
-        if L <= 3:
+        if g.L <= 3:
             nodes = 96 if sharp <= 2 else (160 if sharp <= 4 else
                                            (240 if sharp <= 6 else 320))
         else:

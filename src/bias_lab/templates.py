@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateTemplateSetError,
     DimensionError,
     DomainError,
@@ -64,9 +65,18 @@ def rank_factor(c):
 
 
 def _readonly(a):
+    """a as a read-only contiguous float64 array, the form every array
+    field of a package record takes."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+def _positive(value, name):
+    """value as a float; DomainError unless it is a positive finite real."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be a positive finite real")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +106,7 @@ class GramModel:
             raise DomainError("rho must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-9):
             raise DomainError("rho must have a unit diagonal")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise DomainError("scale must be a positive finite real")
+        object.__setattr__(self, "scale", _positive(self.scale, "scale"))
         rho = 0.5 * (rho + rho.T)
         factor = rank_factor(rho)
         if factor.shape[1] < L:
@@ -106,7 +115,6 @@ class GramModel:
                 f"of {L}")
         object.__setattr__(self, "rho", _readonly(rho))
         object.__setattr__(self, "factor", _readonly(factor))
-        object.__setattr__(self, "scale", float(self.scale))
 
     @property
     def L(self):
@@ -200,8 +208,7 @@ def make_pair(rho, d=2, norm=1.0):
             "rho = 1 collapses the pair to a single template")
     if d < 2:
         raise DimensionError("a pair needs ambient dimension at least 2")
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise DomainError("norm must be a positive finite real")
+    _positive(norm, "norm")
     m = np.zeros((d, 2))
     m[0, 0] = 1.0
     m[0, 1] = rho
@@ -234,8 +241,7 @@ def make_circulant(rho_seq, d=None, norm=1.0):
         raise SpectrumError(
             f"circulant spectrum has eigenvalue {lo:.3e}; "
             f"the correlation model is not positive definite")
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise DomainError("norm must be a positive finite real")
+    _positive(norm, "norm")
     if d is None:
         d = L
     if d < L:
@@ -255,8 +261,7 @@ def make_exponential(d, alpha, norm=1.0):
         raise DimensionError("need at least two samples in the profile")
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise DomainError("alpha must be a finite nonnegative real")
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise DomainError("norm must be a positive finite real")
+    _positive(norm, "norm")
     v = np.exp(-alpha * np.arange(d, dtype=np.float64))
     return norm * v / np.linalg.norm(v)
 
@@ -319,17 +324,43 @@ def _numbers(cells):
     return True
 
 
+def write_csv(path, header, rows, digits):
+    """Write the header line and one comma-separated line per row to
+    path (UTF-8); returns path. Floats take `digits` significant digits:
+    10 in check tables, 17 (exact) in template sets and estimate tables.
+    Booleans read yes or no."""
+
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "yes" if v else "no"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return format(float(v), f".{digits}g")
+        return str(v)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+    return path
+
+
 def save_csv(ts, path):
     """Write a set as CSV (UTF-8): a header row of its labels, then d
-    rows of L values. A set whose labels all parse as numbers is refused
-    with ParseError, as read_csv would take its header for data."""
+    rows of L values. Labels that read_csv would not give back are
+    refused with ParseError: labels that all parse as numbers (the
+    header would read as data), and a label with a comma, a line break,
+    or a blank at either end."""
     if _numbers(ts.labels):
         raise ParseError(f"labels {', '.join(ts.labels)} all parse as "
                          f"numbers, so the header would read as data")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(ts.labels) + "\n")
-        for row in ts.matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    bad = [repr(s) for s in ts.labels
+           if s != s.strip() or re.search("[,\r\n]", s)]
+    if bad:
+        raise ParseError(f"labels {', '.join(bad)} would not read back "
+                         f"(a comma, a line break, or a blank at an end)")
+    write_csv(path, ",".join(ts.labels), ts.matrix, 17)
 
 
 def read_csv(path):
@@ -393,6 +424,30 @@ def _pgm_tokens(data, count):
         out.append(mt.group(1))
         pos = mt.end()
     return out, pos
+
+
+def render_pgm(vector, width, height, path):
+    """Write a vector as a binary (P5) PGM image; returns path.
+
+    The value range [min, max] maps affinely onto [0, 255]; constant
+    vectors render as all-128. Scaling is per image.
+    """
+    v = np.asarray(vector, dtype=np.float64).ravel()
+    if v.size != width * height:
+        raise ConfigError(f"vector length {v.size} does not match "
+                          f"{width}x{height}")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("cannot render non-finite values")
+    lo, hi = float(v.min()), float(v.max())
+    if hi - lo < 1e-300:
+        pix = np.full(v.size, 128, dtype=np.uint8)
+    else:
+        pix = np.rint((v - lo) * (255.0 / (hi - lo)))
+        pix = np.clip(pix, 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(pix.reshape(height, width).tobytes())
+    return path
 
 
 def load_pgm(path):

@@ -17,6 +17,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
+from .templates import _positive, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +42,11 @@ class TheoryPrediction:
             raise DimensionError("alpha must be a square matrix")
         if rho.shape != alpha.shape:
             raise DimensionError("rho must match alpha in shape")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise DomainError("scale must be a positive finite real")
+        _positive(self.scale, "scale")
         corr = alpha @ ((self.scale ** 2) * rho)
         for name, arr in (("alpha", alpha), ("rho", rho),
                           ("predicted_corr", corr)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(arr))
 
     @property
     def L(self):
@@ -71,8 +69,7 @@ def hard_pair_prediction(rho, norm=1.0):
     """
     if not (-1.0 <= rho < 1.0):
         raise DomainError(f"need -1 <= rho < 1 for a hard pair, got {rho!r}")
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise DomainError("norm must be a positive finite real")
+    _positive(norm, "norm")
     c = math.sqrt(1.0 / (math.pi * (1.0 - rho) * norm * norm))
     return TheoryPrediction(
         alpha=c * _PAIR_SHAPE,
@@ -91,8 +88,7 @@ def soft_pair_prediction(rho, norm=1.0):
     """
     if not (-1.0 <= rho < 1.0):
         raise DomainError(f"need -1 <= rho < 1 for a soft pair, got {rho!r}")
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise DomainError("norm must be a positive finite real")
+    _positive(norm, "norm")
     gap = (1.0 - rho) * norm * norm
     a = 0.5 / math.sqrt(1.0 + 0.25 * math.pi * gap)
     return TheoryPrediction(
@@ -162,8 +158,7 @@ def gumbel_prediction(L, norm=1.0):
     """
     if L < 2:
         raise DomainError("need at least two templates")
-    if not (norm > 0.0 and math.isfinite(norm)):
-        raise DomainError("norm must be a positive finite real")
+    _positive(norm, "norm")
     a_l = math.sqrt(2.0 * math.log(L))
     return TheoryPrediction(
         alpha=(a_l / norm) * np.eye(L),

@@ -2,8 +2,10 @@
 artifact determinism, and the kernel mutation harness."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -48,6 +50,21 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg["template_dir"] == "/data/run#3"
 
 
+def test_parse_config_reads_integers_exactly(tmp_path, capsys):
+    p = tmp_path / "ints.cfg"
+    # both lie beyond 2**53, where a float would round them
+    p.write_text("seed = 9007199254740993\nM = 123456789012345678\n",
+                 encoding="utf-8")
+    cfg = cli.parse_config(str(p))
+    assert cfg == dict(seed=9007199254740993, M=123456789012345678)
+    p.write_text("M = 5e6\n", encoding="utf-8")
+    assert cli.parse_config(str(p))["M"] == 5_000_000
+    cfg = _write_cfg(tmp_path / "half.cfg", experiment="pair_hard", M=2.5)
+    assert cli.main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == cli.EXIT_BAD_CONFIG
+    assert "cannot parse value '2.5'" in capsys.readouterr().err
+
+
 def test_parse_config_errors(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("experiment = pair_hard\nwarp = 9\n", encoding="utf-8")
@@ -71,6 +88,24 @@ def test_parse_config_errors(tmp_path):
 
 
 # --------------------------------------------------------------- exit codes
+
+def test_run_pair_hard_writes_three_estimate_tables(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard",
+                     rho=0.1, M=10_000)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    est = checks.estimate(tpl.make_pair(0.1), 10_000, 0)
+    for kind, want, head in (("corr", est.corr, "corr_with_t"),
+                             ("stderr", est.stderr, "stderr_t"),
+                             ("mass", [est.mass], "mass_t")):
+        head_line, *rows = (out / f"pair_hard_estimate_{kind}.csv") \
+            .read_text(encoding="utf-8").splitlines()
+        assert head_line == f"{head}0,{head}1"
+        # 17 significant digits give every value back exactly
+        got = np.array([[float(c) for c in r.split(",")] for r in rows])
+        np.testing.assert_array_equal(got, want)
+
 
 def test_run_pair_hard_ok(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard",
@@ -235,6 +270,39 @@ def test_threads_do_not_change_artifacts(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+# sha256 of every CSV and PGM that four small runs and three `templates
+# make` calls write, in `sha256sum` format (report.txt holds timings and
+# is left out); a change that moves bits updates it and says why
+RUN_MANIFEST = pathlib.Path(__file__).with_name("run_artifacts.sha256")
+PINNED_RUNS = {
+    "pair_hard": dict(rho=0.3, M=40_000, seed=5),
+    "pair_soft": dict(rho=-0.2, beta=2, M=40_000, seed=6),
+    "gumbel_sweep": dict(levels="16, 64", M=40_000, seed=7),
+    "bias_demo": dict(width=8, height=8, L=3, M=20_000, seed=8),
+}
+PINNED_SETS = (("pair", "--rho", "0.3"),
+               ("circulant", "--rho-seq", "1,0.3,0.3"),
+               ("haar", "--d", "10", "--L", "3"))
+
+
+def test_artifacts_match_the_manifest(tmp_path, capsys):
+    for name, keys in PINNED_RUNS.items():
+        cfg = _write_cfg(tmp_path / f"{name}.cfg", experiment=name, **keys)
+        assert cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / name)]) == cli.EXIT_OK
+    for family, *flags in PINNED_SETS:
+        assert cli.main(["templates", "make", "--family", family, *flags,
+                         "--out", str(tmp_path / "templates")]) == cli.EXIT_OK
+    capsys.readouterr()
+    got = {p.relative_to(tmp_path).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*/*") if p.suffix in (".csv", ".pgm")}
+    want = dict(line.split()[::-1] for line in
+                RUN_MANIFEST.read_text(encoding="ascii").splitlines())
+    assert len(want) == 16
+    assert got == want
+
+
 # ------------------------------------------------------- other experiments
 
 def test_gumbel_sweep_small(tmp_path, capsys):
@@ -381,7 +449,7 @@ def _faces(tmp_path):
     rng = np.random.default_rng(3)
     for k in range(3):
         vec = rng.standard_normal(25)
-        cli.render_pgm(vec, 5, 5, str(src / f"face{k}.pgm"))
+        tpl.render_pgm(vec, 5, 5, str(src / f"face{k}.pgm"))
     return str(src)
 
 
@@ -393,38 +461,6 @@ def test_bias_demo_from_pgm_dir(tmp_path, capsys):
                      "--out", str(out)]) == cli.EXIT_OK
     capsys.readouterr()
     assert len(list(out.glob("estimate_*.pgm"))) == 3
-
-
-# --------------------------------------------------------------- render_pgm
-
-def test_render_pgm_constant_maps_to_128(tmp_path):
-    path = tmp_path / "flat.pgm"
-    cli.render_pgm(np.full(12, 3.7), 4, 3, str(path))
-    v, w, h = tpl.load_pgm(path)
-    assert (w, h) == (4, 3)
-    np.testing.assert_array_equal(v, 128.0)
-
-
-def test_render_pgm_affine_and_idempotent(tmp_path):
-    rng = np.random.default_rng(8)
-    vec = rng.standard_normal(30)
-    p1 = tmp_path / "one.pgm"
-    p2 = tmp_path / "two.pgm"
-    cli.render_pgm(vec, 6, 5, str(p1))
-    v1, _, _ = tpl.load_pgm(p1)
-    assert v1.min() == 0.0 and v1.max() == 255.0
-    # the rendered bytes are an affine image of the input
-    assert np.corrcoef(vec, v1)[0, 1] > 0.999
-    cli.render_pgm(v1, 6, 5, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_render_pgm_rejects_bad_input(tmp_path):
-    with pytest.raises(ConfigError):
-        cli.render_pgm(np.ones(10), 4, 3, str(tmp_path / "x.pgm"))
-    with pytest.raises(ConfigError):
-        cli.render_pgm(np.array([1.0, np.nan, 0.0, 0.0]), 2, 2,
-                       str(tmp_path / "x.pgm"))
 
 
 # ------------------------------------------------------- templates commands
@@ -516,6 +552,28 @@ def test_templates_make_refuses_missing_flags_and_unknown_families(
                   "--d", "30", "--out", str(out)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_templates_make_unwritable_outdir(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    code = cli.main(["templates", "make", "--family", "pair",
+                     "--out", str(blocker / "sub")])
+    assert code == cli.EXIT_UNWRITABLE
+    assert "cannot write to output directory" in capsys.readouterr().err
+
+
+def test_templates_errors_name_their_type(tmp_path, capsys):
+    # raised by the family, by the flags and by the file, in that order
+    for argv, kind in (
+            (["make", "--family", "pair", "--rho", "1.5"], "DomainError"),
+            (["make", "--family", "circulant"], "ConfigError"),
+            (["inspect", str(tmp_path / "missing.csv")],
+             "FileNotFoundError")):
+        if argv[0] == "make":
+            argv = argv + ["--out", str(tmp_path / "sets")]
+        assert cli.main(["templates", *argv]) == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {kind}: ")
 
 
 def test_templates_inspect_bad_path(tmp_path, capsys):

@@ -629,19 +629,6 @@ def test_records_compare_by_identity():
         assert rec != copy()
 
 
-def test_save_csv_writes_three_tables(tmp_path):
-    g = GramModel.from_correlation(_pair_rho(0.1))
-    est = engine.hard_assign(g, _cfg(10_000))
-    est.save_csv(tmp_path, stem="probe")
-    for kind in ("corr", "stderr", "mass"):
-        path = tmp_path / f"probe_{kind}.csv"
-        text = path.read_text(encoding="utf-8").splitlines()
-        assert text[0].count(",") == 1       # two labeled columns
-    loaded = np.loadtxt(tmp_path / "probe_corr.csv", delimiter=",",
-                        skiprows=1)
-    np.testing.assert_array_equal(loaded, est.corr)
-
-
 # -------------------------------------------------------- statistical sanity
 
 def test_hard_pair_tracks_closed_form_small_m():

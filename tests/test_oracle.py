@@ -450,6 +450,30 @@ def test_oracle_argument_validation():
         oracle.soft_moments(g7, 1.0, 0)
 
 
+def test_cluster_index_must_be_an_integer():
+    """A fractional cluster index is a DomainError on every query that
+    takes one, not numpy's IndexError; an integral float is that index."""
+    g = GramModel.from_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
+    queries = (lambda ell: oracle.hard_moments(g, ell),
+               lambda ell: oracle.hard_moments(g, ell, method="quadrature"),
+               lambda ell: oracle.soft_moments(g, 1.0, ell),
+               lambda ell: oracle.soft_second_moments(g, 1.0, ell),
+               lambda ell: oracle.ibp_residual(g, 1.0, ell),
+               lambda ell: oracle.softmax_weights(g, 1.0, ell))
+
+    def parts(res):
+        if isinstance(res, oracle.OracleResult):
+            return res.value, res.mass, res.error_bound, res.mass_bound
+        return (res,)
+
+    for query in queries:
+        for ell in (0.5, 1.5):
+            with pytest.raises(DomainError, match="cluster index"):
+                query(ell)
+        for want, got in zip(parts(query(1)), parts(query(1.0))):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_soft_sweep_entry_points_validate_beta():
     g = GramModel.from_correlation(np.eye(3))
     for beta in (math.inf, math.nan, -1.0, 0.0):

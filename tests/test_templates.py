@@ -1,11 +1,14 @@
 """Tests for template set constructors, Gram models, and file formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bias_lab import (
+    ConfigError,
     DegenerateTemplateSetError,
     DimensionError,
     DomainError,
@@ -300,6 +303,29 @@ def test_csv_round_trip_exact(tmp_path):
         tpl.save_csv(numeric, tmp_path / "numeric.csv")
 
 
+def test_csv_refuses_labels_that_would_not_read_back(tmp_path):
+    path = tmp_path / "set.csv"
+    # read_csv splits the header at commas and lines at line breaks, and
+    # strips every cell
+    for bad in ("a,b", "x\ny", "x\ry", " x", "x ", "x\t"):
+        ts = TemplateSet(matrix=np.eye(3)[:, :2], labels=(bad, "c"))
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
+            tpl.save_csv(ts, path)
+    assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.tuples(st.text(max_size=6), st.text(max_size=6)))
+def test_csv_accepted_labels_round_trip(tmp_path_factory, labels):
+    path = tmp_path_factory.mktemp("labels") / "set.csv"
+    ts = TemplateSet(matrix=np.eye(3)[:, :2], labels=labels)
+    try:
+        tpl.save_csv(ts, path)
+    except ParseError:
+        return
+    assert tpl.load_csv(path).labels == labels
+
+
 def test_csv_header_modes(tmp_path):
     ts = tpl.make_pair(0.25)
     headed = tmp_path / "headed.csv"
@@ -358,6 +384,36 @@ def _write_pgm(path, width, height, payload, magic=b"P5", maxval=255,
         head += b"# a comment line\n"
     head += b"%d %d\n%d\n" % (width, height, maxval)
     path.write_bytes(head + payload)
+
+
+def test_render_pgm_constant_maps_to_128(tmp_path):
+    path = tmp_path / "flat.pgm"
+    tpl.render_pgm(np.full(12, 3.7), 4, 3, str(path))
+    v, w, h = tpl.load_pgm(path)
+    assert (w, h) == (4, 3)
+    np.testing.assert_array_equal(v, 128.0)
+
+
+def test_render_pgm_affine_and_idempotent(tmp_path):
+    rng = np.random.default_rng(8)
+    vec = rng.standard_normal(30)
+    p1 = tmp_path / "one.pgm"
+    p2 = tmp_path / "two.pgm"
+    tpl.render_pgm(vec, 6, 5, str(p1))
+    v1, _, _ = tpl.load_pgm(p1)
+    assert v1.min() == 0.0 and v1.max() == 255.0
+    # the rendered bytes are an affine image of the input
+    assert np.corrcoef(vec, v1)[0, 1] > 0.999
+    tpl.render_pgm(v1, 6, 5, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_render_pgm_rejects_bad_input(tmp_path):
+    with pytest.raises(ConfigError):
+        tpl.render_pgm(np.ones(10), 4, 3, str(tmp_path / "x.pgm"))
+    with pytest.raises(ConfigError):
+        tpl.render_pgm(np.array([1.0, np.nan, 0.0, 0.0]), 2, 2,
+                       str(tmp_path / "x.pgm"))
 
 
 def test_load_pgm_reads_p5(tmp_path):
