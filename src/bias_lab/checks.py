@@ -349,8 +349,9 @@ _LITERAL_SEED = 1 << 20
 def gumbel(levels, m, seed, threads=None):
     """Orthonormal hard sweep against E[max of L normals], run at seed + L.
 
-    Levels are taken sorted and without repeats, so |ratio to a_L - 1|
-    must shrink along increasing L; from L = 4096 on it must be <= 0.15.
+    Levels, integers >= 2, are taken sorted and without repeats, so
+    |ratio to a_L - 1| must shrink along increasing L; from L = 4096 on
+    it must be <= 0.15.
 
     The diagonal path samples the maximum from its law Phi**L, and the
     oracle integrates the density of that same law, so the two share the
@@ -360,7 +361,7 @@ def gumbel(levels, m, seed, threads=None):
     path as well, under 3 sigma of their combined stderr.
     """
     rows, table, drift = [], [], []
-    levels = sorted(set(int(lv) for lv in levels))
+    levels = sorted({tpl._integer(lv, "each level", 2) for lv in levels})
     for lv in levels:
         est = engine.hard_assign_diag(lv, ExperimentConfig(
             m=m, seed=seed + lv, threads=threads))

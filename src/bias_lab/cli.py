@@ -2,9 +2,9 @@
 
 Config files are flat ``key = value`` text. '#' starts a comment at the
 start of a line or after whitespace; elsewhere it is part of the value,
-so ``template_dir = /data/run#3`` keeps the '#'. M accepts scientific
-notation (M = 5e6). Every experiment reads experiment and seed
-(default 0), and its own keys, shown with their defaults:
+so ``template_dir = /data/run#3`` keeps the '#'. Every experiment
+reads experiment and seed (default 0), and its own keys, shown with
+their defaults:
 
     pair_hard     rho 0.99, scale 1, M 5e6
     pair_soft     rho 0, scale 1, beta 1, M 1e6
@@ -16,13 +16,19 @@ Every run splits M into chunks by the automatic plan and judges each
 row by its check's own rule, as verify does. Output goes to --out, else
 bias_lab_<experiment>.
 
-Any other key is a config error, and so is a list key (levels) that
-holds no value. `templates make --family F --out DIR` reads these
-flags, and refuses any other with exit 3:
+Integer keys take scientific notation, list items too (M = 5e6,
+levels = 16, 6.4e1), and must lie in range: M >= 1, seed >= 0 (for
+gumbel_sweep, seed + L at each level L), L >= 2, width and height >= 1
+and each item of levels >= 2. Any other key is a config error, and so
+is a list key (levels) that holds no value. `templates make --family F
+--out DIR` reads these flags, and refuses any other with exit 3:
 
     pair          --rho 0, --d 2, --scale 1
     circulant     --rho-seq (required), --d L, --scale 1
     haar          --d, --L (required), --alpha 0.1, --scale 1, --seed 0
+
+Their ranges: --d >= 2 (circulant: >= L, the length of --rho-seq),
+--L >= 2, --seed >= 0, --rho in [-1, 1), --alpha >= 0, --scale > 0.
 
 Exit codes, for every command: 0 all tolerance rows pass, 1 at least
 one row failed (a row whose tolerance is not finite fails), 2 unknown
@@ -44,7 +50,7 @@ the run goes only to report.txt and stdout: the "## run" section
 resident set size so far from getrusage) and "## timings", the seconds
 each check took.
 
---threads must be an integer >= 1 when given; anything else is a config
+--threads must be an integer >= 1 when given; one below 1 is a config
 error. A check that raises a package error during `verify` becomes one
 FAIL row, "<check> raised <TypeName>: <message>", and the suite goes on.
 """
@@ -79,40 +85,41 @@ EXIT_UNWRITABLE = 4
 # --------------------------------------------------------------------------
 # config handling
 
+def _int(text):
+    """text as an int: exactly if it is an integer literal, else through
+    float, so scientific notation reads as an integer (6.4e1 as 64)."""
+    try:
+        return int(text)  # exact at any size
+    except ValueError:
+        return tpl._integer(float(text), "value", -math.inf)
+
+
+# a kind in a 1-tuple reads a comma-separated list of such items
 _KEY_PARSERS = {
     "experiment": str,
-    "L": "int",
-    "M": "int",
+    "L": _int,
+    "M": _int,
     "beta": float,
-    "seed": "int",
+    "seed": _int,
     "rho": float,
     "alpha": float,
     "scale": float,
-    "levels": "ints",
-    "width": "int",
-    "height": "int",
+    "levels": (_int,),
+    "width": _int,
+    "height": _int,
     "template_dir": str,
 }
 
 
 def _parse_scalar(key, raw, kind):
     try:
-        if kind == "int":
-            try:
-                return int(raw)  # exact at any size
-            except ValueError:
-                v = float(raw)  # scientific notation, as in M = 5e6
-            if not v.is_integer():
-                raise ValueError(raw)
-            return int(v)
-        if kind in ("floats", "ints"):
-            item = float if kind == "floats" else int
-            values = tuple(item(p) for p in raw.split(",") if p.strip())
+        if isinstance(kind, tuple):
+            values = tuple(kind[0](p) for p in raw.split(",") if p.strip())
             if not values:
                 raise ValueError(raw)  # an empty list would check nothing
             return values
         return kind(raw)
-    except ValueError:
+    except ValueError:  # every BiasLabError is a ValueError too
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}")
 
 
@@ -277,8 +284,10 @@ def _bias_demo(seed, M=200_000, beta=math.inf, template_dir=None,
                               f"{', '.join(given)} with 'template_dir'")
         ts, (width, height) = tpl.load_pgm_dir(template_dir)
     else:
-        width = 32 if width is None else width
-        height = 32 if height is None else height
+        width = tpl._integer(32 if width is None else width, "width", 1,
+                             error=ConfigError)
+        height = tpl._integer(32 if height is None else height, "height", 1,
+                              error=ConfigError)
         d = width * height
         x0 = tpl.make_exponential(d, 8.0 / d if alpha is None else alpha)
         ts = tpl.make_haar_family(x0, 12 if L is None else L, seed=seed + 1)
@@ -406,7 +415,7 @@ def _make_pair(rho=0.0, d=2, scale=1.0):
 
 
 def _make_circulant(rho_seq, d=None, scale=1.0):
-    seq = np.array(_parse_scalar("rho_seq", rho_seq, "floats"))
+    seq = np.array(_parse_scalar("rho_seq", rho_seq, (float,)))
     return tpl.make_circulant(seq, d=d, norm=scale)
 
 

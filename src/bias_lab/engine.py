@@ -65,7 +65,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DimensionError, DomainError, RankError
-from .templates import GramModel, TemplateSet, _readonly, rank_factor
+from .templates import (GramModel, TemplateSet, _integer, _readonly,
+                        rank_factor)
 
 _AUTO_CHUNK_ROWS = 131072
 _MAX_AUTO_CHUNKS = 64
@@ -76,21 +77,18 @@ def thread_count(threads):
 
     Raises ConfigError unless threads is None or an integer >= 1.
     """
-    if threads is None:
-        return None
-    if int(threads) != threads or threads < 1:
-        raise ConfigError(
-            f"threads must be an integer >= 1 or None, got {threads}")
-    return int(threads)
+    return (None if threads is None
+            else _integer(threads, "threads", 1, error=ConfigError))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sampling plan for one estimator run.
 
-    m is the number of observations, beta the softmax sharpness
-    (math.inf selects hard assignment), chunks the number of independent
-    accumulation blocks (None picks a deterministic default from m).
+    m is the number of observations, seed the integer >= 0 behind every
+    RNG stream of the run, beta the softmax sharpness (math.inf selects
+    hard assignment), chunks the number of independent accumulation
+    blocks (None picks a deterministic default from m).
     threads is the number of cores the engine uses, BLAS included: a run
     works on at most that many threads, and OpenBLAS runs on one thread
     inside it. None means all cores (os.cpu_count()), even for one
@@ -107,20 +105,18 @@ class ExperimentConfig:
     threads: int = None
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ConfigError(f"m must be a positive integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1,
+                                                error=ConfigError))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0,
+                                                   error=ConfigError))
         if self.mode not in ("full", "gram"):
             raise ConfigError(f"mode must be 'full' or 'gram', got {self.mode!r}")
         if not (self.beta > 0):
             raise DomainError(f"beta must be positive (inf = hard), got {self.beta}")
-        if self.chunks is None:
-            auto = max(1, min(_MAX_AUTO_CHUNKS, self.m // _AUTO_CHUNK_ROWS))
-            object.__setattr__(self, "chunks", auto)
-        if int(self.chunks) != self.chunks or not 1 <= self.chunks <= self.m:
-            raise ConfigError(
-                f"chunks must be an integer in [1, m], got {self.chunks}")
-        object.__setattr__(self, "chunks", int(self.chunks))
+        auto = max(1, min(_MAX_AUTO_CHUNKS, self.m // _AUTO_CHUNK_ROWS))
+        object.__setattr__(self, "chunks", _integer(
+            auto if self.chunks is None else self.chunks, "chunks", 1,
+            self.m, error=ConfigError))
         object.__setattr__(self, "threads", thread_count(self.threads))
 
 
@@ -560,14 +556,6 @@ def _assign(templates, cfg, sums):
                    estimates=vec)
 
 
-def _check_diag(L):
-    """L as an int; DomainError unless it is an integer >= 2."""
-    if not (float(L).is_integer() and L >= 2):
-        raise DomainError(f"need an integer number L >= 2 of templates, "
-                          f"got L={L}")
-    return int(L)
-
-
 def hard_assign_diag(L, cfg):
     """Hard run for L orthonormal templates, diagonal statistics only.
 
@@ -580,7 +568,7 @@ def hard_assign_diag(L, cfg):
     """
     if not math.isinf(cfg.beta):
         raise ConfigError("hard_assign_diag expects cfg.beta = inf")
-    L = _check_diag(L)
+    L = _integer(L, "L", 2)
 
     def fill(chunk, rows, ahead, *acc):
         _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, *acc)
@@ -594,7 +582,7 @@ def soft_assign_diag(L, cfg):
     if math.isinf(cfg.beta):
         raise ConfigError("soft_assign_diag expects finite cfg.beta")
     beta = float(cfg.beta)
-    L = _check_diag(L)
+    L = _integer(L, "L", 2)
 
     def fill(chunk, rows, ahead, *acc):
         _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, beta,

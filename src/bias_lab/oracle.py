@@ -30,14 +30,15 @@ engine and of the closed-form theory module:
   unit scale for every default node count and far below the rounding
   error of the sweep's own sums. Error bounds come from the difference
   against the sweep at half the node count, but at least 8 nodes, which
-  must differ from the sweep it bounds (DomainError otherwise). A bound
-  is at least 1e-15, and at least 1e-12 on the conditional route, whose
-  inner bivariate CDF has a fixed resolution that halving the outer
-  nodes cannot sense. soft_moments, soft_second_moments,
-  softmax_weights, ibp_residual and hard_moments read the same memo for
-  every ell. The memo keys on the GramModel object (models compare by
-  identity), so queries hit it when they pass the same model; an equal
-  model built anew sweeps again, to the same values.
+  must differ from the sweep it bounds, so a node count is an integer
+  of at least 9 (DomainError otherwise). A bound is at least 1e-15, and
+  at least 1e-12 on the conditional route, whose inner bivariate CDF
+  has a fixed resolution that halving the outer nodes cannot sense.
+  soft_moments, soft_second_moments, softmax_weights, ibp_residual and
+  hard_moments read the same memo for every ell. The memo keys on the
+  GramModel object (models compare by identity), so queries hit it when
+  they pass the same model; an equal model built anew sweeps again, to
+  the same values.
 
 The moment queries answer for L <= 6 and raise DimensionError beyond
 it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle
@@ -56,7 +57,7 @@ from scipy.special import ndtr, roots_hermite
 
 from . import _kernels
 from .errors import DimensionError, DomainError
-from .templates import GramModel, _readonly
+from .templates import GramModel, _integer, _readonly
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -234,12 +235,10 @@ def _check_query(g, ell, what):
     its clusters, DimensionError beyond the oracle's ceiling L <= 6."""
     if not isinstance(g, GramModel):
         raise DomainError(f"expected a GramModel, got {type(g)!r}")
-    if not (float(ell).is_integer() and 0 <= ell < g.L):
-        raise DomainError(f"cluster index {ell} is not an integer in "
-                          f"[0, {g.L})")
+    ell = _integer(ell, "cluster index", 0, g.L - 1)
     if g.L > 6:
         raise DimensionError(f"{what} supports L <= 6, got L={g.L}")
-    return int(ell)
+    return ell
 
 
 def hard_moments(g, ell, method="exact", nodes=None):
@@ -350,20 +349,18 @@ def _sweep(kind, g, beta, n):
 def _tensor_quadrature(kind, g, beta, ell, nodes, moment):
     """Row ell of one sweep moment at n = nodes per axis, bounded by its
     gap to the sweep at n // 2 nodes, but at least 8. DomainError unless
-    that count is below n, since a sweep compared with itself bounds
-    nothing.
+    nodes is an integer >= 9, so that the two sweeps differ: a sweep
+    compared with itself bounds nothing.
 
     nodes None takes the default: 40 above L = 3; at L <= 3, 96 for hard
     queries and 80 for soft ones. moment 1 is E[S_k ; argmax = ell] or
     E[S_k p_ell] with its mass from moment 0; moment 2 is E[p_ell p_j],
     whose weights sum to one.
     """
-    n = nodes or (40 if g.L > 3 else 96 if kind == "hard" else 80)
+    n = ((40 if g.L > 3 else 96 if kind == "hard" else 80) if nodes is None
+         else _integer(nodes, "nodes of a node-halving bound", 9))
     floor = _CONDITIONAL_FLOOR if kind == "hard" and g.L <= 3 else 1e-15
     n_half = max(8, n // 2)
-    if n_half >= n:
-        raise DomainError(f"a node-halving bound needs more than 8 nodes, "
-                          f"got {n}")
     full = _sweep(kind, g, beta, n)
     half = _sweep(kind, g, beta, n_half)
     val = full[moment][ell].copy()
@@ -409,17 +406,19 @@ def ibp_residual(g, beta, ell, nodes=None):
     with Sigma the covariance of S. Both sides come from one node sweep,
     so the residual measures how faithfully the quadrature realizes the
     identity; it shrinks with the node count. The default count grows
-    with the effective sharpness beta * scale.
+    with the effective sharpness beta * scale; a given one must be an
+    integer >= 1.
     """
     ell = _check_query(g, ell, "ibp_residual")
     beta = _check_beta(beta)
-    if nodes is None:
-        sharp = beta * g.scale
-        if g.L <= 3:
-            nodes = 96 if sharp <= 2 else (160 if sharp <= 4 else
-                                           (240 if sharp <= 6 else 320))
-        else:
-            nodes = 40
+    sharp = beta * g.scale
+    if nodes is not None:
+        nodes = _integer(nodes, "nodes", 1)
+    elif g.L > 3:
+        nodes = 40
+    else:
+        nodes = 96 if sharp <= 2 else (160 if sharp <= 4 else
+                                       (240 if sharp <= 6 else 320))
     mass, mom, pp = _sweep("soft", g, beta, nodes)
     cov = g.covariance()
     lhs = mom[ell]
@@ -441,9 +440,7 @@ def max_gaussian_mean(n):
     n * phi(t) * Phi(t)^(n-1), exact 0 at n = 1. Used as the reference
     for the orthonormal self-correlation sweeps.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = _integer(n, "n", 1)
     if n == 1:
         return OracleResult(value=np.array([0.0]), mass=1.0,
                             error_bound=_EXACT_BOUND,

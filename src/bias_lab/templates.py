@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateTemplateSetError,
     DimensionError,
     DomainError,
@@ -77,6 +76,20 @@ def _positive(value, name):
     if not (value > 0.0 and math.isfinite(value)):
         raise DomainError(f"{name} must be a positive finite real")
     return float(value)
+
+
+def _integer(value, name, low, high=None, error=DomainError):
+    """value as an int; error unless it is an integer in [low, high]
+    (high None: no upper end). An integer is a Python or numpy integer,
+    or a finite float with no fractional part; strings, NaN, infinities
+    and fractions are refused, as are values out of range."""
+    whole = (isinstance(value, (int, np.integer))
+             or isinstance(value, (float, np.floating))
+             and float(value).is_integer())
+    if not (whole and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +219,7 @@ def make_pair(rho, d=2, norm=1.0):
     if rho > CORR_CAP:
         raise DegenerateTemplateSetError(
             "rho = 1 collapses the pair to a single template")
-    if d < 2:
-        raise DimensionError("a pair needs ambient dimension at least 2")
+    d = _integer(d, "a pair's ambient dimension d", 2, error=DimensionError)
     _positive(norm, "norm")
     m = np.zeros((d, 2))
     m[0, 0] = 1.0
@@ -242,10 +254,8 @@ def make_circulant(rho_seq, d=None, norm=1.0):
             f"circulant spectrum has eigenvalue {lo:.3e}; "
             f"the correlation model is not positive definite")
     _positive(norm, "norm")
-    if d is None:
-        d = L
-    if d < L:
-        raise DimensionError(f"need d >= L to embed the set, got d={d}, L={L}")
+    d = L if d is None else _integer(d, f"d (to embed L={L} templates)", L,
+                                     error=DimensionError)
     root_row = np.real(np.fft.ifft(np.sqrt(lam)))
     idx = np.arange(L)
     root = root_row[(idx[None, :] - idx[:, None]) % L]
@@ -257,8 +267,7 @@ def make_circulant(rho_seq, d=None, norm=1.0):
 
 def make_exponential(d, alpha, norm=1.0):
     """Unit-energy decaying profile exp(-alpha * m), m = 0..d-1, scaled to norm."""
-    if d < 2:
-        raise DimensionError("need at least two samples in the profile")
+    d = _integer(d, "the profile's sample count d", 2, error=DimensionError)
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise DomainError("alpha must be a finite nonnegative real")
     _positive(norm, "norm")
@@ -298,11 +307,11 @@ def make_haar_family(x0, L, seed):
     d = x0.size
     if d < 2:
         raise DimensionError("need ambient dimension at least 2 to rotate")
-    if L < 2:
-        raise DimensionError("a family needs at least two members")
+    L = _integer(L, "a family's size L", 2, error=DimensionError)
     if not np.all(np.isfinite(x0)) or np.linalg.norm(x0) == 0.0:
         raise DomainError("x0 must be finite and nonzero")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(
+        _integer(seed, "seed", 0)))
     m = np.empty((d, L))
     m[:, 0] = x0
     for k in range(1, L):
@@ -432,12 +441,14 @@ def render_pgm(vector, width, height, path):
     The value range [min, max] maps affinely onto [0, 255]; constant
     vectors render as all-128. Scaling is per image.
     """
+    width = _integer(width, "width", 1, error=DimensionError)
+    height = _integer(height, "height", 1, error=DimensionError)
     v = np.asarray(vector, dtype=np.float64).ravel()
     if v.size != width * height:
-        raise ConfigError(f"vector length {v.size} does not match "
-                          f"{width}x{height}")
+        raise DimensionError(f"vector length {v.size} does not match "
+                             f"{width}x{height}")
     if not np.all(np.isfinite(v)):
-        raise ConfigError("cannot render non-finite values")
+        raise DomainError("cannot render non-finite values")
     lo, hi = float(v.min()), float(v.max())
     if hi - lo < 1e-300:
         pix = np.full(v.size, 128, dtype=np.uint8)
@@ -457,12 +468,11 @@ def load_pgm(path):
     toks, pos = _pgm_tokens(data, 4)
     if toks[0] != b"P5":
         raise ParseError(f"{path}: not a binary PGM (magic {toks[0]!r})")
-    try:
-        width, height, maxval = (int(t) for t in toks[1:])
+    try:  # a DomainError from _integer is a ValueError too
+        width, height = (_integer(int(t), "PGM size", 1) for t in toks[1:3])
+        maxval = _integer(int(toks[3]), "maxval (8-bit PGM only)", 1, 255)
     except ValueError as exc:
-        raise ParseError(f"{path}: bad PGM header") from exc
-    if maxval <= 0 or maxval > 255:
-        raise ParseError(f"{path}: only 8-bit PGM supported, maxval {maxval}")
+        raise ParseError(f"{path}: bad PGM header: {exc}") from exc
     pos += 1  # single whitespace byte before the raster
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:

@@ -17,7 +17,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .templates import _positive, _readonly
+from .templates import _integer, _positive, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +156,7 @@ def gumbel_prediction(L, norm=1.0):
     For (near) orthogonal sets each argmax-average estimate aligns with
     its own template at magnitude sqrt(2 log L) to leading order.
     """
-    if L < 2:
-        raise DomainError("need at least two templates")
+    L = _integer(L, "L", 2)
     _positive(norm, "norm")
     a_l = math.sqrt(2.0 * math.log(L))
     return TheoryPrediction(
@@ -175,8 +174,7 @@ def gumbel_constants(n):
     Returns (a_n, b_n) with a_n = sqrt(2 log n), the leading growth
     rate of the maximum, and b_n = a_n - (log log n + log 4 pi) / (2 a_n).
     """
-    if n < 2:
-        raise DomainError("need n >= 2 for the extreme value constants")
+    n = _integer(n, "n", 2)
     a_n = math.sqrt(2.0 * math.log(n))
     b_n = a_n - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * a_n)
     return a_n, b_n

@@ -59,6 +59,12 @@ def test_parse_config_reads_integers_exactly(tmp_path, capsys):
     assert cfg == dict(seed=9007199254740993, M=123456789012345678)
     p.write_text("M = 5e6\n", encoding="utf-8")
     assert cli.parse_config(str(p))["M"] == 5_000_000
+    # list items read as scalar integers do
+    p.write_text("levels = 16, 6.4e1\n", encoding="utf-8")
+    assert cli.parse_config(str(p))["levels"] == (16, 64)
+    p.write_text("levels = 16, 2.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="'levels'"):
+        cli.parse_config(str(p))
     cfg = _write_cfg(tmp_path / "half.cfg", experiment="pair_hard", M=2.5)
     assert cli.main(["run", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == cli.EXIT_BAD_CONFIG
@@ -198,6 +204,29 @@ def test_run_mid_run_error_names_its_type(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: DomainError: ")
 
 
+@pytest.mark.parametrize("case", [
+    dict(experiment="pair_hard", M=0),
+    dict(experiment="pair_hard", seed=-1, M=1000),
+    dict(experiment="bias_demo", L=1, width=4, height=4, M=1000),
+    dict(experiment="bias_demo", width=0, M=1000),
+    dict(experiment="bias_demo", height=0, M=1000),
+    dict(experiment="bias_demo", width=-4, height=-4, M=1000),
+    dict(experiment="gumbel_sweep", levels=1, M=1000),
+    ["templates", "make", "--family", "haar", "--d", "10", "--L", "3",
+     "--seed", "-1"],
+], ids=["M", "seed", "L", "width", "height", "width_height", "levels",
+        "make_seed"])
+def test_bad_integers_exit_3_with_one_line(case, tmp_path, capsys):
+    """One integer out of range per config key, and a negative --seed:
+    each exits 3 with one line, a config error or the error's type."""
+    out = str(tmp_path / "o")
+    if isinstance(case, dict):
+        case = ["run", "--config", _write_cfg(tmp_path / "c.cfg", **case)]
+    assert cli.main(case + ["--out", out]) == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"(config error|error: \w+Error): .*\n", err), err
+
+
 def test_thread_count_must_be_positive(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard", M=1000)
     for threads in ("0", "-3"):
@@ -334,6 +363,9 @@ def test_gumbel_sweep_unsorted_or_repeated_levels(tmp_path, capsys):
         assert [int(line.split(",")[0]) for line in lines] == \
             sorted({int(v) for v in levels.split(",")})
     assert "[FAIL]" not in capsys.readouterr().out
+    # a fractional level is refused, not run at its integer part
+    with pytest.raises(DomainError):
+        checks.gumbel((16.5,), m=2000, seed=0)
 
 
 def _timings(report_path):

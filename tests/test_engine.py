@@ -58,9 +58,18 @@ def test_config_validation():
         ExperimentConfig(m=100, chunks=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(m=100, chunks=101)
+    for bad in (math.nan, math.inf):
+        for key in ("m", "chunks", "threads"):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**{"m": 100, key: bad})
     for threads in (0, -3, 1.5):
         with pytest.raises(ConfigError):
             ExperimentConfig(m=100, threads=threads)
+    for seed in (-1, 1.5, math.nan):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(m=100, seed=seed)
+    seed = ExperimentConfig(m=100, seed=2.0).seed
+    assert seed == 2 and type(seed) is int
     assert ExperimentConfig(m=100, threads=2.0).threads == 2
     assert ExperimentConfig(m=100).threads is None
 

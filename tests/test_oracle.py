@@ -265,6 +265,14 @@ def test_node_halving_bound_compares_two_rules():
     for query in at_floor:
         with pytest.raises(DomainError, match="node-halving"):
             query()
+    # a node count is an integer, and 0 does not stand for the default
+    for nodes in (0, 10.5, -3, math.nan):
+        with pytest.raises(DomainError, match="node-halving"):
+            oracle.soft_moments(g3, 1.0, 0, nodes=nodes)
+        with pytest.raises(DomainError, match="node-halving"):
+            oracle.hard_moments(g3, 0, method="quadrature", nodes=nodes)
+        with pytest.raises(DomainError):
+            oracle.ibp_residual(g3, 1.0, 0, nodes=nodes)
     above = [oracle.soft_moments(g3, 1.0, 0, nodes=9),
              oracle.soft_moments(g4, 1.0, 0, nodes=10),
              oracle.hard_moments(g4, 0, method="quadrature", nodes=9),
@@ -407,8 +415,9 @@ def test_oracle_nodes_count_the_rule():
 def test_max_gaussian_mean_errors():
     with pytest.raises(DomainError):
         oracle.max_gaussian_mean(0)
-    with pytest.raises(DomainError):
-        oracle.max_gaussian_mean(2.5)
+    for n in (2.5, math.nan):
+        with pytest.raises(DomainError):
+            oracle.max_gaussian_mean(n)
 
 
 # --------------------------------------------------------- result contract

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bias_lab import (
-    ConfigError,
     DegenerateTemplateSetError,
     DimensionError,
     DomainError,
@@ -51,8 +50,9 @@ def test_pair_rejects_bad_inputs():
         tpl.make_pair(1.5)
     with pytest.raises(DomainError):
         tpl.make_pair(float("nan"))
-    with pytest.raises(DimensionError):
-        tpl.make_pair(0.0, d=1)
+    for d in (1, 2.5):
+        with pytest.raises(DimensionError):
+            tpl.make_pair(0.3, d=d)
     with pytest.raises(DomainError):
         tpl.make_pair(0.0, norm=0.0)
 
@@ -254,8 +254,9 @@ def test_exponential_profile():
 def test_exponential_flat_and_errors():
     v = tpl.make_exponential(16, 0.0, norm=4.0)
     np.testing.assert_allclose(v, 1.0, rtol=1e-12)
-    with pytest.raises(DimensionError):
-        tpl.make_exponential(1, 0.1)
+    for d in (1, 2.5):
+        with pytest.raises(DimensionError):
+            tpl.make_exponential(d, 0.1)
     with pytest.raises(DomainError):
         tpl.make_exponential(8, -0.5)
     with pytest.raises(DomainError):
@@ -280,10 +281,13 @@ def test_haar_family_preserves_norm_and_seed():
 def test_haar_family_errors():
     with pytest.raises(DimensionError):
         tpl.make_haar_family(np.ones(1), 3, seed=0)
-    with pytest.raises(DimensionError):
-        tpl.make_haar_family(np.ones(8), 1, seed=0)
+    for L in (1, 2.5):
+        with pytest.raises(DimensionError):
+            tpl.make_haar_family(np.ones(8), L, seed=0)
     with pytest.raises(DomainError):
         tpl.make_haar_family(np.zeros(8), 3, seed=0)
+    with pytest.raises(DomainError):
+        tpl.make_haar_family(np.ones(8), 3, seed=-1)
 
 
 # ------------------------------------------------------------- CSV format
@@ -409,11 +413,15 @@ def test_render_pgm_affine_and_idempotent(tmp_path):
 
 
 def test_render_pgm_rejects_bad_input(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(DimensionError):
         tpl.render_pgm(np.ones(10), 4, 3, str(tmp_path / "x.pgm"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         tpl.render_pgm(np.array([1.0, np.nan, 0.0, 0.0]), 2, 2,
                        str(tmp_path / "x.pgm"))
+    for width, height in ((0, 0), (-4, -4), (2.5, 4)):
+        with pytest.raises(DimensionError):
+            tpl.render_pgm(np.ones(16), width, height,
+                           str(tmp_path / "x.pgm"))
 
 
 def test_load_pgm_reads_p5(tmp_path):
@@ -436,6 +444,10 @@ def test_load_pgm_errors(tmp_path):
     _write_pgm(p, 4, 4, b"\x00" * 7)      # truncated raster
     with pytest.raises(ParseError):
         tpl.load_pgm(p)
+    for width, height in ((-4, -4), (0, 3)):  # sizes are at least 1
+        _write_pgm(p, width, height, b"\x00" * 16)
+        with pytest.raises(ParseError):
+            tpl.load_pgm(p)
     p.write_bytes(b"P5\n4")
     with pytest.raises(ParseError):
         tpl.load_pgm(p)

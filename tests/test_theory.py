@@ -162,8 +162,9 @@ def test_gumbel_constants_monotone():
     b = [v[1] for v in values]
     assert all(x < y for x, y in zip(a, a[1:]))
     assert all(x < y for x, y in zip(b, b[1:]))
-    with pytest.raises(DomainError):
-        theory.gumbel_constants(1)
+    for n in (1, 2.5, math.nan):
+        with pytest.raises(DomainError):
+            theory.gumbel_constants(n)
 
 
 def test_gumbel_prediction():
@@ -173,8 +174,9 @@ def test_gumbel_prediction():
                                rtol=1e-12)
     off = pred.predicted_corr - np.diag(np.diag(pred.predicted_corr))
     np.testing.assert_allclose(off, 0.0, atol=1e-14)
-    with pytest.raises(DomainError):
-        theory.gumbel_prediction(1)
+    for L in (1, 2.5):
+        with pytest.raises(DomainError):
+            theory.gumbel_prediction(L)
 
 
 # ------------------------------------------------------- container checks
