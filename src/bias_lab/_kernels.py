@@ -42,14 +42,12 @@ labels do not depend on it; it only groups the per-block partial sums,
 which moves sums in their last bits. The hard diagonal worker draws in
 its own fixed steps (_HARD_DIAG_STEP), which fix its stream.
 
-The oracle's node sweeps work on cluster-major blocks too: projections y
-of shape (L, N) for N grid nodes, so the softmax and argmax reduce over
-axis 0 and the moments are (L, N) @ (N, L) products. The grid is visited
-in a fixed order and in blocks of bounded size, and a node whose
-product weight is below _NODE_TAU (1e-30) is not visited at all: at the
-oracle's default node counts all such nodes together move a sum by less
-than 1e-18 at unit scale, far below the rounding error of the sum
-itself (see _grid_blocks).
+The oracle's node sweeps split the n**L grid into head and tail grids
+over the first ceil(L/2) axes and the rest (node y = h_r + t_s, weight
+u_r v_s), visit blocks of head rows times a tail prefix (see _blocks)
+and skip every node of weight below _NODE_TAU (1e-30): at the oracle's
+default node counts those move a sum by less than n**L * _NODE_TAU *
+max(1, max|y|) < 1e-18 at unit scale, far below its rounding error.
 
 Every entry point takes a leading ``backend`` argument that is ignored:
 the benchmark in ``perfbench/`` wraps the module attributes and counts
@@ -57,8 +55,7 @@ rows and nodes from the entry points' positional arguments (the
 transpose view keeps a block's rows as s.shape[0]). The node
 sweeps keep the signatures hard_nodes(backend, a, x, w) and
 soft_nodes(backend, a, x, w, beta), with a of size L x L and x the 1-D
-rule; a sweep visits at most x.size ** L nodes, fewer when the grid
-has nodes under _NODE_TAU.
+rule; a sweep visits at most x.size ** L nodes.
 """
 
 import importlib.util
@@ -77,9 +74,11 @@ _BLOCK_MIN_ROWS = 1024
 _HARD_DIAG_STEP = 2_000_000
 _NODE_BLOCK = 1 << 14
 # quadrature nodes of smaller product weight are skipped, and head rows
-# are enumerated in slabs of at most this many: see _grid_blocks
+# are enumerated in slabs of at most this many: see _node_grid
 _NODE_TAU = 1e-30
 _HEAD_ROWS = 1 << 17
+# soft blocks sharper than this are swept node by node: see soft_nodes
+_SHARP = 300.0
 
 
 def active_backend():
@@ -283,19 +282,6 @@ def soft_diag_chunk(backend, seed, chunk, rows, L, beta,
 # oracle: tensor-product quadrature over the whitened node grid
 # ---------------------------------------------------------------------------
 
-def _axis_grid(a, x, w):
-    """Projections (L, n**k) and weights (n**k,) of the grid over the k
-    columns of a, first axis slowest, built axis by axis as outer sums."""
-    L = a.shape[0]
-    y = np.zeros((L, 1))
-    wp = np.ones(1)
-    for k in range(a.shape[1]):
-        y = (y[:, :, None] + np.multiply.outer(a[:, k], x)[:, None, :]
-             ).reshape(L, -1)
-        wp = np.multiply.outer(wp, w).reshape(-1)
-    return y, wp
-
-
 def _pruned_rows(w, h, idx, hw):
     """Extend grid rows by h axes, keeping the nodes whose product weight
     is at least _NODE_TAU; first axis slowest.
@@ -313,65 +299,54 @@ def _pruned_rows(w, h, idx, hw):
     return idx, hw
 
 
-def _grid_blocks(a, x, w):
-    """Yield (y, wp) per block of the nodes of the n**L grid whose product
-    weight is at least _NODE_TAU.
+def _half_grid(a, x, idx, hw):
+    """Projections a @ node (L, N) and weights (N,) of the grid nodes
+    idx over the columns of a, heaviest first."""
+    order = np.argsort(-hw, kind="stable")
+    return a @ x[idx[order]].T, hw[order]
 
-    y is the cluster-major (L, N) block of projections a @ node and wp
-    the product weights. x, w are the 1-D rule scaled for a standard
-    normal, w summing to 1. The grid over the last t axes (n**t at most
-    _NODE_BLOCK) is built once and sorted by weight. The nodes of the
-    first L - t axes, the head rows, are enumerated without those under
-    _NODE_TAU, in slabs of at most _HEAD_ROWS candidates, and a head row
-    of weight h takes the tail prefix whose weights are at least
-    _NODE_TAU / h. Each block adds a group of head rows with the same
-    prefix length to that prefix: at most _NODE_BLOCK nodes, unless one
-    row's prefix is longer. A grid without nodes under _NODE_TAU is
-    visited whole, every head row taking the whole tail.
 
-    Every node left out weighs less than _NODE_TAU, so all of them
-    together move a sum of wp, wp * y or wp * p by less than
-    n**L * _NODE_TAU * max(1, max|y|): below 1e-18 at unit scale for
-    every node count the oracle uses by default, far below the rounding
-    error of a sum over that many nodes.
-    """
+def _node_grid(a, x, w):
+    """(t, v, slabs): the tail grid and the head grid's (h, u) slabs of
+    at most _HEAD_ROWS candidates, from the 1-D standard normal rule."""
     L = a.shape[0]
     n = x.size
-    t = 0
-    while t < L and n ** (t + 1) <= _NODE_BLOCK:
-        t += 1
-    head = L - t
+    head = (L + 1) // 2
     outer = 0
     while n ** (head - outer) > _HEAD_ROWS:
         outer += 1
-    tail_y, tail_w = _axis_grid(a[:, head:], x, w)
-    order = np.argsort(-tail_w)
-    tail_y, tail_w = np.take(tail_y, order, axis=1), tail_w[order]
-    a_head = a[:, :head]
-    pre, pre_w = _pruned_rows(w, outer, np.zeros((1, 0), dtype=np.intp),
-                              np.ones(1))
-    for r in range(pre_w.size):
-        idx, head_w = _pruned_rows(w, head - outer, pre[r:r + 1],
-                                   pre_w[r:r + 1])
-        # the count of tail weights >= tau / head weight
-        k = np.searchsorted(-tail_w, -_NODE_TAU / head_w, side="right")
-        rows = np.argsort(k, kind="stable")
-        sizes, starts = np.unique(k[rows], return_index=True)
-        for size, lo, hi in zip(sizes, starts,
-                                np.append(starts[1:], rows.size)):
-            if size == 0:
-                continue
-            step = max(1, _NODE_BLOCK // size)
-            for s in range(lo, hi, step):
-                sel = rows[s:min(s + step, hi)]
-                head_y = a_head @ x[idx[sel]].T
-                # order "C": from a one-row group and a tail prefix view,
-                # numpy would otherwise lay the block out column-major
-                y = np.add(head_y[:, :, None], tail_y[:, None, :size],
-                           order="C")
-                yield (y.reshape(L, -1),
-                       np.multiply.outer(head_w[sel], tail_w[:size]
-                                         ).reshape(-1))
+    root = (np.zeros((1, 0), dtype=np.intp), np.ones(1))
+    t, v = _half_grid(a[:, head:], x, *_pruned_rows(w, L - head, *root))
+    pre, pre_w = _pruned_rows(w, outer, *root)
+    slabs = (_half_grid(a[:, :head], x, *_pruned_rows(
+        w, head - outer, pre[r:r + 1], pre_w[r:r + 1]))
+        for r in range(pre_w.size))
+    return t, v, slabs
+
+
+def _blocks(u, v):
+    """Yield (rows, cols) slices of a head slab and the tail covering
+    every node of weight u_r * v_s >= _NODE_TAU. Row r needs the tail
+    prefix of weights >= _NODE_TAU / u_r. A block is a run of rows times
+    the prefix its first row needs, up to _NODE_BLOCK nodes, closed where
+    the need halves; a longer prefix is cut, one row per block."""
+    need = np.searchsorted(-v, -_NODE_TAU / u, side="right")
+    lo, end = 0, int(np.searchsorted(-need, 0))
+    while lo < end:
+        size = int(need[lo])
+        hi = min(int(np.searchsorted(-need, -(size // 2))),
+                 lo + max(1, _NODE_BLOCK // size))
+        for s in range(0, size, _NODE_BLOCK):
+            yield slice(lo, hi), slice(s, min(s + _NODE_BLOCK, size))
+        lo = hi
+
+
+def _block_nodes(h, u, t, v, rows, cols):
+    """Projections (L, R * S) and weights of a block's nodes."""
+    # order "C" keeps the reshape to (L, R * S) a view for any strides
+    y = np.add(h[:, rows, None], t[:, None, cols], order="C")
+    return (y.reshape(h.shape[0], -1),
+            np.multiply.outer(u[rows], v[cols]).reshape(-1))
 
 
 def hard_nodes(backend, a, x, w):
@@ -384,28 +359,55 @@ def hard_nodes(backend, a, x, w):
     L = a.shape[0]
     prob = np.zeros(L)
     mom = np.zeros((L, L))
-    for y, wp in _grid_blocks(a, x, w):
-        best = y.max(axis=0)
-        tied = y >= best - 1.0e-9 * (1.0 + np.abs(best))
-        wl = tied * (wp / tied.sum(axis=0))
-        prob += wl.sum(axis=1)
-        mom += wl @ y.T
+    t, v, slabs = _node_grid(a, x, w)
+    for h, u in slabs:
+        for rows, cols in _blocks(u, v):
+            y, wp = _block_nodes(h, u, t, v, rows, cols)
+            best = y.max(axis=0)
+            tied = y >= best - 1.0e-9 * (1.0 + np.abs(best))
+            wl = tied * (wp / tied.sum(axis=0))
+            prob += wl.sum(axis=1)
+            mom += wl @ y.T
     return prob, mom
 
 
 def soft_nodes(backend, a, x, w, beta):
     """Tensor quadrature sweep for softmax moments; (mass, mom, pp).
 
-    mass[l] = E p_l, mom[l][k] = E p_l y_k and pp[l][k] = E p_l p_k.
+    mass[l] = E p_l, mom[l][k] = E p_l y_k and pp[l][k] = E p_l p_k. At
+    y = h_r + t_s, p_l = E_lr F_ls / Z_rs with E = exp(beta (h - max_l h)),
+    F likewise and Z = E.T @ F: block moments are matrix products of
+    exponentials taken once per half-grid point. As Z_rs >= exp(-beta
+    min(spread h_r, spread t_s)), a block where beta times the smaller of
+    its largest spreads exceeds _SHARP is swept node by node.
     """
     L = a.shape[0]
     mass = np.zeros(L)
     mom = np.zeros((L, L))
     pp = np.zeros((L, L))
-    for y, wp in _grid_blocks(a, x, w):
-        p = _softmax(beta * y)
-        wl = p * wp
-        mass += wl.sum(axis=1)
-        mom += wl @ y.T
-        pp += wl @ p.T
+    t, v, slabs = _node_grid(a, x, w)
+    f = np.exp(beta * (t - t.max(axis=0)))
+    t_sharp = beta * np.ptp(t, axis=0)
+    ff = (f[:, None] * f[None]).reshape(L * L, -1)
+    for h, u in slabs:
+        e = np.exp(beta * (h - h.max(axis=0)))
+        h_sharp = beta * np.ptp(h, axis=0)
+        for rows, cols in _blocks(u, v):
+            if min(h_sharp[rows].max(), t_sharp[cols].max()) > _SHARP:
+                y, wp = _block_nodes(h, u, t, v, rows, cols)
+                p = _softmax(beta * y)
+                wl = p * wp
+                mass += wl.sum(axis=1)
+                mom += wl @ y.T
+                pp += wl @ p.T
+                continue
+            eb, fb = e[:, rows], f[:, cols]
+            z = eb.T @ fb
+            q = np.multiply.outer(u[rows], v[cols]) / z
+            g, gt = q @ fb.T, q.T @ eb.T
+            mass += np.einsum("lr,rl->l", eb, g)
+            mom += (eb * g.T) @ h[:, rows].T + (fb * gt.T) @ t[:, cols].T
+            q /= z
+            pp += np.einsum("ir,ri->i", (eb[:, None] * eb[None]).reshape(
+                L * L, -1), q @ ff[:, cols].T).reshape(L, L)
     return mass, mom, pp

@@ -17,11 +17,11 @@ row by its check's own rule, as verify does. Output goes to --out, else
 bias_lab_<experiment>.
 
 Integer keys take scientific notation, list items too (M = 5e6,
-levels = 16, 6.4e1), and must lie in range: M >= 1, seed >= 0 (for
-gumbel_sweep, seed + L at each level L), L >= 2, width and height >= 1
-and each item of levels >= 2. Any other key is a config error, and so
-is a list key (levels) that holds no value. `templates make --family F
---out DIR` reads these flags, and refuses any other with exit 3:
+levels = 16, 6.4e1), as do the integer flags --threads, --d, --L and
+--seed. The keys must lie in range: M >= 1, seed >= 0, L >= 2, width
+and height >= 1 and each item of levels >= 2. Any other key is a config
+error, and so is a list key (levels) that holds no value. `templates
+make --family F --out DIR` reads these flags, refusing others (exit 3):
 
     pair          --rho 0, --d 2, --scale 1
     circulant     --rho-seq (required), --d L, --scale 1
@@ -32,10 +32,11 @@ Their ranges: --d >= 2 (circulant: >= L, the length of --rho-seq),
 
 Exit codes, for every command: 0 all tolerance rows pass, 1 at least
 one row failed (a row whose tolerance is not finite fails), 2 unknown
-experiment name, 3 invalid config or an error raised during the run, 4
-unwritable output directory (run, verify, templates make). A run config
-or --threads that fails to parse prints "config error: <message>"; any
-other package or OS error prints "error: <TypeName>: <message>".
+experiment name or a command line that argparse refuses, 3 invalid
+config or an error raised during the run, 4 unwritable output directory
+(run, verify, templates make). A run config that fails to parse or has
+a negative seed, or a --threads below 1, prints "config error: <msg>";
+any other package or OS error prints "error: <TypeName>: <message>".
 
 Checks: every experiment and every comparison that `verify` makes is an
 entry of the check table in `bias_lab.checks`, which the acceptance
@@ -427,8 +428,8 @@ def _make_haar(d, L, alpha=0.1, scale=1.0, seed=0):
 
 _FAMILIES = {"pair": _make_pair, "circulant": _make_circulant,
              "haar": _make_haar}
-_MAKE_FLAGS = dict(rho=float, rho_seq=str, alpha=float, d=int, L=int,
-                   scale=float, seed=int)
+_MAKE_FLAGS = dict(rho=float, rho_seq=str, alpha=float, d=_int, L=_int,
+                   scale=float, seed=_int)
 
 
 def _flag(key):
@@ -498,7 +499,7 @@ def _prepare_outdir(path):
 def _cmd_run(args):
     try:
         cfg = parse_config(args.config)
-        seed = cfg.get("seed", 0)
+        seed = tpl._integer(cfg.get("seed", 0), "seed", 0, error=ConfigError)
         thread_count(args.threads)
         name = cfg.get("experiment")
         if name is None:
@@ -552,14 +553,14 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one configured experiment")
     p_run.add_argument("--config", required=True, help="key=value file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=None,
+    p_run.add_argument("--threads", type=_int, default=None,
                        help="worker threads (never changes results)")
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--suite", choices=("fast", "full"), required=True)
     p_ver.add_argument("--out", default=None, help="output directory")
-    p_ver.add_argument("--threads", type=int, default=None)
+    p_ver.add_argument("--threads", type=_int, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_tpl = sub.add_parser("templates", help="make or inspect template sets")

@@ -18,27 +18,26 @@ engine and of the closed-form theory module:
   dimensions use Plackett's identity, which turns the orthant into a
   one-dimensional integral of those closed forms.
 * a quadrature branch, one memoized sweep per (Gram model, beta, n)
-  that yields every cluster and every moment at once: for hard queries at
-  L <= 3, one-dimensional Gauss-Hermite integration over each S_ell of
-  the smooth conditional form (bivariate normal CDF and partial
+  that yields every cluster and every moment at once: for hard queries
+  at L <= 3, one-dimensional Gauss-Hermite integration over each S_ell
+  of the smooth conditional form (bivariate normal CDF and partial
   moments inside); for soft queries at every L and hard ones at
-  4 <= L <= 6, tensor-product Gauss-Hermite over the whitened vector
-  with direct indicator/softmax evaluation at the nodes. The tensor
-  sweep skips every node whose product weight is below
-  _kernels._NODE_TAU (1e-30): together those nodes carry less than
-  n**L * 1e-30 times the largest |S_k| on the grid, under 1e-18 at
-  unit scale for every default node count and far below the rounding
-  error of the sweep's own sums. Error bounds come from the difference
-  against the sweep at half the node count, but at least 8 nodes, which
-  must differ from the sweep it bounds, so a node count is an integer
-  of at least 9 (DomainError otherwise). A bound is at least 1e-15, and
-  at least 1e-12 on the conditional route, whose inner bivariate CDF
-  has a fixed resolution that halving the outer nodes cannot sense.
-  soft_moments, soft_second_moments, softmax_weights, ibp_residual and
-  hard_moments read the same memo for every ell. The memo keys on the
-  GramModel object (models compare by identity), so queries hit it when
-  they pass the same model; an equal model built anew sweeps again, to
-  the same values.
+  4 <= L <= 6, tensor-product Gauss-Hermite over the whitened vector in
+  blocks of a head grid (the first ceil(L/2) axes) times a tail grid.
+  The hard sweep tests the argmax at each node; the soft one takes its
+  exponentials once per half-grid point and sums each block's softmax
+  moments as matrix products, node by node only where beta is so sharp
+  that this could underflow. Both skip nodes of weight below 1e-30,
+  together under 1e-18 at default node counts (see _kernels). Error bounds
+  come from the difference against the sweep at half the node count,
+  but at least 8 nodes, which must differ from the sweep it bounds, so
+  a node count is an integer of at least 9 (DomainError otherwise). A
+  bound is at least 1e-15, and at least 1e-12 on the conditional route,
+  whose inner bivariate CDF has a fixed resolution that halving the
+  outer nodes cannot sense. Every moment query reads the same memo for
+  every ell. The memo keys on the GramModel object (models compare by
+  identity), so queries hit it when they pass the same model; an equal
+  model built anew sweeps again, to the same values.
 
 The moment queries answer for L <= 6 and raise DimensionError beyond
 it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle

@@ -207,6 +207,7 @@ def test_run_mid_run_error_names_its_type(tmp_path, capsys):
 @pytest.mark.parametrize("case", [
     dict(experiment="pair_hard", M=0),
     dict(experiment="pair_hard", seed=-1, M=1000),
+    dict(experiment="gumbel_sweep", levels=16, seed=-1, M=1000),
     dict(experiment="bias_demo", L=1, width=4, height=4, M=1000),
     dict(experiment="bias_demo", width=0, M=1000),
     dict(experiment="bias_demo", height=0, M=1000),
@@ -214,8 +215,8 @@ def test_run_mid_run_error_names_its_type(tmp_path, capsys):
     dict(experiment="gumbel_sweep", levels=1, M=1000),
     ["templates", "make", "--family", "haar", "--d", "10", "--L", "3",
      "--seed", "-1"],
-], ids=["M", "seed", "L", "width", "height", "width_height", "levels",
-        "make_seed"])
+], ids=["M", "seed", "gumbel_seed", "L", "width", "height", "width_height",
+        "levels", "make_seed"])
 def test_bad_integers_exit_3_with_one_line(case, tmp_path, capsys):
     """One integer out of range per config key, and a negative --seed:
     each exits 3 with one line, a config error or the error's type."""
@@ -288,8 +289,9 @@ def test_threads_do_not_change_artifacts(tmp_path, capsys):
     # run both chunks at once, each with a helper drawing ahead
     cfg = _write_cfg(tmp_path / "c.cfg", experiment="pair_hard",
                      rho=0.0, M=300_000)
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((a, "1"), (b, "4")):
+    # --threads reads its text as an integer key does: 2.0 is 2
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    for out, threads in ((a, "1"), (b, "4"), (c, "2.0")):
         assert cli.main(["run", "--config", cfg, "--out", str(out),
                          "--threads", threads]) == cli.EXIT_OK
     capsys.readouterr()
@@ -297,6 +299,7 @@ def test_threads_do_not_change_artifacts(tmp_path, capsys):
     assert csvs
     for name in csvs:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert (a / name).read_bytes() == (c / name).read_bytes(), name
 
 
 # sha256 of every CSV and PGM that four small runs and three `templates
@@ -553,10 +556,11 @@ def test_templates_make_parses_rho_seq_as_a_float_list(tmp_path, capsys):
 
 def test_templates_make_haar(tmp_path, capsys):
     written = []
-    for alpha in ("0.2", "5"):
-        out = tmp_path / alpha
+    # --d reads its text as an integer key does: 2e1 is 20
+    for alpha, d in (("0.2", "20"), ("5", "20"), ("0.2", "2e1")):
+        out = tmp_path / (alpha + d)
         code = cli.main(["templates", "make", "--family", "haar",
-                         "--d", "20", "--L", "4", "--alpha", alpha,
+                         "--d", d, "--L", "4", "--alpha", alpha,
                          "--scale", "3", "--seed", "5", "--out", str(out)])
         assert code == cli.EXIT_OK
         written.append((out / "haar_templates.csv").read_bytes())
@@ -570,6 +574,7 @@ def test_templates_make_haar(tmp_path, capsys):
     capsys.readouterr()
     # the seed profile is make_exponential(d, alpha), so alpha shapes it
     assert written[0] != written[1]
+    assert written[0] == written[2]
 
 
 def test_templates_make_refuses_missing_flags_and_unknown_families(

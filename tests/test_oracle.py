@@ -496,11 +496,13 @@ def test_soft_sweep_entry_points_validate_beta():
 
 # ------------------------------------------------------------ node sweeps
 
-def _brute_force_nodes(a, x, w, beta):
-    """hard_nodes / soft_nodes outputs from a loop over every grid node."""
+def _brute_force_nodes(a, x, w, betas):
+    """hard_nodes output, and soft_nodes output at each beta, from a loop
+    over every grid node."""
     L = a.shape[0]
     prob, hmom = np.zeros(L), np.zeros((L, L))
-    mass, smom, pp = np.zeros(L), np.zeros((L, L)), np.zeros((L, L))
+    soft = [(np.zeros(L), np.zeros((L, L)), np.zeros((L, L)))
+            for _ in betas]
     for idx in itertools.product(range(x.size), repeat=L):
         y = a @ x[list(idx)]
         wt = math.prod(w[i] for i in idx)
@@ -509,24 +511,30 @@ def _brute_force_nodes(a, x, w, beta):
         share = wt * tied / tied.sum()
         prob += share
         hmom += np.outer(share, y)
-        e = np.exp(beta * (y - best))
-        p = e / e.sum()
-        mass += wt * p
-        smom += wt * np.outer(p, y)
-        pp += wt * np.outer(p, p)
-    return (prob, hmom), (mass, smom, pp)
+        for beta, (mass, smom, pp) in zip(betas, soft):
+            e = np.exp(beta * (y - best))
+            p = e / e.sum()
+            mass += wt * p
+            smom += wt * np.outer(p, y)
+            pp += wt * np.outer(p, p)
+    return (prob, hmom), soft
+
+
+# beta = 80 sends many of the blocks below down soft_nodes' node-by-node
+# branch; cut into 50-node blocks, most cases mix both branches
+BETAS = (1.3, 80.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _brute_force_case(L, n):
     """Whitenings of one random Gram and, at odd n, the identity, with
-    their brute-force sweep outputs at beta = 1.3."""
+    their brute-force sweep outputs, soft ones at each of BETAS."""
     x, w = oracle._gh_rule(n)
     rng = np.random.default_rng(100 * L + n)
     grams = [1.1 * np.linalg.cholesky(tpl.random_correlation(rng, L))]
     if n % 2:
         grams.append(np.eye(L))
-    return [(a, *_brute_force_nodes(a, x, w, 1.3)) for a in grams]
+    return [(a, *_brute_force_nodes(a, x, w, BETAS)) for a in grams]
 
 
 @pytest.mark.parametrize("block", [None, 50])
@@ -534,24 +542,26 @@ def _brute_force_case(L, n):
                                   for n in (5, 6, 7)] + [(3, 31)])
 def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
     """Both sweeps equal a node-by-node loop, also when the grid is cut
-    into many head groups and head slabs; the identity Gram at odd n
-    puts real weight on exact ties, which the hard sweep splits evenly.
-    At n = 31 the grid has nodes of weight under _NODE_TAU, which the
-    sweeps skip (ties included) while the loop visits them all; the
+    into many blocks and head slabs; the identity Gram at odd n puts
+    real weight on exact ties, which the hard sweep splits evenly. The
+    soft sweep is checked at a mild beta, where every block is
+    factorized, and at a sharp one, where some blocks are swept node by
+    node. At n = 31 the grid has nodes of weight under _NODE_TAU, which
+    the sweeps skip (ties included) while the loop visits them all; the
     smaller grids have none and are swept whole."""
     if block is not None:
         monkeypatch.setattr(_kernels, "_NODE_BLOCK", block)
         monkeypatch.setattr(_kernels, "_HEAD_ROWS", 2 * block)
     visited = []
-    blocks = _kernels._grid_blocks
+    blocks = _kernels._blocks
 
-    def counted(a, x, w):
-        for y, wp in blocks(a, x, w):
-            visited.append(wp.size)
-            yield y, wp
-    monkeypatch.setattr(_kernels, "_grid_blocks", counted)
+    def counted(u, v):
+        for rows, cols in blocks(u, v):
+            visited.append(u[rows].size * v[cols].size)
+            yield rows, cols
+    monkeypatch.setattr(_kernels, "_blocks", counted)
     x, w = oracle._gh_rule(n)
-    for a, hard_ref, soft_ref in _brute_force_case(L, n):
+    for a, hard_ref, soft_refs in _brute_force_case(L, n):
         visited.clear()
         for got, want in zip(_kernels.hard_nodes(None, a, x, w), hard_ref):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -559,9 +569,10 @@ def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
             assert sum(visited) < n ** L
         else:
             assert sum(visited) == n ** L
-        for got, want in zip(_kernels.soft_nodes(None, a, x, w, 1.3),
-                             soft_ref):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        for beta, soft_ref in zip(BETAS, soft_refs):
+            for got, want in zip(_kernels.soft_nodes(None, a, x, w, beta),
+                                 soft_ref):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     if n % 2:
         # ties split evenly: on the identity every cluster is equally likely
         prob, _ = _kernels.hard_nodes(None, np.eye(L), x, w)
@@ -587,17 +598,20 @@ def test_skipped_nodes_cannot_show():
 
 
 def test_head_rows_are_built_in_slabs():
-    """At L = 6 and 40 nodes, a default count, the pruned head grid has
-    about 1e6 rows of four axes: built at once, it took 84 MiB before the
-    first block. In slabs of at most _HEAD_ROWS candidates the first
-    block needs only its own slab (0.3 MiB here), and no slab has more
-    than _HEAD_ROWS candidates."""
+    """At L = 6 and 40 nodes, a default count, the whole pruned grid has
+    about 4.5e8 nodes. The sweeps hold the head and tail grids of three
+    axes each (38336 pruned nodes apiece), the head in slabs of at most
+    _HEAD_ROWS candidates, and one block of nodes at a time: the first
+    block needs about 6 MiB."""
     x, w = oracle._gh_rule(40)
     a = np.linalg.cholesky(tpl.random_correlation(
         np.random.default_rng(6), 6))
     tracemalloc.start()
     try:
-        y, wp = next(_kernels._grid_blocks(a, x, w))
+        t, v, slabs = _kernels._node_grid(a, x, w)
+        h, u = next(slabs)
+        rows, cols = next(_kernels._blocks(u, v))
+        y, wp = _kernels._block_nodes(h, u, t, v, rows, cols)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
