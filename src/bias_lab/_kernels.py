@@ -364,8 +364,14 @@ def hard_nodes(backend, a, x, w):
         for rows, cols in _blocks(u, v):
             y, wp = _block_nodes(h, u, t, v, rows, cols)
             best = y.max(axis=0)
-            tied = y >= best - 1.0e-9 * (1.0 + np.abs(best))
-            wl = tied * (wp / tied.sum(axis=0))
+            thr = np.abs(best)  # best - 1e-9 * (1 + |best|), in place
+            thr += 1.0
+            thr *= 1.0e-9
+            np.subtract(best, thr, out=thr)
+            wl = np.empty_like(y)  # the tie mask as 0.0 / 1.0
+            np.greater_equal(y, thr, out=wl, casting="unsafe")
+            wp /= wl.sum(axis=0)
+            wl *= wp
             prob += wl.sum(axis=1)
             mom += wl @ y.T
     return prob, mom

@@ -52,8 +52,14 @@ resident set size so far from getrusage) and "## timings", the seconds
 each check took.
 
 --threads must be an integer >= 1 when given; one below 1 is a config
-error. A check that raises a package error during `verify` becomes one
-FAIL row, "<check> raised <TypeName>: <message>", and the suite goes on.
+error. For run it caps the engine's threads. verify runs its checks side
+by side: N threads (default os.cpu_count()) run min(N, checks) of them
+at once, each on N // lanes engine threads (at least one) but the
+first, the longest, on all N. It starts them in suite order, longest
+first, and lists rows, CSV files and timings in that order. A check
+that raises a package error during `verify` becomes one FAIL row,
+"<check> raised <TypeName>: <message>", and the suite goes on; any
+other error stops the checks not yet started and propagates.
 """
 import argparse
 import inspect
@@ -63,13 +69,14 @@ import platform
 import re
 import resource
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
-from . import __version__, checks
+from . import __version__, checks, engine
 from . import templates as tpl
 from .checks import CheckResult, ReportRow
 from .engine import blas_control, thread_count
@@ -86,7 +93,7 @@ EXIT_UNWRITABLE = 4
 # --------------------------------------------------------------------------
 # config handling
 
-def _int(text):
+def integer(text):
     """text as an int: exactly if it is an integer literal, else through
     float, so scientific notation reads as an integer (6.4e1 as 64)."""
     try:
@@ -98,16 +105,16 @@ def _int(text):
 # a kind in a 1-tuple reads a comma-separated list of such items
 _KEY_PARSERS = {
     "experiment": str,
-    "L": _int,
-    "M": _int,
+    "L": integer,
+    "M": integer,
     "beta": float,
-    "seed": _int,
+    "seed": integer,
     "rho": float,
     "alpha": float,
     "scale": float,
-    "levels": (_int,),
-    "width": _int,
-    "height": _int,
+    "levels": (integer,),
+    "width": integer,
+    "height": integer,
     "template_dir": str,
 }
 
@@ -362,13 +369,21 @@ def _oracle_inputs(n_ibp):
 
 
 def _suite(full):
-    """(check, inputs) pairs of the fast or full suite, in run order."""
+    """(check, inputs) pairs of the fast or full suite, in start order.
+
+    verify starts the checks in this order on as many lanes as it has,
+    so the longest, soft_consistency in both suites, goes first, and
+    that one gets every engine thread. A new heavy check goes at the
+    head too; at the tail it would start last and run alone.
+    """
     m = 10**6
     small = m if full else 2 * 10**5
     ring = [(1.0,) + (0.0,) * 7, (1.0, 0.4) + (0.0,) * 5 + (0.4,)]
     haar = tpl.make_haar_family(
         np.random.default_rng(5150).standard_normal(50), 3, seed=99)
     return (
+        ("soft_consistency", dict(L=256, m=10**7, seed=81, lo=0.95) if full
+         else dict(L=64, m=m, seed=81, lo=0.90)),
         ("pair_hard", dict(rhos=(-1.0, -0.5, 0.0, 0.5, 0.9, 0.99), m=m,
                            seed=101)),
         ("bridge", dict(rho=tpl.random_correlation(
@@ -384,8 +399,6 @@ def _suite(full):
         ("finite_l", dict(clusters=(0,), m=m, seed=61)),
         ("gumbel", dict(levels=(16, 64, 256, 1024, 4096) if full
                         else (16, 64), m=m, seed=71)),
-        ("soft_consistency", dict(L=256, m=10**7, seed=81, lo=0.95) if full
-         else dict(L=64, m=m, seed=81, lo=0.90)),
         ("oracle_self", _oracle_inputs(10 if full else 4)),
         ("agreement", dict(n_models=20 if full else 3,
                            m=10**7 if full else m)),
@@ -394,16 +407,54 @@ def _suite(full):
 
 
 def verify(suite, outdir, threads=None):
-    """Run the fast or full verification suite; returns the RunReport."""
+    """Run the fast or full verification suite; returns the RunReport.
+
+    The checks run side by side on lanes = min(threads, number of
+    checks) threads, threads None meaning os.cpu_count(). Each check's
+    engine runs get threads // lanes threads (at least one), except the
+    first, the longest, which gets all of them: it still runs when the
+    other lanes have no check left, and its chunks then fill the idle
+    cores. Checks start in suite order, and their rows, CSV files and
+    timings are listed in that order; no value depends on threads. A
+    check that raises anything but a BiasLabError stops the checks not
+    yet started, and its error propagates.
+    """
     if suite not in ("fast", "full"):
         raise ConfigError(f"unknown suite {suite!r}")
-    thread_count(threads)
+    cores = thread_count(threads) or os.cpu_count() or 1
     os.makedirs(outdir, exist_ok=True)
     report = RunReport(f"verify --suite {suite}", {"suite": suite},
                        threads=threads)
-    for name, inputs in _suite(suite == "full"):
-        _run_check(report, outdir, f"verify_{name}.csv", name,
-                   threads=threads, **inputs)
+    entries = _suite(suite == "full")
+    lanes = min(cores, len(entries))
+    stop = threading.Event()  # set once a check raises: skip the rest
+
+    def lane(i, name, inputs):
+        if stop.is_set():
+            return None
+        part = RunReport(name, {})
+        try:
+            _run_check(part, outdir, f"verify_{name}.csv", name,
+                       threads=cores if i == 0 else max(1, cores // lanes),
+                       **inputs)
+        except BaseException:
+            stop.set()
+            raise
+        return part
+
+    # engine's pool, looked up now, so a pool patched there wraps lanes too
+    with engine.ThreadPoolExecutor(max_workers=lanes) as pool:
+        futures = [pool.submit(lane, i, *entry)
+                   for i, entry in enumerate(entries)]
+        try:
+            # checks start in order, so a raise precedes every skipped one
+            parts = [future.result() for future in futures]
+        finally:
+            stop.set()  # after an interrupt too, not to wait for the rest
+    for part in parts:
+        report.rows += part.rows
+        report.artifacts += part.artifacts
+        report.timings.update(part.timings)
     return report
 
 
@@ -428,8 +479,8 @@ def _make_haar(d, L, alpha=0.1, scale=1.0, seed=0):
 
 _FAMILIES = {"pair": _make_pair, "circulant": _make_circulant,
              "haar": _make_haar}
-_MAKE_FLAGS = dict(rho=float, rho_seq=str, alpha=float, d=_int, L=_int,
-                   scale=float, seed=_int)
+_MAKE_FLAGS = dict(rho=float, rho_seq=str, alpha=float, d=integer,
+                   L=integer, scale=float, seed=integer)
 
 
 def _flag(key):
@@ -553,14 +604,14 @@ def build_parser():
     p_run = sub.add_parser("run", help="run one configured experiment")
     p_run.add_argument("--config", required=True, help="key=value file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=_int, default=None,
+    p_run.add_argument("--threads", type=integer, default=None,
                        help="worker threads (never changes results)")
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--suite", choices=("fast", "full"), required=True)
     p_ver.add_argument("--out", default=None, help="output directory")
-    p_ver.add_argument("--threads", type=_int, default=None)
+    p_ver.add_argument("--threads", type=integer, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_tpl = sub.add_parser("templates", help="make or inspect template sets")

@@ -7,6 +7,7 @@ import inspect
 import math
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +237,10 @@ def test_thread_count_must_be_positive(tmp_path, capsys):
                                     "--threads", threads])
             assert code == cli.EXIT_BAD_CONFIG
             assert capsys.readouterr().err.startswith("config error: threads")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "2.5"])
+        assert exc.value.code == 2
+        assert "invalid integer value: '2.5'" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         cli.verify("fast", str(tmp_path / "v"), threads=0)
 
@@ -250,13 +255,54 @@ def test_verify_survives_a_raising_check(tmp_path, monkeypatch, capsys):
         entry for entry in suite(full) if entry[0] in keep])
     monkeypatch.setitem(checks.CHECKS, "span", broken)
     out = tmp_path / "v"
-    assert cli.main(["verify", "--suite", "fast",
-                     "--out", str(out)]) == cli.EXIT_ROW_FAILED
+    assert cli.main(["verify", "--suite", "fast", "--out", str(out),
+                     "--threads", "2"]) == cli.EXIT_ROW_FAILED
     assert "[FAIL] span raised DomainError: injected" in \
         capsys.readouterr().out
     assert {p.name for p in out.glob("*.csv")} == {
         "verify_bridge.csv", "verify_finite_l.csv"}
     assert set(_timings(out / "report.txt")) == set(keep)
+
+
+def test_verify_lanes_keep_rows_bytes_and_order(tmp_path, monkeypatch):
+    keep = ("bridge", "span", "finite_l", "oracle_self")
+    trimmed = [entry for entry in cli._suite(False) if entry[0] in keep]
+    monkeypatch.setattr(cli, "_suite", lambda full: trimmed)
+    alone = [row.line() for name, inputs in trimmed
+             for row in checks.CHECKS[name](threads=1, **inputs).rows]
+    csvs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / str(threads)
+        report = cli.verify("fast", str(out), threads)
+        assert [row.line() for row in report.rows] == alone
+        assert list(report.timings) == list(keep)
+        assert [pathlib.Path(p).name for p in report.artifacts] == [
+            "verify_bridge.csv", "verify_span.csv", "verify_finite_l.csv"]
+        csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert csvs[0] == csvs[1] == csvs[2]
+
+    # a non-package error propagates; the checks queued behind it never
+    # start, while the one already running in the other lane finishes
+    calls = []
+
+    def slow(**inputs):
+        calls.append("slow")
+        time.sleep(0.3)
+        return checks.CheckResult([])
+
+    def boom(**inputs):
+        calls.append("boom")
+        raise RuntimeError("not a package error")
+
+    def late(**inputs):
+        calls.append("late")
+        return checks.CheckResult([])
+
+    for name, fn in zip(keep, (slow, boom, late, late)):
+        monkeypatch.setitem(checks.CHECKS, name, fn)
+    with pytest.raises(RuntimeError, match="not a package error"):
+        cli.verify("fast", str(tmp_path / "boom"), threads=2)
+    assert sorted(calls) == ["boom", "slow"]
 
 
 def test_run_unwritable_outdir(tmp_path, capsys):
