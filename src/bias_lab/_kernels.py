@@ -25,11 +25,12 @@ over st = s.T, so the argmax and the softmax run over axis 0, every
 per-cluster pass reads a contiguous row of st and the soft moments are
 (L, rows) @ (rows, L) products; soft_block returns its weights as
 (L, rows). The soft diagonal worker keeps its (rows, L) draws and takes
-the same softmax over their transpose view. Full mode's label_vectors
-and weighted_vectors take the block's in-span coordinates: the (rows, r)
-standard normals z behind its projections, r <= L the rank of the
-template correlation, not d-dimensional noise. They add into (L, r)
-sums from which the engine builds the estimator vectors once per run.
+the same softmax over their transpose view. Full mode adds nothing per
+block: the engine builds its estimator vectors once per run from the
+projection sums of hard_block and soft_block. label_vectors and
+weighted_vectors have no caller; they stay because the benchmark in
+``perfbench/`` wraps them by name, and a missing name fails every
+traced pass.
 
 Block size: every path that draws normals for L projections, the
 engine's sampler ((rows, r) normals) and the soft diagonal worker
@@ -73,10 +74,8 @@ _BLOCK_MIN_ROWS = 1024
 # and which become labels, so changing it changes every result
 _HARD_DIAG_STEP = 2_000_000
 _NODE_BLOCK = 1 << 14
-# quadrature nodes of smaller product weight are skipped, and head rows
-# are enumerated in slabs of at most this many: see _node_grid
+# quadrature nodes of smaller product weight are skipped: see _half_grid
 _NODE_TAU = 1e-30
-_HEAD_ROWS = 1 << 17
 # soft blocks sharper than this are swept node by node: see soft_nodes
 _SHARP = 300.0
 
@@ -204,11 +203,8 @@ def soft_block(backend, s, beta, w1, w2, a1, a2, a3, pooled):
 
 
 def label_vectors(backend, z, labels, vec):
-    """vec[l] += sum of the in-span coordinate rows z labelled l.
-
-    z is the (rows, r) block of standard normals behind the block's
-    projections; vec is (L, r).
-    """
+    """vec[l] += sum of the (rows, r) rows of z labelled l; vec is
+    (L, r). No caller: see the module docstring."""
     L = vec.shape[0]
     onehot = np.zeros((z.shape[0], L))
     onehot[np.arange(z.shape[0]), labels] = 1.0
@@ -216,10 +212,8 @@ def label_vectors(backend, z, labels, vec):
 
 
 def weighted_vectors(backend, z, p, vec):
-    """vec[l] += sum of the in-span coordinate rows z weighted by p[l].
-
-    z is (rows, r) as in label_vectors, p the (L, rows) weights.
-    """
+    """vec[l] += sum of the (rows, r) rows of z weighted by the (L,
+    rows) p[l]. No caller: see the module docstring."""
     vec += p @ z
 
 
@@ -282,50 +276,35 @@ def soft_diag_chunk(backend, seed, chunk, rows, L, beta,
 # oracle: tensor-product quadrature over the whitened node grid
 # ---------------------------------------------------------------------------
 
-def _pruned_rows(w, h, idx, hw):
-    """Extend grid rows by h axes, keeping the nodes whose product weight
-    is at least _NODE_TAU; first axis slowest.
+def _half_grid(cols, x, w):
+    """Projections cols @ node (L, N) and product weights (N,) of the
+    grid over the axes of cols' columns, heaviest first.
 
-    idx holds (R, j) node indices and hw their (R,) product weights.
-    Every 1-D weight is below one, so a partial product under _NODE_TAU
-    has no extension above it and is dropped as soon as it appears.
+    The grid keeps the nodes whose product weight is at least
+    _NODE_TAU. Every 1-D weight is below one, so a partial product under
+    _NODE_TAU has no extension above it and is dropped as soon as it
+    appears.
     """
     n = w.size
-    for _ in range(h):
+    idx, hw = np.zeros((1, 0), dtype=np.intp), np.ones(1)
+    for _ in range(cols.shape[1]):
         cand = np.multiply.outer(hw, w).reshape(-1)
         keep = np.flatnonzero(cand >= _NODE_TAU)
         idx = np.column_stack((idx[keep // n], keep % n))
         hw = cand[keep]
-    return idx, hw
-
-
-def _half_grid(a, x, idx, hw):
-    """Projections a @ node (L, N) and weights (N,) of the grid nodes
-    idx over the columns of a, heaviest first."""
     order = np.argsort(-hw, kind="stable")
-    return a @ x[idx[order]].T, hw[order]
+    return cols @ x[idx[order]].T, hw[order]
 
 
 def _node_grid(a, x, w):
-    """(t, v, slabs): the tail grid and the head grid's (h, u) slabs of
-    at most _HEAD_ROWS candidates, from the 1-D standard normal rule."""
-    L = a.shape[0]
-    n = x.size
-    head = (L + 1) // 2
-    outer = 0
-    while n ** (head - outer) > _HEAD_ROWS:
-        outer += 1
-    root = (np.zeros((1, 0), dtype=np.intp), np.ones(1))
-    t, v = _half_grid(a[:, head:], x, *_pruned_rows(w, L - head, *root))
-    pre, pre_w = _pruned_rows(w, outer, *root)
-    slabs = (_half_grid(a[:, :head], x, *_pruned_rows(
-        w, head - outer, pre[r:r + 1], pre_w[r:r + 1]))
-        for r in range(pre_w.size))
-    return t, v, slabs
+    """(h, u, t, v): the head grid over the first ceil(L/2) axes and the
+    tail grid over the rest, from the 1-D standard normal rule."""
+    head = (a.shape[0] + 1) // 2
+    return (*_half_grid(a[:, :head], x, w), *_half_grid(a[:, head:], x, w))
 
 
 def _blocks(u, v):
-    """Yield (rows, cols) slices of a head slab and the tail covering
+    """Yield (rows, cols) slices of the head and tail grids covering
     every node of weight u_r * v_s >= _NODE_TAU. Row r needs the tail
     prefix of weights >= _NODE_TAU / u_r. A block is a run of rows times
     the prefix its first row needs, up to _NODE_BLOCK nodes, closed where
@@ -359,21 +338,20 @@ def hard_nodes(backend, a, x, w):
     L = a.shape[0]
     prob = np.zeros(L)
     mom = np.zeros((L, L))
-    t, v, slabs = _node_grid(a, x, w)
-    for h, u in slabs:
-        for rows, cols in _blocks(u, v):
-            y, wp = _block_nodes(h, u, t, v, rows, cols)
-            best = y.max(axis=0)
-            thr = np.abs(best)  # best - 1e-9 * (1 + |best|), in place
-            thr += 1.0
-            thr *= 1.0e-9
-            np.subtract(best, thr, out=thr)
-            wl = np.empty_like(y)  # the tie mask as 0.0 / 1.0
-            np.greater_equal(y, thr, out=wl, casting="unsafe")
-            wp /= wl.sum(axis=0)
-            wl *= wp
-            prob += wl.sum(axis=1)
-            mom += wl @ y.T
+    h, u, t, v = _node_grid(a, x, w)
+    for rows, cols in _blocks(u, v):
+        y, wp = _block_nodes(h, u, t, v, rows, cols)
+        best = y.max(axis=0)
+        thr = np.abs(best)  # best - 1e-9 * (1 + |best|), in place
+        thr += 1.0
+        thr *= 1.0e-9
+        np.subtract(best, thr, out=thr)
+        wl = np.empty_like(y)  # the tie mask as 0.0 / 1.0
+        np.greater_equal(y, thr, out=wl, casting="unsafe")
+        wp /= wl.sum(axis=0)
+        wl *= wp
+        prob += wl.sum(axis=1)
+        mom += wl @ y.T
     return prob, mom
 
 
@@ -391,29 +369,28 @@ def soft_nodes(backend, a, x, w, beta):
     mass = np.zeros(L)
     mom = np.zeros((L, L))
     pp = np.zeros((L, L))
-    t, v, slabs = _node_grid(a, x, w)
+    h, u, t, v = _node_grid(a, x, w)
+    e = np.exp(beta * (h - h.max(axis=0)))
     f = np.exp(beta * (t - t.max(axis=0)))
+    h_sharp = beta * np.ptp(h, axis=0)
     t_sharp = beta * np.ptp(t, axis=0)
     ff = (f[:, None] * f[None]).reshape(L * L, -1)
-    for h, u in slabs:
-        e = np.exp(beta * (h - h.max(axis=0)))
-        h_sharp = beta * np.ptp(h, axis=0)
-        for rows, cols in _blocks(u, v):
-            if min(h_sharp[rows].max(), t_sharp[cols].max()) > _SHARP:
-                y, wp = _block_nodes(h, u, t, v, rows, cols)
-                p = _softmax(beta * y)
-                wl = p * wp
-                mass += wl.sum(axis=1)
-                mom += wl @ y.T
-                pp += wl @ p.T
-                continue
-            eb, fb = e[:, rows], f[:, cols]
-            z = eb.T @ fb
-            q = np.multiply.outer(u[rows], v[cols]) / z
-            g, gt = q @ fb.T, q.T @ eb.T
-            mass += np.einsum("lr,rl->l", eb, g)
-            mom += (eb * g.T) @ h[:, rows].T + (fb * gt.T) @ t[:, cols].T
-            q /= z
-            pp += np.einsum("ir,ri->i", (eb[:, None] * eb[None]).reshape(
-                L * L, -1), q @ ff[:, cols].T).reshape(L, L)
+    for rows, cols in _blocks(u, v):
+        if min(h_sharp[rows].max(), t_sharp[cols].max()) > _SHARP:
+            y, wp = _block_nodes(h, u, t, v, rows, cols)
+            p = _softmax(beta * y)
+            wl = p * wp
+            mass += wl.sum(axis=1)
+            mom += wl @ y.T
+            pp += wl @ p.T
+            continue
+        eb, fb = e[:, rows], f[:, cols]
+        z = eb.T @ fb
+        q = np.multiply.outer(u[rows], v[cols]) / z
+        g, gt = q @ fb.T, q.T @ eb.T
+        mass += np.einsum("lr,rl->l", eb, g)
+        mom += (eb * g.T) @ h[:, rows].T + (fb * gt.T) @ t[:, cols].T
+        q /= z
+        pp += np.einsum("ir,ri->i", (eb[:, None] * eb[None]).reshape(
+            L * L, -1), q @ ff[:, cols].T).reshape(L, L)
     return mass, mom, pp

@@ -105,26 +105,29 @@ def oracle_tol(stderr, ref):
     return 3.0 * (stderr + float(ref.ratio_bound()))
 
 
-def pair_hard(rhos, m, seed, scale=1.0, threads=None):
-    """Hard pair self correlation against sqrt((1 - rho) / pi) * scale.
+def _hard_pair(name, measured, predicted, stderr):
+    """Row for a hard pair statistic against its closed form; it passes
+    within max(0.002, 3 sigma)."""
+    return _near(name, measured, predicted, max(0.002, 3.0 * stderr),
+                 "closed form, maximum of two correlated normals")
 
-    Each row passes within max(0.002, 3 sigma).
-    """
+
+def pair_hard(rhos, m, seed, scale=1.0, threads=None):
+    """Hard pair self correlation against sqrt((1 - rho) / pi) * scale,
+    by the hard-pair row rule (_hard_pair)."""
     rows, table = [], []
     runs = estimates([(tpl.make_pair(rho, norm=scale), m, seed, math.inf)
                       for rho in rhos], threads)
     for rho, est in zip(rhos, runs):
         pred = theory.hard_pair_prediction(rho, scale).predicted_corr[0][0]
         measured, se = float(est.corr[0, 0]), float(est.stderr[0, 0])
-        tol = max(0.002, 3.0 * se)
-        row = _near(f"hard pair rho={rho:+.2f} self correlation", measured,
-                    pred, tol,
-                    "closed form, maximum of two correlated normals")
+        row = _hard_pair(f"hard pair rho={rho:+.2f} self correlation",
+                         measured, pred, se)
         rows += [row, _entrywise(  # the rows of the pair cancel
             f"hard pair rho={rho:+.2f} antisymmetry",
             est.corr[1] + est.corr[0], 3.0 * (est.stderr[1] + est.stderr[0]),
             "exchange symmetry of the pair")]
-        table.append((rho, measured, se, pred, tol, row.passed))
+        table.append((rho, measured, se, pred, row.tolerance, row.passed))
     return CheckResult(
         rows, ("rho,measured_corr,stderr,predicted,tolerance,passed", table),
         est)
@@ -236,7 +239,8 @@ def positivity(nsets, m, seed, threads=None):
 def average_dependency(Ls, m, seed, threads=None):
     """Mass-weighted self correlation falls from rho = 0 to rho = 0.5.
 
-    Equicorrelated sets of size L run at seed + L.
+    Equicorrelated sets of size L run at seed + L. At L = 2 the hard
+    averages also meet their closed form by the hard-pair row rule.
     """
     rows, table = [], []
     for L in Ls:
@@ -262,11 +266,10 @@ def average_dependency(Ls, m, seed, threads=None):
             table.append((L, kind, hi, hi_se, lo, lo_se, ok))
         if L == 2:
             for rho_off in (0.0, 0.5):
-                rows.append(_near(
-                    f"L=2 hard average at rho={rho_off}",
-                    vals[("hard", rho_off)][0],
-                    theory.max_two_gaussians_mean(rho_off), 0.005,
-                    "closed form, maximum of two correlated normals"))
+                avg, se = vals[("hard", rho_off)]
+                rows.append(_hard_pair(
+                    f"L=2 hard average at rho={rho_off}", avg,
+                    theory.max_two_gaussians_mean(rho_off), se))
     return CheckResult(rows, (
         "L,estimator,avg_corr_rho0,se_rho0,avg_corr_rho05,se_rho05,ordered",
         table))

@@ -11,13 +11,15 @@ sharpness beta), in two sampling modes:
   dimension-free;
 * full mode also returns the estimator vectors themselves. It runs on
   gram mode's draws, so its correlations, stderrs and masses are
-  bitwise those of gram mode, and builds each vector from two parts.
-  The part inside the template span is B z for a fixed d x L map B,
-  summed per cluster like the projections. The part outside the span
-  is, given the weights, exactly Gaussian and independent of the
-  assignment, so it is drawn once per run, L x d numbers, rather than
-  per observation. The vectors therefore match the literal experiment
-  with n ~ N(0, I_d) in law rather than draw for draw.
+  bitwise those of gram mode, and builds each vector once per run
+  from two parts. The part inside the template span is fixed by its
+  inner products with the templates, so it is the cluster's sum of
+  projections, which gram mode keeps anyway, times the pseudo-inverse
+  of the template matrix. The part outside the span is, given the
+  weights, exactly Gaussian and independent of the assignment, so it
+  is drawn once per run, L x d numbers, rather than per observation.
+  The vectors therefore match the literal experiment with n ~ N(0,
+  I_d) in law rather than draw for draw.
 
 Samples are split into a fixed number of chunks; each chunk owns an RNG
 stream derived from (seed, chunk index) and accumulates partial sums,
@@ -333,30 +335,23 @@ def _factor(templates, cfg):
         f"expected TemplateSet or GramModel, got {type(templates)!r}")
 
 
-def _shapes(factor, cfg):
+def _shapes(L, cfg):
     """Accumulator shapes of one run: hard (cfg.beta = inf) or soft
-    sums, then full mode's in-span sums (and, soft, sum_i p_i p_i^T)."""
-    L, r = factor.shape
-    full = cfg.mode == "full"
+    sums, and for a soft full-mode run sum_i p_i p_i^T."""
     if math.isinf(cfg.beta):
-        return [L, (L, L), (L, L), 2] + ([(L, r)] if full else [])
-    return [L, L, (L, L), (L, L), (L, L), 2] + ([(L, r), (L, L)]
-                                                 if full else [])
+        return [L, (L, L), (L, L), 2]
+    full = [(L, L)] if cfg.mode == "full" else []
+    return [L, L, (L, L), (L, L), (L, L), 2] + full
 
 
-def _feed(cfg, z, s, acc):
-    """Add one block's projections s, and full mode's in-span sums of
-    its normals z, into one run's accumulators."""
-    full = cfg.mode == "full"
+def _feed(cfg, s, acc):
+    """Add one block's projections s into one run's accumulators."""
     if math.isinf(cfg.beta):
-        labels = _kernels.hard_block(None, s, *acc[:4])
-        if full:
-            _kernels.label_vectors(None, z, labels, acc[4])
+        _kernels.hard_block(None, s, *acc)
     else:
         p = _kernels.soft_block(None, s, float(cfg.beta), *acc[:6])
-        if full:
-            _kernels.weighted_vectors(None, z, p, acc[6])
-            acc[7] += p @ p.T
+        if cfg.mode == "full":
+            acc[6] += p @ p.T
 
 
 def _split(flat, shapes):
@@ -375,16 +370,16 @@ def _shared_pass(plans):
     as the C-contiguous (L, rows) product factor @ z.T, and s, its
     (rows, L) transpose view, feeds the runs of that factor in turn, so
     every run sees the blocks and makes the additions of a lone run and
-    its sums are bitwise that run's. z is a view of a reused buffer,
-    valid until the next block; full-mode runs sum it per cluster for
-    their estimator vectors (see _full_vectors).
+    its sums are bitwise that run's. A full-mode run keeps the sums of
+    a gram-mode run, and a soft one also sum_i p_i p_i^T; its vectors
+    are built from them once per run (see _full_vectors).
     """
     cfg = plans[0][1]
     L, r = plans[0][0].shape
     models = {}
     for i, (factor, _) in enumerate(plans):
         models.setdefault(factor.tobytes(), (factor, []))[1].append(i)
-    shapes = [_shapes(factor, c) for factor, c in plans]
+    shapes = [_shapes(L, c) for _, c in plans]
 
     def fill(chunk, rows, ahead, *flat):
         acc = _split(flat, shapes)
@@ -392,7 +387,7 @@ def _shared_pass(plans):
             for factor, members in models.values():
                 s = (factor @ z.T).T
                 for i in members:
-                    _feed(plans[i][1], z, s, acc[i])
+                    _feed(plans[i][1], s, acc[i])
 
     return _split(_run_chunks(cfg, [sh for run in shapes for sh in run],
                               fill), shapes)
@@ -426,35 +421,35 @@ def assign_many(runs):
         templates, cfg, sums=acc) for (templates, cfg), acc in zip(runs, sums)]
 
 
-def _full_vectors(templates, factor, cfg, span_sums, noise_factor, weights):
-    """Estimator vectors v_l = (B S_l + O_l) / w_l of a full-mode run.
+def _full_vectors(templates, rank, cfg, sums, noise_factor, weights):
+    """Estimator vectors v_l = (sums_l X^+ + O_l) / w_l of a full-mode
+    run.
 
-    S_l = sum_i p_il z_i are the in-span sums of cluster l, of length r
-    (p the hard labels as 0/1 or the soft weights; factor is the run's
-    L x r factor) and w_l = sum_i p_il. With U_r diag(sv) V_r^T the top r
-    singular triplets of the template matrix X, B = U_r diag(1/sv) V_r^T
-    factor: X^T B z = factor @ z = s, as factor's columns lie in the range
-    of X^T X, and B z has the law of the noise's component in span(X), so
-    B S_l is the in-span part of the literal sum sum_i p_il n_i. The rest,
-    sum_i p_il P n_i with P the projector onto the complement of span(X),
-    of rank d - r, is independent of the weights and, given them, Gaussian
-    with covariance C_lk P, where C = noise_factor @ noise_factor.T =
-    sum_i p_i p_i^T. It is drawn once as O = noise_factor @ (Z P), with Z a
+    sums_l = sum_i p_il s_i are the projection sums of cluster l (p the
+    hard labels as 0/1 or the soft weights) and w_l = sum_i p_il. With
+    U_r diag(sv) V_r^T the top rank singular triplets of the template
+    matrix X, X^+ = V_r diag(1/sv) U_r^T. Inside span(X) a vector is
+    fixed by its inner products with the templates, and each s_i lies
+    in the range of X^T X, so s_i X^+ is the component in span(X) of a
+    noise vector with projections s_i, and sums_l X^+ the in-span part
+    of the literal sum sum_i p_il n_i. The rest, sum_i p_il P n_i with
+    P the projector onto the complement of span(X), of rank d - rank,
+    is independent of the weights and, given them, Gaussian with
+    covariance C_lk P, where C = noise_factor @ noise_factor.T = sum_i
+    p_i p_i^T. It is drawn once as O = noise_factor @ (Z P), with Z a
     standard normal block of noise_factor.shape[1] x d numbers from the
-    stream of chunk index cfg.chunks, which no chunk uses, so O depends on
-    (seed, chunks) only. Empty hard clusters give NaN rows.
+    stream of chunk index cfg.chunks, which no chunk uses, so O depends
+    on (seed, chunks) only. Empty hard clusters give NaN rows.
     """
     with _ONE_BLAS_THREAD:
         u, sv, vt = np.linalg.svd(templates.matrix, full_matrices=False)
-        r = factor.shape[1]
-        q = u[:, :r]
-        basis = q @ ((vt[:r] / sv[:r, None]) @ factor)
+        q = u[:, :rank]
         noise = _kernels.chunk_generator(cfg.seed, cfg.chunks).standard_normal(
             (noise_factor.shape[1], templates.d))
         noise -= (noise @ q) @ q.T
         with np.errstate(invalid="ignore", divide="ignore"):
-            return ((span_sums @ basis.T + noise_factor @ noise)
-                    / weights[:, None])
+            return ((sums @ ((vt[:rank].T / sv[:rank]) @ q.T)
+                     + noise_factor @ noise) / weights[:, None])
 
 
 def _finish(cfg, sums, record, **own):
@@ -541,19 +536,20 @@ def soft_assign(templates, cfg, *, sums=None):
 
 def _assign(templates, cfg, sums):
     """The estimate of a general run, hard or soft by cfg.beta. Full
-    mode's out-of-span noise factor (see _full_vectors) is diag(sqrt
-    counts) for hard labels and factors sum_i p_i p_i^T for soft ones."""
+    mode builds its vectors (see _full_vectors) from the hard sum1 or
+    the soft a1, with the out-of-span noise factor diag(sqrt counts)
+    for hard labels and a factor of C = sums[6] for soft ones."""
     factor = _factor(templates, cfg)
     if sums is None:
         sums, = _shared_pass([(factor, cfg)])
     hard = math.isinf(cfg.beta)
-    stats, span = (sums[:4], sums[4:]) if hard else (sums[:6], sums[6:])
     vec = None
-    if span:
-        noise = np.diag(np.sqrt(stats[0])) if hard else rank_factor(span[1])
-        vec = _full_vectors(templates, factor, cfg, span[0], noise, stats[0])
-    return _finish(cfg, stats, AssignmentEstimate, mode=cfg.mode,
-                   estimates=vec)
+    if cfg.mode == "full":
+        noise = np.diag(np.sqrt(sums[0])) if hard else rank_factor(sums[6])
+        vec = _full_vectors(templates, factor.shape[1], cfg,
+                            sums[1 if hard else 2], noise, sums[0])
+    return _finish(cfg, sums[:4] if hard else sums[:6], AssignmentEstimate,
+                   mode=cfg.mode, estimates=vec)
 
 
 def hard_assign_diag(L, cfg):

@@ -56,7 +56,7 @@ from scipy.special import ndtr, roots_hermite
 
 from . import _kernels
 from .errors import DimensionError, DomainError
-from .templates import GramModel, _integer, _readonly
+from .templates import GramModel, _integer, _positive, _readonly
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -374,26 +374,21 @@ def _tensor_quadrature(kind, g, beta, ell, nodes, moment):
                         nodes=n)
 
 
-def _check_beta(beta):
-    """beta as a float; DomainError unless it is positive and finite."""
-    if not (np.isfinite(beta) and beta > 0):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    return float(beta)
-
-
 def soft_moments(g, beta, ell, nodes=None):
     """E[p_ell] and (E[S_k p_ell])_k for p = softmax(beta * S), L <= 6,
     from the softmax tensor sweep (80 nodes by default for L <= 3, 40
     above)."""
     ell = _check_query(g, ell, "soft_moments")
-    return _tensor_quadrature("soft", g, _check_beta(beta), ell, nodes, 1)
+    return _tensor_quadrature("soft", g, _positive(beta, "beta"), ell,
+                              nodes, 1)
 
 
 def soft_second_moments(g, beta, ell, nodes=None):
     """(E[p_ell p_j])_j with a node-halving bound, from the sweep that
     soft_moments reads and at the same default node counts."""
     ell = _check_query(g, ell, "soft_second_moments")
-    return _tensor_quadrature("soft", g, _check_beta(beta), ell, nodes, 2)
+    return _tensor_quadrature("soft", g, _positive(beta, "beta"), ell,
+                              nodes, 2)
 
 
 def ibp_residual(g, beta, ell, nodes=None):
@@ -409,7 +404,7 @@ def ibp_residual(g, beta, ell, nodes=None):
     integer >= 1.
     """
     ell = _check_query(g, ell, "ibp_residual")
-    beta = _check_beta(beta)
+    beta = _positive(beta, "beta")
     sharp = beta * g.scale
     if nodes is not None:
         nodes = _integer(nodes, "nodes", 1)

@@ -823,20 +823,23 @@ def _literal_run(x, m, beta, rng):
 
 
 def _engine_run(ts, m, beta, seed, monkeypatch):
-    """A full-mode run and the weights its kernels saw, as (v, p)."""
+    """A full-mode run and the weights its kernels gave, as (v, p): the
+    labels of hard_block as 0/1 rows, or the weights of soft_block."""
     seen = []
     if math.isinf(beta):
-        def record(backend, z, labels, vec, _fn=_kernels.label_vectors):
+        def record(backend, s, *acc, _fn=_kernels.hard_block):
+            labels = _fn(backend, s, *acc)
             seen.append(np.eye(ts.L)[labels].T)
-            return _fn(backend, z, labels, vec)
-        monkeypatch.setattr(_kernels, "label_vectors", record)
+            return labels
+        monkeypatch.setattr(_kernels, "hard_block", record)
         est = engine.hard_assign(ts, _cfg(m, seed=seed, mode="full",
                                           chunks=1))
     else:
-        def record(backend, z, p, vec, _fn=_kernels.weighted_vectors):
+        def record(backend, s, beta, *acc, _fn=_kernels.soft_block):
+            p = _fn(backend, s, beta, *acc)
             seen.append(p.copy())
-            return _fn(backend, z, p, vec)
-        monkeypatch.setattr(_kernels, "weighted_vectors", record)
+            return p
+        monkeypatch.setattr(_kernels, "soft_block", record)
         est = engine.soft_assign(ts, _cfg(m, seed=seed, mode="full",
                                           chunks=1, beta=beta))
     monkeypatch.undo()
@@ -900,6 +903,30 @@ def test_rank_deficient_out_of_span_has_d_minus_rank_dof(beta, monkeypatch):
     # which a complement taken from a plain QR of the three columns
     # would cut to one
     assert _out_of_span_law(_rank2_set(), beta, 300, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1.0])
+def test_full_mode_adds_no_work_per_block(beta, monkeypatch):
+    """A full-mode run makes exactly the accumulate calls, with the same
+    block rows, of the gram-mode run with the same set, seed and chunks:
+    it builds its vectors once per run from the same sums."""
+    calls = []
+    for name in ("hard_block", "soft_block", "label_vectors",
+                 "weighted_vectors"):
+        def counted(backend, block, *rest, _fn=getattr(_kernels, name),
+                    _name=name):
+            calls.append((_name, block.shape[0]))
+            return _fn(backend, block, *rest)
+        monkeypatch.setattr(_kernels, name, counted)
+    fn = engine.hard_assign if math.isinf(beta) else engine.soft_assign
+    seen = {}
+    for mode in ("gram", "full"):
+        calls.clear()
+        fn(_haar_set(), _cfg(70_000, mode=mode, beta=beta, chunks=2,
+                             threads=1))
+        seen[mode] = list(calls)
+    assert len(seen["gram"]) > 2
+    assert seen["full"] == seen["gram"]
 
 
 def test_correlation_matrix_requires_full_mode():
@@ -972,14 +999,14 @@ def test_antipodal_pair_runs_in_gram_mode():
 def test_singular_sets_project_exactly_in_range(beta, monkeypatch):
     """A singular set draws r normals per sample, r its rank, in blocks
     of block_rows(L) rows, so its projections lie in the range of its
-    Gram and full mode's vectors reproduce corr to rounding, as on
-    full-rank sets."""
+    Gram, of rank r, and full mode's vectors reproduce corr to rounding,
+    as on full-rank sets."""
     fn = engine.hard_assign if math.isinf(beta) else engine.soft_assign
     feed, blocks = engine._feed, []
 
-    def spy(cfg, z, s, acc):
-        blocks.append((z.shape, s.shape))
-        return feed(cfg, z, s, acc)
+    def spy(cfg, s, acc):
+        blocks.append((s.shape, np.linalg.matrix_rank(s)))
+        return feed(cfg, s, acc)
 
     monkeypatch.setattr(engine, "_feed", spy)
     for ts, rank in ((_rank2_set(), 2), (_unit_columns(3, 5, 4), 3)):
@@ -992,7 +1019,7 @@ def test_singular_sets_project_exactly_in_range(beta, monkeypatch):
         est = fn(ts, cfg)
         rows = _kernels.block_rows(ts.L)
         assert rows < 50_000 and rows != _kernels.block_rows(rank)
-        assert blocks[0] == ((rows, rank), (rows, ts.L))
+        assert blocks[0] == ((rows, ts.L), rank)
         gap = np.max(np.abs(engine.correlation_matrix(est, ts) - est.corr))
         assert gap <= 1e-14, (ts.d, ts.L, gap)
 

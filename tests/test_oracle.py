@@ -485,12 +485,13 @@ def test_cluster_index_must_be_an_integer():
 
 def test_soft_sweep_entry_points_validate_beta():
     g = GramModel.from_correlation(np.eye(3))
+    message = "beta must be a positive finite real"
     for beta in (math.inf, math.nan, -1.0, 0.0):
-        with pytest.raises(DomainError, match="beta must be positive"):
+        with pytest.raises(DomainError, match=message):
             oracle.soft_second_moments(g, beta, 0)
-        with pytest.raises(DomainError, match="beta must be positive"):
+        with pytest.raises(DomainError, match=message):
             oracle.ibp_residual(g, beta, 0)
-        with pytest.raises(DomainError, match="beta must be positive"):
+        with pytest.raises(DomainError, match=message):
             oracle.softmax_weights(g, beta, 0)
 
 
@@ -542,7 +543,7 @@ def _brute_force_case(L, n):
                                   for n in (5, 6, 7)] + [(3, 31)])
 def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
     """Both sweeps equal a node-by-node loop, also when the grid is cut
-    into many blocks and head slabs; the identity Gram at odd n puts
+    into many blocks; the identity Gram at odd n puts
     real weight on exact ties, which the hard sweep splits evenly. The
     soft sweep is checked at a mild beta, where every block is
     factorized, and at a sharp one, where some blocks are swept node by
@@ -551,7 +552,6 @@ def test_node_kernels_match_brute_force(L, n, block, monkeypatch):
     smaller grids have none and are swept whole."""
     if block is not None:
         monkeypatch.setattr(_kernels, "_NODE_BLOCK", block)
-        monkeypatch.setattr(_kernels, "_HEAD_ROWS", 2 * block)
     visited = []
     blocks = _kernels._blocks
 
@@ -597,19 +597,17 @@ def test_skipped_nodes_cannot_show():
         assert dropped <= 1e-16, (L, n, dropped)
 
 
-def test_head_rows_are_built_in_slabs():
+def test_node_grids_and_first_block_fit_in_8_mib():
     """At L = 6 and 40 nodes, a default count, the whole pruned grid has
     about 4.5e8 nodes. The sweeps hold the head and tail grids of three
-    axes each (38336 pruned nodes apiece), the head in slabs of at most
-    _HEAD_ROWS candidates, and one block of nodes at a time: the first
-    block needs about 6 MiB."""
+    axes each (38336 pruned nodes apiece) and one block of nodes at a
+    time: the grids and the first block need about 6 MiB."""
     x, w = oracle._gh_rule(40)
     a = np.linalg.cholesky(tpl.random_correlation(
         np.random.default_rng(6), 6))
     tracemalloc.start()
     try:
-        t, v, slabs = _kernels._node_grid(a, x, w)
-        h, u = next(slabs)
+        h, u, t, v = _kernels._node_grid(a, x, w)
         rows, cols = next(_kernels._blocks(u, v))
         y, wp = _kernels._block_nodes(h, u, t, v, rows, cols)
         peak = tracemalloc.get_traced_memory()[1]
