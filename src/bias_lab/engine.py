@@ -562,8 +562,9 @@ def hard_assign_diag(L, cfg):
     O(L) and time O(1) per sample even at L = 4096. Empty clusters are
     listed in undefined, with warnings, as in hard_assign.
     """
-    if not math.isinf(cfg.beta):
-        raise ConfigError("hard_assign_diag expects cfg.beta = inf")
+    if not math.isinf(cfg.beta) or cfg.mode != "gram":
+        raise ConfigError("hard_assign_diag expects cfg.beta = inf and "
+                          "gram mode")
     L = _integer(L, "L", 2)
 
     def fill(chunk, rows, ahead, *acc):
@@ -575,8 +576,9 @@ def hard_assign_diag(L, cfg):
 
 def soft_assign_diag(L, cfg):
     """Soft run for L orthonormal templates, diagonal statistics only."""
-    if math.isinf(cfg.beta):
-        raise ConfigError("soft_assign_diag expects finite cfg.beta")
+    if math.isinf(cfg.beta) or cfg.mode != "gram":
+        raise ConfigError("soft_assign_diag expects finite cfg.beta and "
+                          "gram mode")
     beta = float(cfg.beta)
     L = _integer(L, "L", 2)
 

@@ -10,10 +10,11 @@ expectations over the projection vector S ~ N(0, scale^2 * rho):
 This module computes them by routes independent of the Monte Carlo
 engine and of the closed-form theory module:
 
-* an exact branch that integrates out the argmax analytically: the
-  probability is a zero-mean orthant probability of the difference
-  vector, and each moment reduces by Gaussian integration by parts to
-  boundary terms involving lower-dimensional orthants. Orthants in up
+* an exact branch that integrates out the argmax analytically: with d
+  the (L-1) x L matrix whose row k is e_ell - e_k, the probability is
+  the orthant probability P(d S > 0) at covariance d Sigma d^T, and
+  Gaussian integration by parts makes the moments Sigma d^T b, each b_a
+  a density at 0 times a lower-dimensional orthant. Orthants in up
   to three dimensions have arcsine closed forms; four and five
   dimensions use Plackett's identity, which turns the orthant into a
   one-dimensional integral of those closed forms.
@@ -31,13 +32,13 @@ engine and of the closed-form theory module:
   together under 1e-18 at default node counts (see _kernels). Error bounds
   come from the difference against the sweep at half the node count,
   but at least 8 nodes, which must differ from the sweep it bounds, so
-  a node count is an integer of at least 9 (DomainError otherwise). A
-  bound is at least 1e-15, and at least 1e-12 on the conditional route,
-  whose inner bivariate CDF has a fixed resolution that halving the
-  outer nodes cannot sense. Every moment query reads the same memo for
-  every ell. The memo keys on the GramModel object (models compare by
-  identity), so queries hit it when they pass the same model; an equal
-  model built anew sweeps again, to the same values.
+  a node count is an integer of at least 9 (DomainError otherwise).
+  Every such bound is at least 1e-15; the conditional route needs no
+  floor of its own, as its inner bivariate CDF is exact to rounding.
+  Every moment query reads the same memo for every ell. The memo keys
+  on the GramModel object (models compare by identity), so queries hit
+  it when they pass the same model; an equal model built anew sweeps
+  again, to the same values.
 
 The moment queries answer for L <= 6 and raise DimensionError beyond
 it; max_gaussian_mean, by adaptive quadrature, takes any n. The oracle
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import ndtr, roots_hermite
 
 from . import _kernels
@@ -61,7 +61,7 @@ from .templates import GramModel, _integer, _positive, _readonly
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 _EXACT_BOUND = 1e-13
-_CONDITIONAL_FLOOR = 1e-12  # least bound of the L <= 3 hard route
+_FLOOR = 1e-15           # least node-halving bound, on every route
 _PLACKETT_NODES = 64      # Gauss-Legendre points of the Plackett path
 
 
@@ -85,8 +85,8 @@ def bvn_cdf(h, k, r):
     Single-integral form with the sine substitution. The integrand
     sharpens toward the upper limit as |r| -> 1, so beyond |r| = 0.8 the
     interval is split into panels refined geometrically toward that
-    endpoint; each panel gets a fixed Gauss-Legendre rule. Accurate to
-    ~1e-13 through |r| = 0.9999. Vectorized over h and k.
+    endpoint; each panel gets a fixed Gauss-Legendre rule; vectorized over
+    h and k. Matches adaptive quadrature to 3.3e-16 through |r| = 0.9999.
     """
     h = np.asarray(h, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -142,10 +142,8 @@ def _orthant_zero(corr):
     closed forms of dimension two or three apply to the whole stack.
     """
     m = corr.shape[0]
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return 0.5
+    if m <= 1:
+        return 2.0 ** -m
     if m <= 3:
         return float(_orthant_closed(corr))
     if m > 5:
@@ -245,10 +243,13 @@ def hard_moments(g, ell, method="exact", nodes=None):
 
     method "exact" uses the orthant reduction; "quadrature" the
     memoized sweep: the conditional route (L <= 3, 96 nodes by default)
-    or the tensor node sweep (L in 4..6, 40 nodes).
+    or the tensor node sweep (L in 4..6, 40 nodes). nodes applies only
+    to the quadrature route (DomainError otherwise).
     """
     ell = _check_query(g, ell, "hard_moments")
     if method == "exact":
+        if nodes is not None:
+            raise DomainError("nodes applies only to method='quadrature'")
         return _hard_exact(g, ell)
     if method != "quadrature":
         raise DomainError(f"unknown method {method!r}")
@@ -256,35 +257,22 @@ def hard_moments(g, ell, method="exact", nodes=None):
 
 
 def _hard_exact(g, ell):
-    L = g.rho.shape[0]
+    """The orthant reduction on D = d S (module docstring), with
+    b_a = P(other D > 0 | D_a = 0) / sqrt(2 pi dcov_aa)."""
     cov = g.covariance()
-    others = [k for k in range(L) if k != ell]
-    # difference vector D_k = S_ell - S_k over k != ell
-    dcov = np.empty((L - 1, L - 1))
-    for a, ka in enumerate(others):
-        for b, kb in enumerate(others):
-            dcov[a, b] = (cov[ell, ell] - cov[ell, kb]
-                          - cov[ka, ell] + cov[ka, kb])
-    prob = _orthant_zero(_corr_of(dcov))
-    # E[S_j ; D > 0] = sum_k Cov(S_j, D_k) * pdf_{D_k}(0) * P(rest > 0 | D_k=0)
-    sd = np.sqrt(np.diag(dcov))
-    boundary = np.empty(L - 1)
-    for a in range(L - 1):
-        keep = [b for b in range(L - 1) if b != a]
-        if keep:
-            cond = (dcov[np.ix_(keep, keep)]
-                    - np.outer(dcov[keep, a], dcov[a, keep]) / dcov[a, a])
-            q = _orthant_zero(_corr_of(cond))
-        else:
-            q = 1.0
-        boundary[a] = q / (sd[a] * _SQRT2PI)
-    value = np.empty(L)
-    for j in range(L):
-        cross = np.array([cov[j, ell] - cov[j, k] for k in others])
-        value[j] = float(cross @ boundary)
-    return OracleResult(value=value, mass=prob, error_bound=_EXACT_BOUND,
-                        mass_bound=_EXACT_BOUND, method="exact",
-                        nodes=_PLACKETT_NODES)
+    d = -np.delete(np.eye(g.L), ell, axis=0)
+    d[:, ell] = 1.0
+    dcov = d @ cov @ d.T
+    b = np.empty(g.L - 1)
+    for a in range(g.L - 1):
+        rest = np.arange(g.L - 1) != a
+        cond = dcov - np.outer(dcov[a], dcov[a]) / dcov[a, a]
+        b[a] = (_orthant_zero(_corr_of(cond[rest][:, rest]))
+                / math.sqrt(_TWO_PI * dcov[a, a]))
+    return OracleResult(value=cov @ d.T @ b,
+                        mass=_orthant_zero(_corr_of(dcov)),
+                        error_bound=_EXACT_BOUND, mass_bound=_EXACT_BOUND,
+                        method="exact", nodes=_PLACKETT_NODES)
 
 
 def _hard_conditional_once(g, ell, n):
@@ -358,17 +346,16 @@ def _tensor_quadrature(kind, g, beta, ell, nodes, moment):
     """
     n = ((40 if g.L > 3 else 96 if kind == "hard" else 80) if nodes is None
          else _integer(nodes, "nodes of a node-halving bound", 9))
-    floor = _CONDITIONAL_FLOOR if kind == "hard" and g.L <= 3 else 1e-15
     n_half = max(8, n // 2)
     full = _sweep(kind, g, beta, n)
     half = _sweep(kind, g, beta, n_half)
     val = full[moment][ell].copy()
-    bound = max(float(np.max(np.abs(val - half[moment][ell]))), floor)
+    bound = max(float(np.max(np.abs(val - half[moment][ell]))), _FLOOR)
     if moment == 2:
         mass, mbound = 1.0, _EXACT_BOUND
     else:
         mass = float(full[0][ell])
-        mbound = max(abs(mass - float(half[0][ell])), floor)
+        mbound = max(abs(mass - float(half[0][ell])), _FLOOR)
     return OracleResult(value=val, mass=mass, error_bound=bound,
                         mass_bound=mbound, method="quadrature",
                         nodes=n)
@@ -434,6 +421,8 @@ def max_gaussian_mean(n):
     n * phi(t) * Phi(t)^(n-1), exact 0 at n = 1. Used as the reference
     for the orthonormal self-correlation sweeps.
     """
+    from scipy.integrate import quad  # on first use: 0.3 s of start-up
+
     n = _integer(n, "n", 1)
     if n == 1:
         return OracleResult(value=np.array([0.0]), mass=1.0,

@@ -81,11 +81,12 @@ def _positive(value, name):
 def _integer(value, name, low, high=None, error=DomainError):
     """value as an int; error unless it is an integer in [low, high]
     (high None: no upper end). An integer is a Python or numpy integer,
-    or a finite float with no fractional part; strings, NaN, infinities
-    and fractions are refused, as are values out of range."""
-    whole = (isinstance(value, (int, np.integer))
-             or isinstance(value, (float, np.floating))
-             and float(value).is_integer())
+    or a finite float with no fractional part; strings, bools, NaN,
+    infinities and fractions are refused, as are values out of range."""
+    whole = not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, (int, np.integer))
+        or isinstance(value, (float, np.floating))
+        and float(value).is_integer())
     if not (whole and low <= value and (high is None or value <= high)):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")

@@ -68,6 +68,11 @@ def test_config_validation():
     for seed in (-1, 1.5, math.nan):
         with pytest.raises(ConfigError):
             ExperimentConfig(m=100, seed=seed)
+    # a bool is not an integer, though Python counts True as 1
+    for key in ("m", "seed", "chunks", "threads"):
+        for flag in (True, np.True_):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                ExperimentConfig(**{"m": 100, key: flag})
     seed = ExperimentConfig(m=100, seed=2.0).seed
     assert seed == 2 and type(seed) is int
     assert ExperimentConfig(m=100, threads=2.0).threads == 2
@@ -96,6 +101,11 @@ def test_gram_model_requires_gram_mode():
     g = GramModel.from_correlation(np.eye(2))
     with pytest.raises(ConfigError):
         engine.hard_assign(g, _cfg(1000, mode="full"))
+    # the diagonal paths keep no vectors, so full mode is refused too
+    with pytest.raises(ConfigError, match="gram mode"):
+        engine.hard_assign_diag(4, _cfg(1000, mode="full"))
+    with pytest.raises(ConfigError, match="gram mode"):
+        engine.soft_assign_diag(4, _cfg(1000, mode="full", beta=1.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,9 @@ honest against exact values where those exist.
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -105,6 +108,26 @@ def test_bvn_cdf_extreme_correlation():
         assert abs(got - ndtr(-0.3)) < 2e-3 * (1.0 - r) ** 0.5 + 1e-10
     with pytest.raises(DomainError):
         oracle.bvn_cdf(0.0, 0.0, 1.0)
+
+
+def test_bvn_cdf_matches_adaptive_reference():
+    """bvn_cdf against Phi(h) Phi(k) plus adaptive quadrature of the
+    bivariate normal density along the correlation path t in [0, r], to
+    1e-14 (3.3e-16 measured): its inner rule has no resolution limit that
+    would call for a bound floor above the oracle's 1e-15."""
+    points = (-8.0, -2.5, -0.7, 0.0, 0.4, 1.3, 8.0)
+    rs = (-0.9999, -0.99, -0.9, -0.5, 0.2, 0.8, 0.85, 0.95, 0.999, 0.9999)
+    for h, k in itertools.product(points, repeat=2):
+        def dens(t):
+            s = 1.0 - t * t
+            return (math.exp((2.0 * t * h * k - h * h - k * k) / (2.0 * s))
+                    / (2.0 * math.pi * math.sqrt(s)))
+
+        for r in rs:
+            path = quad(dens, 0.0, r, epsabs=1e-15, epsrel=1e-13,
+                        limit=200)[0]
+            assert float(oracle.bvn_cdf(h, k, r)) == pytest.approx(
+                ndtr(h) * ndtr(k) + path, abs=1e-14), (h, k, r)
 
 
 # ------------------------------------------------------- hard oracle, exact
@@ -245,11 +268,11 @@ def test_hard_tensor_quadrature_l4():
 
 def test_node_halving_bound_compares_two_rules():
     """A bound from the run at the halving floor compared with itself
-    reads its floor: on these models 1e-15 against true gaps of 7.9e-7
-    (soft L = 3, 8 nodes), 0.027 (hard L = 4, 8 nodes) and 3.5e-7 (soft
-    L = 2, 8 nodes), 1e-12 against 1.6e-6 (hard L = 3, 8 nodes). Such
-    node counts are refused; one node above the floor compares two
-    different rules. Every route has the same floor, 8 nodes."""
+    reads its floor, 1e-15, on these models against true gaps of 7.9e-7
+    (soft L = 3, 8 nodes), 0.027 (hard L = 4, 8 nodes), 3.5e-7 (soft
+    L = 2, 8 nodes) and 1.6e-6 (hard L = 3, 8 nodes). Such node counts
+    are refused; one node above the floor compares two different rules.
+    Every route has the same floor, 8 nodes."""
     rng = np.random.default_rng(2024)
     g2 = GramModel.from_correlation(np.array([[1.0, 0.3], [0.3, 1.0]]))
     g3 = GramModel.from_correlation(tpl.random_correlation(rng, 3))
@@ -415,9 +438,21 @@ def test_oracle_nodes_count_the_rule():
 def test_max_gaussian_mean_errors():
     with pytest.raises(DomainError):
         oracle.max_gaussian_mean(0)
-    for n in (2.5, math.nan):
+    for n in (2.5, math.nan, True, np.True_):
         with pytest.raises(DomainError):
             oracle.max_gaussian_mean(n)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """Only max_gaussian_mean needs scipy.integrate, whose import is
+    about 0.3 s of start-up, so importing the package does not load it."""
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, bias_lab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # --------------------------------------------------------- result contract
@@ -439,6 +474,9 @@ def test_oracle_argument_validation():
         oracle.hard_moments(g, 3)
     with pytest.raises(DomainError):
         oracle.hard_moments(g, 0, method="typo")
+    for nodes in (40, "x"):
+        with pytest.raises(DomainError, match="only to method='quadrature'"):
+            oracle.hard_moments(g, 0, method="exact", nodes=nodes)
     with pytest.raises(DomainError):
         oracle.soft_moments(g, -1.0, 0)
     with pytest.raises(DomainError):
@@ -476,7 +514,7 @@ def test_cluster_index_must_be_an_integer():
         return (res,)
 
     for query in queries:
-        for ell in (0.5, 1.5):
+        for ell in (0.5, 1.5, True, np.True_):
             with pytest.raises(DomainError, match="cluster index"):
                 query(ell)
         for want, got in zip(parts(query(1)), parts(query(1.0))):
