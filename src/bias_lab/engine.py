@@ -67,7 +67,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DimensionError, DomainError, RankError
-from .templates import (GramModel, TemplateSet, _integer, _readonly,
+from .templates import (GramModel, TemplateSet, _integer, _readonly, _real,
                         rank_factor)
 
 _AUTO_CHUNK_ROWS = 131072
@@ -113,8 +113,8 @@ class ExperimentConfig:
                                                    error=ConfigError))
         if self.mode not in ("full", "gram"):
             raise ConfigError(f"mode must be 'full' or 'gram', got {self.mode!r}")
-        if not (self.beta > 0):
-            raise DomainError(f"beta must be positive (inf = hard), got {self.beta}")
+        object.__setattr__(self, "beta", _real(
+            self.beta, "beta (inf = hard)", 0.0, math.inf, "(]"))
         auto = max(1, min(_MAX_AUTO_CHUNKS, self.m // _AUTO_CHUNK_ROWS))
         object.__setattr__(self, "chunks", _integer(
             auto if self.chunks is None else self.chunks, "chunks", 1,
@@ -349,7 +349,7 @@ def _feed(cfg, s, acc):
     if math.isinf(cfg.beta):
         _kernels.hard_block(None, s, *acc)
     else:
-        p = _kernels.soft_block(None, s, float(cfg.beta), *acc[:6])
+        p = _kernels.soft_block(None, s, cfg.beta, *acc[:6])
         if cfg.mode == "full":
             acc[6] += p @ p.T
 
@@ -509,7 +509,7 @@ def _finish(cfg, sums, record, **own):
     avg_se = (math.sqrt(max(pooled[1] / m - avg * avg, 0.0) / m) if m >= 2
               else math.inf)
     return record(**dict(zip(record._rows, (corr, stderr))), **own,
-                  mass=mass, m=m, beta=float(cfg.beta), seed=cfg.seed,
+                  mass=mass, m=m, beta=cfg.beta, seed=cfg.seed,
                   chunks=cfg.chunks, avg_self_corr=avg, avg_self_stderr=avg_se,
                   warnings=tuple(warnings_), undefined=tuple(undefined))
 
@@ -521,28 +521,26 @@ def hard_assign(templates, cfg, *, sums=None):
     sums are the run's accumulators from a pass shared with other runs
     (see assign_many); without them the run draws its own.
     """
-    if not math.isinf(cfg.beta):
-        raise ConfigError("hard_assign expects cfg.beta = inf; use soft_assign")
-    return _assign(templates, cfg, sums)
+    return _assign(templates, cfg, sums, hard=True)
 
 
 def soft_assign(templates, cfg, *, sums=None):
     """One softmax-weighted averaging step (single EM iteration) on
     noise; templates and sums as in hard_assign."""
-    if math.isinf(cfg.beta):
-        raise ConfigError("soft_assign expects finite cfg.beta")
-    return _assign(templates, cfg, sums)
+    return _assign(templates, cfg, sums, hard=False)
 
 
-def _assign(templates, cfg, sums):
-    """The estimate of a general run, hard or soft by cfg.beta. Full
-    mode builds its vectors (see _full_vectors) from the hard sum1 or
-    the soft a1, with the out-of-span noise factor diag(sqrt counts)
-    for hard labels and a factor of C = sums[6] for soft ones."""
+def _assign(templates, cfg, sums, hard):
+    """The estimate of hard_assign (hard) or soft_assign. Full mode
+    builds its vectors (see _full_vectors) from the hard sum1 or the
+    soft a1, with the out-of-span noise factor diag(sqrt counts) for
+    hard labels and a factor of C = sums[6] for soft ones."""
+    if math.isinf(cfg.beta) != hard:
+        raise ConfigError(f"{'hard' if hard else 'soft'}_assign needs "
+                          f"{'inf' if hard else 'finite'} beta")
     factor = _factor(templates, cfg)
     if sums is None:
         sums, = _shared_pass([(factor, cfg)])
-    hard = math.isinf(cfg.beta)
     vec = None
     if cfg.mode == "full":
         noise = np.diag(np.sqrt(sums[0])) if hard else rank_factor(sums[6])
@@ -562,32 +560,31 @@ def hard_assign_diag(L, cfg):
     O(L) and time O(1) per sample even at L = 4096. Empty clusters are
     listed in undefined, with warnings, as in hard_assign.
     """
-    if not math.isinf(cfg.beta) or cfg.mode != "gram":
-        raise ConfigError("hard_assign_diag expects cfg.beta = inf and "
-                          "gram mode")
-    L = _integer(L, "L", 2)
-
-    def fill(chunk, rows, ahead, *acc):
-        _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, *acc)
-
-    return _finish(cfg, _run_chunks(cfg, (L, L, L, 2), fill),
-                   GramDiagEstimate)
+    return _assign_diag(L, cfg, hard=True)
 
 
 def soft_assign_diag(L, cfg):
     """Soft run for L orthonormal templates, diagonal statistics only."""
-    if math.isinf(cfg.beta) or cfg.mode != "gram":
-        raise ConfigError("soft_assign_diag expects finite cfg.beta and "
-                          "gram mode")
-    beta = float(cfg.beta)
+    return _assign_diag(L, cfg, hard=False)
+
+
+def _assign_diag(L, cfg, hard):
+    """The estimate of hard_assign_diag (hard) or soft_assign_diag, as
+    _assign; it keeps no vectors, so it takes gram mode only."""
+    if math.isinf(cfg.beta) != hard or cfg.mode != "gram":
+        raise ConfigError(f"{'hard' if hard else 'soft'}_assign_diag needs "
+                          f"{'inf' if hard else 'finite'} beta and gram mode")
     L = _integer(L, "L", 2)
 
     def fill(chunk, rows, ahead, *acc):
-        _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L, beta,
-                                 *acc, ahead=ahead)
+        if hard:
+            _kernels.hard_diag_chunk(None, cfg.seed, chunk, rows, L, *acc)
+        else:
+            _kernels.soft_diag_chunk(None, cfg.seed, chunk, rows, L,
+                                     cfg.beta, *acc, ahead=ahead)
 
-    return _finish(cfg, _run_chunks(cfg, (L, L, L, L, L, 2), fill),
-                   GramDiagEstimate)
+    return _finish(cfg, _run_chunks(cfg, [L] * (3 if hard else 5) + [2],
+                                    fill), GramDiagEstimate)
 
 
 def correlation_matrix(est, templates):

@@ -56,7 +56,7 @@ from scipy.special import ndtr, roots_hermite
 
 from . import _kernels
 from .errors import DimensionError, DomainError
-from .templates import GramModel, _integer, _positive, _readonly
+from .templates import GramModel, _integer, _positive, _readonly, _real
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -88,13 +88,12 @@ def bvn_cdf(h, k, r):
     endpoint; each panel gets a fixed Gauss-Legendre rule; vectorized over
     h and k. Matches adaptive quadrature to 3.3e-16 through |r| = 0.9999.
     """
+    r = _real(r, "bvn_cdf's r", -1.0, 1.0, "()")
     h = np.asarray(h, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     base = ndtr(h) * ndtr(k)
     if r == 0.0:
         return base
-    if not -1.0 < r < 1.0:
-        raise DomainError(f"bvn_cdf needs |r| < 1, got {r}")
     upper = math.asin(r)
     if abs(r) <= 0.8:
         cuts = np.array([0.0, 1.0])

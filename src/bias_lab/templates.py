@@ -13,11 +13,17 @@ they stay exactly in its range. GramModel (behind TemplateSet.gram()
 and the oracle's models) and make_circulant refuse a singular set;
 span_residual and extract_coefficients raise RankError. Templates read
 from files (load_csv, load_pgm_dir) are scaled to norm 1.
+
+Input rule: every number and array the package takes passes _integer,
+_real or _array here, which refuse bools, strings, None and NaN. A bad
+value raises DomainError (or, for an integer, the caller's error), an
+array of the wrong shape or a ragged one DimensionError.
 """
 
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +51,7 @@ def rank_factor(c):
     c gets np.linalg.cholesky(c), a singular one the eigenvectors of its
     nonzero eigenvalues scaled by their square roots.
     """
-    if not np.all(np.isfinite(c)):
-        raise DomainError("matrix contains non-finite entries")
+    c = _array(c, "matrix", 2, square=True)
     vals = np.linalg.eigvalsh(c)
     tol = RANK_RTOL * vals[-1]
     if vals[0] < -tol:
@@ -71,22 +76,47 @@ def _readonly(a):
     return a
 
 
+def _real(value, name, low, high, ends="[]", what=None):
+    """value as a float: a Python or numpy integer or float from low to
+    high, the ends closed or open as ends reads ("[]", "[)", "(]" or
+    "()"); what names the set in messages (default: the interval)."""
+    real = (isinstance(value, (float, np.floating, np.integer))  # no bools
+            or type(value) is int and abs(value) <= sys.float_info.max)
+    x = float(value) if real else math.nan
+    if not ((low < x or low == x and ends[0] == "[")
+            and (x < high or x == high and ends[1] == "]")):
+        what = what or f"a real in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return x
+
+
 def _positive(value, name):
     """value as a float; DomainError unless it is a positive finite real."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be a positive finite real")
-    return float(value)
+    return _real(value, name, 0.0, math.inf, "()", "a positive finite real")
+
+
+def _array(value, name, ndim=None, square=False):
+    """value as a new float64 array: a rectangular nesting of finite reals,
+    of ndim dimensions (None: any) and square if asked."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting of sequences
+        raise DimensionError(f"{name} is not a rectangular array") from exc
+    if ndim not in (None, a.ndim) or square and a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be {ndim}-D{' square' * square}"
+                             f", got shape {a.shape}")
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} must hold finite reals only")
+    return a.astype(np.float64)  # a copy: records freeze their own
 
 
 def _integer(value, name, low, high=None, error=DomainError):
-    """value as an int; error unless it is an integer in [low, high]
-    (high None: no upper end). An integer is a Python or numpy integer,
-    or a finite float with no fractional part; strings, bools, NaN,
-    infinities and fractions are refused, as are values out of range."""
-    whole = not isinstance(value, (bool, np.bool_)) and (
-        isinstance(value, (int, np.integer))
-        or isinstance(value, (float, np.floating))
-        and float(value).is_integer())
+    """value as an int: a Python or numpy integer, or a float with no
+    fractional part, in [low, high] (high None: no upper end); error
+    otherwise."""
+    whole = (type(value) is int or isinstance(value, np.integer)  # no bools
+             or isinstance(value, (float, np.floating))
+             and float(value).is_integer())
     if not (whole and low <= value and (high is None or value <= high)):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
@@ -108,14 +138,10 @@ class GramModel:
     factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise DimensionError("rho must be a square matrix")
+        rho = _array(self.rho, "rho", 2, square=True)
         L = rho.shape[0]
         if L < 2:
             raise DimensionError("a Gram model needs at least two templates")
-        if not np.all(np.isfinite(rho)):
-            raise DomainError("rho contains non-finite entries")
         if not np.allclose(rho, rho.T, atol=1e-12):
             raise DomainError("rho must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-9):
@@ -152,16 +178,11 @@ class TemplateSet:
     labels: tuple = ()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise DimensionError("template matrix must be two dimensional")
+        m = _array(self.matrix, "template matrix", 2)
         d, L = m.shape
-        if L < 2:
-            raise DimensionError("a template set needs at least two columns")
-        if d < 1:
-            raise DimensionError("templates must have at least one row")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("template matrix contains non-finite entries")
+        if d < 1 or L < 2:
+            raise DimensionError(f"a template set needs at least one row and "
+                                 f"two columns, got shape {m.shape}")
         norms = np.linalg.norm(m, axis=0)
         if np.any(norms == 0.0):
             raise DegenerateTemplateSetError("a template column is all zero")
@@ -176,8 +197,10 @@ class TemplateSet:
         if hi > CORR_CAP:
             raise DegenerateTemplateSetError(
                 f"two templates are (nearly) identical, correlation {hi!r}")
-        labels = tuple(self.labels) if self.labels else tuple(
-            f"t{idx}" for idx in range(L))
+        if not (isinstance(self.labels, (tuple, list))
+                and all(isinstance(s, str) for s in self.labels)):
+            raise DomainError(f"labels must be strings, got {self.labels!r}")
+        labels = tuple(self.labels) or tuple(f"t{idx}" for idx in range(L))
         if len(labels) != L:
             raise DimensionError("need exactly one label per template")
         object.__setattr__(self, "matrix", _readonly(m))
@@ -215,13 +238,12 @@ def make_pair(rho, d=2, norm=1.0):
     rho = -1 is allowed and yields the antipodal pair x1 = -x0; rho = 1
     would collapse the pair to one template and is rejected.
     """
-    if not (math.isfinite(rho) and -1.0 <= rho <= 1.0):
-        raise DomainError(f"pair correlation must lie in [-1, 1], got {rho!r}")
+    rho = _real(rho, "pair correlation", -1.0, 1.0)
     if rho > CORR_CAP:
         raise DegenerateTemplateSetError(
             "rho = 1 collapses the pair to a single template")
     d = _integer(d, "a pair's ambient dimension d", 2, error=DimensionError)
-    _positive(norm, "norm")
+    norm = _positive(norm, "norm")
     m = np.zeros((d, 2))
     m[0, 0] = 1.0
     m[0, 1] = rho
@@ -231,9 +253,9 @@ def make_pair(rho, d=2, norm=1.0):
 
 def circulant_spectrum(rho_seq):
     """Eigenvalues of the circulant correlation matrix with first row rho_seq."""
-    seq = np.asarray(rho_seq, dtype=np.float64)
-    if seq.ndim != 1 or seq.size < 2:
-        raise DimensionError("rho_seq must be a 1-D sequence of length >= 2")
+    seq = _array(rho_seq, "rho_seq", 1)
+    if seq.size < 2:
+        raise DimensionError("rho_seq must have length >= 2")
     if abs(seq[0] - 1.0) > 1e-12:
         raise DomainError("rho_seq[0] must equal 1 (unit diagonal)")
     if np.max(np.abs(seq[1:] - seq[::-1][:-1])) > 1e-12:
@@ -254,7 +276,7 @@ def make_circulant(rho_seq, d=None, norm=1.0):
         raise SpectrumError(
             f"circulant spectrum has eigenvalue {lo:.3e}; "
             f"the correlation model is not positive definite")
-    _positive(norm, "norm")
+    norm = _positive(norm, "norm")
     d = L if d is None else _integer(d, f"d (to embed L={L} templates)", L,
                                      error=DimensionError)
     root_row = np.real(np.fft.ifft(np.sqrt(lam)))
@@ -269,9 +291,8 @@ def make_circulant(rho_seq, d=None, norm=1.0):
 def make_exponential(d, alpha, norm=1.0):
     """Unit-energy decaying profile exp(-alpha * m), m = 0..d-1, scaled to norm."""
     d = _integer(d, "the profile's sample count d", 2, error=DimensionError)
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise DomainError("alpha must be a finite nonnegative real")
-    _positive(norm, "norm")
+    alpha = _real(alpha, "alpha", 0.0, math.inf, "[)")
+    norm = _positive(norm, "norm")
     v = np.exp(-alpha * np.arange(d, dtype=np.float64))
     return norm * v / np.linalg.norm(v)
 
@@ -304,13 +325,13 @@ def make_haar_family(x0, L, seed):
     diag(R) folded in, which makes Q exactly Haar distributed. Norms are
     preserved, so the family shares the norm of x0.
     """
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    x0 = _array(x0, "x0").reshape(-1)
     d = x0.size
     if d < 2:
         raise DimensionError("need ambient dimension at least 2 to rotate")
     L = _integer(L, "a family's size L", 2, error=DimensionError)
-    if not np.all(np.isfinite(x0)) or np.linalg.norm(x0) == 0.0:
-        raise DomainError("x0 must be finite and nonzero")
+    if np.linalg.norm(x0) == 0.0:
+        raise DomainError("x0 must be nonzero")
     rng = np.random.default_rng(np.random.SeedSequence(
         _integer(seed, "seed", 0)))
     m = np.empty((d, L))
@@ -444,12 +465,10 @@ def render_pgm(vector, width, height, path):
     """
     width = _integer(width, "width", 1, error=DimensionError)
     height = _integer(height, "height", 1, error=DimensionError)
-    v = np.asarray(vector, dtype=np.float64).ravel()
+    v = _array(vector, "a rendered vector").ravel()
     if v.size != width * height:
         raise DimensionError(f"vector length {v.size} does not match "
                              f"{width}x{height}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("cannot render non-finite values")
     lo, hi = float(v.min()), float(v.max())
     if hi - lo < 1e-300:
         pix = np.full(v.size, 128, dtype=np.uint8)

@@ -12,12 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ApproximationBreakdownError,
-    DimensionError,
-    DomainError,
-)
-from .templates import _integer, _positive, _readonly
+from .errors import ApproximationBreakdownError, DimensionError
+from .templates import _array, _integer, _positive, _readonly, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,13 +32,11 @@ class TheoryPrediction:
     predicted_corr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        rho = np.asarray(self.rho, dtype=np.float64)
-        if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
-            raise DimensionError("alpha must be a square matrix")
+        alpha = _array(self.alpha, "alpha", 2, square=True)
+        rho = _array(self.rho, "rho", 2)
         if rho.shape != alpha.shape:
             raise DimensionError("rho must match alpha in shape")
-        _positive(self.scale, "scale")
+        object.__setattr__(self, "scale", _positive(self.scale, "scale"))
         corr = alpha @ ((self.scale ** 2) * rho)
         for name, arr in (("alpha", alpha), ("rho", rho),
                           ("predicted_corr", corr)):
@@ -67,9 +61,8 @@ def hard_pair_prediction(rho, norm=1.0):
     c = sqrt(1 / (pi (1 - rho) norm**2)), so the self inner product is
     norm * sqrt((1 - rho) / pi).
     """
-    if not (-1.0 <= rho < 1.0):
-        raise DomainError(f"need -1 <= rho < 1 for a hard pair, got {rho!r}")
-    _positive(norm, "norm")
+    rho = _real(rho, "a hard pair's rho", -1.0, 1.0, "[)")
+    norm = _positive(norm, "norm")
     c = math.sqrt(1.0 / (math.pi * (1.0 - rho) * norm * norm))
     return TheoryPrediction(
         alpha=c * _PAIR_SHAPE,
@@ -86,9 +79,8 @@ def soft_pair_prediction(rho, norm=1.0):
     its error grows with (1 - rho) * norm**2, and the small-norm limit of
     alpha is [[1/2, -1/2], [-1/2, 1/2]].
     """
-    if not (-1.0 <= rho < 1.0):
-        raise DomainError(f"need -1 <= rho < 1 for a soft pair, got {rho!r}")
-    _positive(norm, "norm")
+    rho = _real(rho, "a soft pair's rho", -1.0, 1.0, "[)")
+    norm = _positive(norm, "norm")
     gap = (1.0 - rho) * norm * norm
     a = 0.5 / math.sqrt(1.0 + 0.25 * math.pi * gap)
     return TheoryPrediction(
@@ -157,7 +149,7 @@ def gumbel_prediction(L, norm=1.0):
     its own template at magnitude sqrt(2 log L) to leading order.
     """
     L = _integer(L, "L", 2)
-    _positive(norm, "norm")
+    norm = _positive(norm, "norm")
     a_l = math.sqrt(2.0 * math.log(L))
     return TheoryPrediction(
         alpha=(a_l / norm) * np.eye(L),
@@ -186,6 +178,4 @@ def max_two_gaussians_mean(rho):
     The max is (Z0 + Z1)/2 + |Z0 - Z1|/2; the absolute difference is a
     folded normal, which gives sqrt((1 - rho) / pi) exactly.
     """
-    if not (-1.0 <= rho <= 1.0):
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
-    return math.sqrt((1.0 - rho) / math.pi)
+    return math.sqrt((1.0 - _real(rho, "correlation", -1.0, 1.0)) / math.pi)

@@ -1,5 +1,7 @@
 """Tests for template set constructors, Gram models, and file formats."""
 
+import math
+import os
 import re
 
 import numpy as np
@@ -8,16 +10,122 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bias_lab import (
+    BiasLabError,
     DegenerateTemplateSetError,
     DimensionError,
     DomainError,
+    ExperimentConfig,
     FactorizationError,
     GramModel,
     ParseError,
     SpectrumError,
     TemplateSet,
+    TheoryPrediction,
+    oracle,
     templates as tpl,
+    theory,
 )
+
+
+# -------------------------------------------------------------- input rule
+
+_G2 = GramModel(np.array([[1.0, 0.3], [0.3, 1.0]]))
+_PAIR = [[1.0, 0.5], [0.5, 1.0]]
+
+# every public real input: (call of one value, a value it takes)
+_REALS = {
+    "ExperimentConfig beta": (lambda v: ExperimentConfig(m=10, beta=v), 2),
+    "GramModel scale": (lambda v: GramModel(np.eye(2), scale=v), 2.0),
+    "make_pair rho": (lambda v: tpl.make_pair(v), 0.3),
+    "make_pair norm": (lambda v: tpl.make_pair(0.3, norm=v), 2.0),
+    "make_circulant norm": (
+        lambda v: tpl.make_circulant([1.0, 0.2, 0.2], norm=v), 2),
+    "make_exponential alpha": (lambda v: tpl.make_exponential(8, v), 0.1),
+    "make_exponential norm": (
+        lambda v: tpl.make_exponential(8, 0.1, norm=v), 2.0),
+    "TheoryPrediction scale": (
+        lambda v: TheoryPrediction(np.eye(2), np.eye(2), scale=v), 1.5),
+    "hard_pair_prediction rho": (theory.hard_pair_prediction, -0.5),
+    "hard_pair_prediction norm": (
+        lambda v: theory.hard_pair_prediction(0.2, norm=v), 2.0),
+    "soft_pair_prediction rho": (theory.soft_pair_prediction, -0.5),
+    "soft_pair_prediction norm": (
+        lambda v: theory.soft_pair_prediction(0.2, norm=v), 2.0),
+    "gumbel_prediction norm": (
+        lambda v: theory.gumbel_prediction(4, norm=v), 2.0),
+    "max_two_gaussians_mean rho": (theory.max_two_gaussians_mean, 1),
+    "bvn_cdf r": (lambda v: oracle.bvn_cdf(0.0, 0.0, v), 0.5),
+    "soft_moments beta": (
+        lambda v: oracle.soft_moments(_G2, v, 0, nodes=9), 1.0),
+    "soft_second_moments beta": (
+        lambda v: oracle.soft_second_moments(_G2, v, 0, nodes=9), 1.0),
+    "ibp_residual beta": (
+        lambda v: oracle.ibp_residual(_G2, v, 0, nodes=9), 1.0),
+}
+
+# every public array input, as _REALS
+_ARRAYS = {
+    "GramModel rho": (GramModel, _PAIR),
+    "TemplateSet matrix": (lambda v: TemplateSet(matrix=v), np.eye(2)),
+    "circulant_spectrum rho_seq": (tpl.circulant_spectrum, [1, 0.2, 0.2]),
+    "make_circulant rho_seq": (tpl.make_circulant, [1, 0.2, 0.2]),
+    "make_haar_family x0": (
+        lambda v: tpl.make_haar_family(v, 3, seed=0), [1.0, 2.0, 3.0]),
+    "render_pgm vector": (
+        lambda v: tpl.render_pgm(v, 2, 1, os.devnull), [0.0, 1.0]),
+    "TheoryPrediction alpha": (
+        lambda v: TheoryPrediction(v, np.eye(2)), _PAIR),
+    "TheoryPrediction rho": (lambda v: TheoryPrediction(np.eye(2), v), _PAIR),
+    "rank_factor c": (tpl.rank_factor, _PAIR),
+}
+
+_NOT_REAL = (True, np.True_, "1", None, math.nan, [1.0])
+_RAGGED = [[1.0, 2.0], [3.0]]
+
+
+@pytest.mark.parametrize("name", sorted(_REALS))
+def test_every_real_input_refuses_what_is_not_a_real(name):
+    call, good = _REALS[name]
+    call(good)
+    call(np.float32(good))
+    for bad in _NOT_REAL:
+        with pytest.raises(BiasLabError):
+            call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAYS))
+def test_every_array_input_refuses_what_is_not_an_array_of_reals(name):
+    call, good = _ARRAYS[name]
+    call(good)
+    for bad in _NOT_REAL[:-1] + ([["a"]], [[1.0, "a"], ["a", 1.0]]):
+        with pytest.raises(BiasLabError):
+            call(bad)
+    with pytest.raises(DimensionError):
+        call(_RAGGED)
+
+
+def test_template_labels_are_strings():
+    for bad in (5, "ab", None, ("a", 1), [["a"], ["b"]], np.array(["a", "b"])):
+        with pytest.raises(DomainError):
+            TemplateSet(np.eye(2), labels=bad)
+    assert TemplateSet(np.eye(2), labels=["a", "b"]).labels == ("a", "b")
+
+
+def test_records_leave_the_callers_arrays_writable():
+    a, rho = np.eye(2), np.array(_PAIR)
+    TemplateSet(matrix=a)
+    TheoryPrediction(a, rho)
+    GramModel(rho)
+    a[0, 0] = rho[0, 0] = 1.0
+
+
+def test_reals_are_stored_as_floats():
+    assert type(ExperimentConfig(m=10, beta=2).beta) is float
+    pred = TheoryPrediction(np.eye(2), np.eye(2), scale=np.float32(2))
+    assert type(pred.scale) is float and pred.scale == 2.0
+    # an integer beyond the float range is no real
+    with pytest.raises(DomainError):
+        ExperimentConfig(m=10, beta=10**400)
 
 
 # ---------------------------------------------------------------- make_pair
